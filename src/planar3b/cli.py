@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -166,13 +168,6 @@ def _header(cfg, command):
 
 # ----------------------------------------------------------------- potentials
 
-def _sweep_point(job):
-    branch_value, params_tuple, r = job
-    branch = Branch(branch_value)
-    params = TwoBodyParams(*params_tuple)
-    return potentials._solve_branch_point(branch, r, params)
-
-
 def _branch_params(cfg, branch):
     params = cfg.twobody
     if branch in potentials.ZERO_BRANCHES and params.a1_inv != 0.0:
@@ -196,40 +191,29 @@ def cmd_potentials(cfg: RunConfig, branches, jobs: int = 1):
     """
     curves = {}
     failures = total = 0
-    for branch in branches:
-        grid = _sweep_for_branch(cfg, branch).grid()
-        params = _branch_params(cfg, branch)
-        p_tuple = (params.a0, params.a1_inv, params.r1, params.r0)
-        if jobs > 1:
-            jobs_list = [(branch.value, p_tuple, float(r)) for r in grid]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_sweep_point, jobs_list, chunksize=16))
-            v = np.array([r[0] for r in results])
-            ok = np.array([r[1] for r in results], dtype=bool)
-            res = np.array([r[2] for r in results])  # extra root counts unused here
-            curve = potentials.PotentialCurve(
-                branch=branch, R_grid=grid, V=v,
-                validity=potentials.branch_validity(branch, params),
-                converged=ok, residual=res,
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+    with pool:
+        point_map = partial(pool.map, chunksize=16) if jobs > 1 else map
+        for branch in branches:
+            grid = _sweep_for_branch(cfg, branch).grid()
+            params = _branch_params(cfg, branch)
+            curve = potentials.sweep_branch(branch, params, grid, point_map)
+            curves[branch] = curve
+            lo, hi = potentials.branch_existence(branch, params)
+            expected = (curve.R_grid >= lo) & (curve.R_grid <= hi)
+            total += int(np.sum(expected))
+            failures += int(np.sum(expected & ~curve.converged))
+            tag = branch.value.replace("+", "_plus").replace("-", "_minus")
+            rows = [
+                (r, (v if ok else None), branch.value, bool(ok), (res if ok else None))
+                for r, v, ok, res in zip(curve.R_grid, curve.V, curve.converged, curve.residual)
+            ]
+            _write_csv(
+                os.path.join(cfg.output_dir, f"potential_{tag}.csv"),
+                _header(cfg, "potentials"),
+                ("R", "V", "branch", "converged", "residual"),
+                rows,
             )
-        else:
-            curve = potentials.sweep_branch(branch, params, grid)
-        curves[branch] = curve
-        lo, hi = potentials.branch_existence(branch, params)
-        expected = (curve.R_grid >= lo) & (curve.R_grid <= hi)
-        total += int(np.sum(expected))
-        failures += int(np.sum(expected & ~curve.converged))
-        tag = branch.value.replace("+", "_plus").replace("-", "_minus")
-        rows = [
-            (r, (v if ok else None), branch.value, bool(ok), (res if ok else None))
-            for r, v, ok, res in zip(curve.R_grid, curve.V, curve.converged, curve.residual)
-        ]
-        _write_csv(
-            os.path.join(cfg.output_dir, f"potential_{tag}.csv"),
-            _header(cfg, "potentials"),
-            ("R", "V", "branch", "converged", "residual"),
-            rows,
-        )
     if total and failures / total > 0.5:
         raise RuntimeError(f"solver failure rate {failures}/{total} exceeds 50%")
     return curves

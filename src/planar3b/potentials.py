@@ -27,6 +27,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -156,11 +157,6 @@ def solve_swave(R_over_a0: float, sign: int) -> RootResult:
     root = brent(f, lo, hi, xtol=1e-300, rtol=1e-15)
     root, res = _refine(f, root)
     return RootResult(xi=root, residual=res, bracket=(lo, hi), converged=abs(res) <= 1e-10)
-
-
-def v_swave(R_over_a0: float, sign: int) -> float:
-    """V/|eps0| on the s-wave branch: -xi^2."""
-    return -solve_swave(R_over_a0, sign).xi ** 2
 
 
 def swave_asymptote(R_over_a0: float, sign: int, regime: str) -> float:
@@ -379,20 +375,6 @@ def determinant_residual(xi: float, R: float, params: TwoBodyParams, block: str)
     return det.real
 
 
-_BLOCK_FOR_BRANCH = {
-    Branch.PWAVE_I_PLUS: "zero",
-    Branch.PWAVE_I_MINUS: "zero",
-    Branch.PWAVE_I_ZERO: "zero",
-    Branch.PWAVE_II_PLUS: "plus",
-    Branch.PWAVE_II_MINUS: "minus",
-    Branch.PWAVE_II_ZERO: "plus",
-}
-
-
-def block_for_branch(branch: Branch) -> str:
-    return _BLOCK_FOR_BRANCH[branch]
-
-
 # --------------------------------------------------------------------------
 # Light-particle wavefunctions
 # --------------------------------------------------------------------------
@@ -484,7 +466,7 @@ def branch_existence(branch: Branch, params: TwoBodyParams) -> tuple:
     return (2.0 * params.r1, math.inf)
 
 
-def _solve_branch_point(branch: Branch, R: float, params: TwoBodyParams):
+def _solve_branch_point(branch: Branch, params: TwoBodyParams, R: float):
     """(V, converged, residual, n_roots) for one grid point; NaN on failure."""
     try:
         if branch is Branch.SWAVE_PLUS:
@@ -518,19 +500,22 @@ def resonance_params(params: TwoBodyParams) -> TwoBodyParams:
     return TwoBodyParams(a0=params.a0, a1_inv=0.0, r1=params.r1, r0=params.r0)
 
 
-def sweep_branch(branch: Branch, params: TwoBodyParams, R_grid) -> PotentialCurve:
+def sweep_branch(branch: Branch, params: TwoBodyParams, R_grid,
+                 point_map=map) -> PotentialCurve:
     """Sample one branch over a grid (grid in units of a0 for s-wave branches,
-    r1 otherwise).  Failed points carry V = NaN and converged = False."""
+    r1 otherwise).  Failed points carry V = NaN and converged = False.
+
+    The grid points run through ``point_map``: the builtin ``map`` or a
+    process pool's ``map``, with the same result either way.
+    """
     if branch in ZERO_BRANCHES and params.a1_inv != 0.0:
         raise DomainError(f"{branch.value} requires exact resonance (a1_inv = 0)")
     grid = np.asarray(R_grid, dtype=float)
-    v = np.empty_like(grid)
-    ok = np.zeros(grid.shape, dtype=bool)
-    res = np.full_like(grid, math.nan)
-    multi = 0
-    for i, R in enumerate(grid):
-        v[i], ok[i], res[i], n_roots = _solve_branch_point(branch, float(R), params)
-        multi += n_roots > 1
+    points = list(point_map(partial(_solve_branch_point, branch, params), grid.tolist()))
+    v = np.array([p[0] for p in points], dtype=float)
+    ok = np.array([p[1] for p in points], dtype=bool)
+    res = np.array([p[2] for p in points], dtype=float)
+    multi = sum(p[3] > 1 for p in points)
     if multi:
         log.warning("%s: %d of %d sweep points had extra roots; kept the "
                     "smallest xi at each", branch.value, multi, len(grid))

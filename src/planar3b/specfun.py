@@ -7,8 +7,9 @@ special-function library:
 * ``J``/``Y``: defining power series for x <= 6, Hankel large-argument
   expansion for x >= 16 (optimally-truncated error ~ exp(-2x), i.e. 1e-14
   at the crossover).  On the gap the series cancellation would cost ~e^x
-  in double, so there the series terms are accumulated in double-double
-  arithmetic, keeping the result at the 1e-13 level.
+  in double, so there Bessel's integrals (DLMF 10.9.1, 10.9.7) are
+  evaluated by 64-node Gauss-Legendre quadrature, which returns J and Y
+  together to a few 1e-15 absolute.
 * ``K``: log-type power series for x <= 2, asymptotic expansion for
   x >= 16.  Neither reaches 1e-10 relative accuracy in double precision on
   the gap (series cancellation grows like e^(2x), the asymptotic tail only
@@ -25,8 +26,11 @@ large argument.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -41,52 +45,6 @@ _JY_ASYMP_MIN = 16.0
 _K_SERIES_MAX = 2.0
 _K_ASYMP_MIN = 16.0
 _K_TRAP_STEP = 0.18
-
-
-# ---------------------------------------------------------------------------
-# Minimal double-double arithmetic (Dekker/Knuth error-free transforms), used
-# only to sum the strongly cancelling J/Y power series on 6 < x < 16.
-# ---------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    s, e = _two_sum(s, e)
-    return s, e
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    p, e = _two_sum(p, e)
-    return p, e
-
-
-def _dd_div_int(xh, xl, m):
-    q1 = xh / m
-    p, e = _two_prod(q1, m)
-    q2 = ((xh - p) - e + xl) / m
-    return _two_sum(q1, q2)
 
 
 @dataclass(frozen=True)
@@ -172,84 +130,36 @@ def _y_series(order, x):
     return val, est
 
 
-def _j_series_dd(order, x):
-    """J power series with double-double accumulation (for the 6..16 band)."""
-    qh, ql = _two_prod(x, x)
-    qh, ql = 0.25 * qh, 0.25 * ql
-    if order == 0:
-        th, tl = 1.0, 0.0
-    else:
-        th, tl = 0.5 * x, 0.0
-    sh, sl = th, tl
-    peak = abs(th)
-    k = 0
-    while True:
-        k += 1
-        th, tl = _dd_mul(th, tl, -qh, -ql)
-        th, tl = _dd_div_int(th, tl, k * (k + order))
-        sh, sl = _dd_add(sh, sl, th, tl)
-        peak = max(peak, abs(th))
-        if abs(th) <= 1e-34 * peak or k > 300:
-            break
-    est = 4.0 * _EPS * abs(sh) + 1e-30 * peak
-    return sh + sl, est
+@functools.cache
+def _jy_rule():
+    # 64-node Gauss-Legendre rule mapped to theta in [0, pi] and to t in
+    # [0, T] with x sinh T >= 40 for every x >= 6, beyond which the Y tail
+    # integral is below e^-40.  Built on first use, so that runs which never
+    # reach the band do not load numpy.polynomial and LAPACK (about 2 MB).
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.5 * math.pi * (nodes + 1.0)
+    t_max = math.asinh(40.0 / _J_SERIES_MAX)
+    sinh_t = np.sinh(0.5 * t_max * (nodes + 1.0))
+    tail_weights = (t_max * weights, t_max * weights * sinh_t)  # times e^nt + (-1)^n e^-nt
+    return theta, np.sin(theta), 0.5 * math.pi * weights, sinh_t, tail_weights
 
 
-def _y_series_dd(order, x):
-    lg = math.log(0.5 * x) + EULER_GAMMA
-    qh, ql = _two_prod(x, x)
-    qh, ql = 0.25 * qh, 0.25 * ql
-    j_val, j_err = _j_series_dd(order, x)
-    if order == 0:
-        # sum_{k>=1} (-1)^(k+1) H_k q^k / (k!)^2
-        th, tl = 1.0, 0.0
-        hh, hl = 0.0, 0.0
-        sh, sl = 0.0, 0.0
-        peak = 0.0
-        k = 0
-        sign = 1.0
-        while True:
-            k += 1
-            th, tl = _dd_mul(th, tl, qh, ql)
-            th, tl = _dd_div_int(th, tl, k * k)
-            hh, hl = _dd_add(hh, hl, *_dd_div_int(1.0, 0.0, k))
-            ph, pl = _dd_mul(th, tl, hh, hl)
-            sh, sl = _dd_add(sh, sl, sign * ph, sign * pl)
-            peak = max(peak, abs(ph))
-            sign = -sign
-            if abs(ph) <= 1e-34 * (peak + 1.0) or k > 300:
-                break
-        total = sh + sl
-        val = (2.0 / math.pi) * (lg * j_val + total)
-        est = (2.0 / math.pi) * (abs(lg) * j_err + 4.0 * _EPS * abs(total) + 1e-30 * peak)
-        return val, est
-    # order 1: sum_k (-1)^k (H_k + H_{k+1}) (x/2)^(2k+1) / (k!(k+1)!)
-    th, tl = 0.5 * x, 0.0
-    hkh, hkl = 0.0, 0.0
-    hk1h, hk1l = 1.0, 0.0
-    sh, sl = 0.0, 0.0
-    peak = 0.0
-    k = 0
-    sign = 1.0
-    while True:
-        hsh, hsl = _dd_add(hkh, hkl, hk1h, hk1l)
-        ph, pl = _dd_mul(th, tl, hsh, hsl)
-        sh, sl = _dd_add(sh, sl, sign * ph, sign * pl)
-        peak = max(peak, abs(ph))
-        if abs(ph) <= 1e-34 * (peak + 1.0) and k > 2:
-            break
-        k += 1
-        if k > 300:
-            break
-        th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div_int(th, tl, k * (k + 1))
-        hkh, hkl = _dd_add(hkh, hkl, *_dd_div_int(1.0, 0.0, k))
-        hk1h, hk1l = _dd_add(hk1h, hk1l, *_dd_div_int(1.0, 0.0, k + 1))
-        sign = -sign
-    total = sh + sl
-    val = (2.0 / math.pi) * lg * j_val - 2.0 / (math.pi * x) - total / math.pi
-    est = (abs(lg) * j_err + 4.0 * _EPS * (abs(total) + 2.0 / x) + 1e-30 * peak) / math.pi
-    return val, est
+def _jy_quadrature(order, x):
+    # DLMF 10.9.1 and 10.9.7 by Gauss-Legendre quadrature, for 6 < x < 16:
+    # pi J_n = int_0^pi cos(x sin th - n th) dth,
+    # pi Y_n = int_0^pi sin(x sin th - n th) dth
+    #          - int_0^inf (e^{nt} + (-1)^n e^{-nt}) e^{-x sinh t} dt.
+    # Both integrands are entire, so the rules converge geometrically; the
+    # error is rounding, bounded by the sum of the magnitudes of the terms.
+    theta, sin_theta, w_theta, sinh_t, tail_weights = _jy_rule()
+    phase = x * sin_theta - order * theta
+    j_terms = w_theta * np.cos(phase)
+    y_terms = w_theta * np.sin(phase)
+    tail = tail_weights[order] * np.exp(-x * sinh_t)
+    j_val = j_terms.sum() / math.pi
+    y_val = (y_terms.sum() - tail.sum()) / math.pi
+    scale = np.abs(j_terms).sum() + np.abs(y_terms).sum() + tail.sum()
+    return float(j_val), float(y_val), 8.0 * _EPS * float(scale) / math.pi
 
 
 def _hankel_pq(order, x):
@@ -379,12 +289,12 @@ def _check_order(order, allowed, name):
 
 def bessel_j_result(order: int, x: float) -> SpecFunResult:
     _check_order(order, (0, 1), "bessel_j")
-    if x < 0:
-        raise DomainError(f"bessel_j: x must be >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"bessel_j: x must be finite and >= 0, got {x}")
     if x <= _J_SERIES_MAX:
         val, est = _j_series(order, x)
     elif x < _JY_ASYMP_MIN:
-        val, est = _j_series_dd(order, x)
+        val, _, est = _jy_quadrature(order, x)
     else:
         val, _, est = _jy_asymp(order, x)
     return SpecFunResult(val, est)
@@ -392,12 +302,12 @@ def bessel_j_result(order: int, x: float) -> SpecFunResult:
 
 def bessel_y_result(order: int, x: float) -> SpecFunResult:
     _check_order(order, (0, 1), "bessel_y")
-    if x <= 0:
-        raise DomainError(f"bessel_y: x must be > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"bessel_y: x must be finite and > 0, got {x}")
     if x <= _J_SERIES_MAX:
         val, est = _y_series(order, x)
     elif x < _JY_ASYMP_MIN:
-        val, est = _y_series_dd(order, x)
+        _, val, est = _jy_quadrature(order, x)
     else:
         _, val, est = _jy_asymp(order, x)
     return SpecFunResult(val, est)
@@ -405,7 +315,7 @@ def bessel_y_result(order: int, x: float) -> SpecFunResult:
 
 def bessel_k_result(order: int, x: float) -> SpecFunResult:
     _check_order(order, (0, 1, 2), "bessel_k")
-    if x <= 0:
+    if not x > 0.0:  # also rejects NaN; +inf underflows to 0.0 below
         raise DomainError(f"bessel_k: x must be > 0, got {x}")
     if order == 2:
         k0 = bessel_k_result(0, x)
@@ -422,12 +332,12 @@ def bessel_k_result(order: int, x: float) -> SpecFunResult:
 
 
 def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind, order 0 or 1, x >= 0."""
+    """Bessel function of the first kind, order 0 or 1, finite x >= 0."""
     return bessel_j_result(order, x).value
 
 
 def bessel_y(order: int, x: float) -> float:
-    """Bessel function of the second kind, order 0 or 1, x > 0."""
+    """Bessel function of the second kind, order 0 or 1, finite x > 0."""
     return bessel_y_result(order, x).value
 
 

@@ -80,8 +80,8 @@ def langer_w(potential):
     return lambda x: -math.exp(2.0 * x) * potential(math.exp(x))
 
 
-def turning_point(E: float, potential, *, quad_tol: float = 1e-10,
-                  R_lo: float = 1.0 + 1e-12, R_max: float = 1e150) -> float:
+def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
+                  R_max: float = 1e150) -> float:
     """Outer turning point R_E with V(R_E) = E, by bracketed bisection in ln R.
 
     Requires E < 0 and V monotone increasing toward 0 on the search domain.
@@ -104,11 +104,7 @@ def turning_point(E: float, potential, *, quad_tol: float = 1e-10,
         return potential(math.exp(x)) - E
 
     x_e = brent(g, max(x_lo, x_hi - 2.0 * (x_hi - x_lo)), x_hi, xtol=1e-14, rtol=4e-16)
-    r_e = math.exp(x_e)
-    if abs(potential(r_e) - E) > max(quad_tol, 1e-12) * abs(E) * 1e3:
-        # bisection landed poorly conditioned; still return the bracket center
-        pass
-    return r_e
+    return math.exp(x_e)
 
 
 def wkb_phase_langer(x: float, x_eps: float, nu0: float, w, theta: float,
@@ -163,8 +159,7 @@ def wkb_phase(R: float, E: float, potential, cfg: WkbConfig,
         x_e = math.log(R_cap)
         energy_term = False
     else:
-        x_e = math.log(turning_point(E, potential, quad_tol=cfg.quad_tol,
-                                     R_max=cfg.R_max))
+        x_e = math.log(turning_point(E, potential, R_max=cfg.R_max))
         energy_term = True
     x = math.log(R)
     if x > x_e:

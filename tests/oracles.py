@@ -12,6 +12,8 @@ Run ``python tests/oracles.py`` to regenerate the frozen reference tables in
 
 from __future__ import annotations
 
+import functools
+
 import mpmath as mp
 
 _DPS = 120
@@ -19,6 +21,7 @@ _SERIES_MAX_J = 30.0  # below: power series; above: Hankel asymptotics
 _SERIES_MAX_K = 40.0
 
 
+@functools.lru_cache(maxsize=None)  # the Y and K series ask for H_k at every term
 def _harmonic(k):
     return mp.fsum(mp.mpf(1) / i for i in range(1, k + 1)) if k else mp.mpf(0)
 

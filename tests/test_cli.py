@@ -154,6 +154,19 @@ def test_cli_byte_identical_outputs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_cli_jobs_keeps_sweep_warnings(tmp_path):
+    # the pool path goes through the same sweep as the serial one, so it
+    # reports the same extra-root warnings
+    stderr = []
+    for jobs in ("1", "2"):
+        r = run_cli(["potentials", "--branch", "s+,I0", "--output", str(tmp_path / jobs),
+                     "--jobs", jobs])
+        assert r.returncode == 0, r.stderr
+        stderr.append(r.stderr.splitlines())
+    assert any("extra roots" in line for line in stderr[0])
+    assert stderr[1] == stderr[0]
+
+
 def test_cli_validate_corrupted_tolerance(tmp_path):
     ini = tmp_path / "bad_tol.ini"
     ini.write_text("[wkb]\nquad_tol = 1.0\n")

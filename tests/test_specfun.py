@@ -23,6 +23,21 @@ def _loggrid(lo, hi, n):
     return [10 ** (math.log10(lo) + (math.log10(hi) - math.log10(lo)) * i / (n - 1)) for i in range(n)]
 
 
+# The J/Y quadrature band 6 < x < 16 on a fine grid, with its outermost
+# doubles on both seams.
+_JY_BAND = [6.0 + 10.0 * i / 400 for i in range(401)]
+_JY_SEAMS = [math.nextafter(6.0, 0.0), math.nextafter(6.0, 16.0),
+             math.nextafter(16.0, 6.0), math.nextafter(16.0, 17.0)]
+_JY_POINTS = _loggrid(1e-6, 1e4, 50) + _JY_BAND + _JY_SEAMS
+
+
+def _check_jy(got, want, x):
+    assert _rel(got, want) <= 1e-10
+    if 6.0 <= x <= 16.0:
+        with mp.workdps(40):
+            assert abs(mp.mpf(got) - want) <= 5e-15
+
+
 # ---------------------------------------------------------------- oracle sweeps
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -33,15 +48,14 @@ def test_bessel_k_oracle_sweep(order):
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_bessel_j_oracle_sweep(order):
-    for x in _loggrid(1e-6, 1e4, 50):
-        want = oracles.bessel_j(order, x)
-        assert _rel(specfun.bessel_j(order, x), want) <= 1e-10
+    for x in _JY_POINTS:
+        _check_jy(specfun.bessel_j(order, x), oracles.bessel_j(order, x), x)
 
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_bessel_y_oracle_sweep(order):
-    for x in _loggrid(1e-6, 1e4, 50):
-        assert _rel(specfun.bessel_y(order, x), oracles.bessel_y(order, x)) <= 1e-10
+    for x in _JY_POINTS:
+        _check_jy(specfun.bessel_y(order, x), oracles.bessel_y(order, x), x)
 
 
 def test_oracle_against_mpmath_builtins():
@@ -116,13 +130,19 @@ def test_k_positive_and_decreasing(log10x):
         assert b < a
 
 
-@given(st.floats(min_value=1e-5, max_value=600.0))
+@given(st.one_of(st.floats(min_value=1e-5, max_value=600.0),
+                 st.floats(min_value=6.0, max_value=16.0)))
 @settings(max_examples=80, deadline=None)
 def test_error_estimate_bounds_true_error(x):
-    for order in (0, 1, 2):
-        res = specfun.bessel_k_result(order, x)
+    cases = [(specfun.bessel_k_result, oracles.bessel_k, order) for order in (0, 1, 2)]
+    cases += [(result, oracle, order)
+              for result, oracle in ((specfun.bessel_j_result, oracles.bessel_j),
+                                     (specfun.bessel_y_result, oracles.bessel_y))
+              for order in (0, 1)]
+    for result, oracle, order in cases:
+        res = result(order, x)
         assert res.est_abs_error >= 0.0
-        true = oracles.bessel_k(order, x)
+        true = oracle(order, x)
         with mp.workdps(40):
             err = float(abs(mp.mpf(res.value) - true))
         assert err <= 10.0 * res.est_abs_error + 1e-300
@@ -143,3 +163,10 @@ def test_domain_errors():
         specfun.bessel_k(3, 1.0)
     with pytest.raises(DomainError):
         specfun.bessel_j(2, 1.0)
+    # non-finite arguments; NaN would keep the asymptotic-series loops running
+    for fn, order, x in ((specfun.bessel_j, 0, math.nan), (specfun.bessel_k, 0, math.nan),
+                         (specfun.bessel_y, 0, math.nan), (specfun.bessel_y, 1, math.nan),
+                         (specfun.bessel_j, 0, math.inf), (specfun.bessel_y, 1, math.inf)):
+        with pytest.raises(DomainError):
+            fn(order, x)
+    assert specfun.bessel_k(0, math.inf) == 0.0
