@@ -9,6 +9,10 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
+class NotABracketError(ValueError):
+    """A root finder was given an interval whose ends have one sign."""
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge."""
 

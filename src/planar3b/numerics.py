@@ -1,14 +1,17 @@
-"""Scalar numerical kernels: bracketed root finding and adaptive quadrature.
+"""Numerical kernels: bracket scan, bracketed root finding, adaptive quadrature.
 
-Self-contained so the transcendental solvers and the WKB phase integrals
-carry no dependency beyond the standard library.
+Brent, Ridders and adaptive Simpson work on scalar functions and need only
+the standard library; the bracket scan evaluates its function once over the
+whole grid as a numpy array.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, QuadratureError
+import numpy as np
+
+from .errors import ConvergenceError, NotABracketError, QuadratureError
 
 _EPS = 2.220446049250313e-16
 
@@ -25,7 +28,7 @@ def brent(f, a, b, *, xtol=1e-15, rtol=4 * _EPS, maxiter=120):
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
-        raise ValueError(f"not a bracket: f({a})={fa}, f({b})={fb}")
+        raise NotABracketError(f"not a bracket: f({a})={fa}, f({b})={fb}")
     c, fc = a, fa
     d = e = b - a
     for _ in range(maxiter):
@@ -72,8 +75,10 @@ def brent(f, a, b, *, xtol=1e-15, rtol=4 * _EPS, maxiter=120):
 def scan_sign_changes(f, lo, hi, n=200, *, log=True):
     """Scan f on an n-point grid over [lo, hi] and return sign-change brackets.
 
-    Non-finite values are skipped.  Returns a list of (a, b) intervals, in
-    increasing order, together with the smallest |f| seen (for diagnostics).
+    f is called once, with the whole grid as a numpy array, and returns the
+    values as an array.  Non-finite values are skipped and break the
+    brackets across them.  Returns a list of (a, b) intervals, in increasing
+    order, together with the smallest finite |f| seen (for diagnostics).
     """
     if log:
         if lo <= 0:
@@ -82,18 +87,15 @@ def scan_sign_changes(f, lo, hi, n=200, *, log=True):
         grid = [math.exp(llo + (lhi - llo) * i / (n - 1)) for i in range(n)]
     else:
         grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    brackets = []
-    min_abs = math.inf
-    x_prev = f_prev = None
-    for x in grid:
-        fx = f(x)
-        if not math.isfinite(fx):
-            x_prev = f_prev = None
-            continue
-        min_abs = min(min_abs, abs(fx))
-        if f_prev is not None and (fx == 0.0 or f_prev * fx < 0.0):
-            brackets.append((x_prev, x))
-        x_prev, f_prev = x, fx
+    x = np.array(grid)
+    fx = np.asarray(f(x), dtype=float)
+    finite = np.isfinite(fx)
+    left, right = fx[:-1], fx[1:]
+    # a pair brackets a root when both ends are finite and either the right
+    # end is an exact zero or the signs differ
+    hits = finite[:-1] & finite[1:] & ((right == 0.0) | (np.sign(left) * np.sign(right) < 0.0))
+    brackets = [(grid[i], grid[i + 1]) for i in np.flatnonzero(hits)]
+    min_abs = float(np.abs(fx[finite]).min()) if finite.any() else math.inf
     return brackets, min_abs
 
 
@@ -158,7 +160,7 @@ def ridders(f, a, b, *, xtol=0.0, rtol=1e-12, maxiter=80):
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
-        raise ValueError("ridders: not a bracket")
+        raise NotABracketError("ridders: not a bracket")
     for _ in range(maxiter):
         m = 0.5 * (a + b)
         fm = f(m)

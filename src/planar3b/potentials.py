@@ -31,9 +31,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, NoRealRootError
+from .errors import DomainError, NoRealRootError, NotABracketError
 from .numerics import brent, expand_bracket_up, scan_sign_changes
-from .specfun import EULER_GAMMA, bessel_k
+from .specfun import EULER_GAMMA, bessel_k, bessel_k01
 from .twobody import TwoBodyParams, dimer_energies, pwave_pole, t_matrix
 
 log = logging.getLogger(__name__)
@@ -185,11 +185,27 @@ def swave_asymptote(R_over_a0: float, sign: int, regime: str) -> float:
 # p-wave branches (natural units)
 # --------------------------------------------------------------------------
 
-def _pwave_scan_solve(f, R, label, *, hi=None, n_scan=200):
-    """Scan xi in (0, hi) on a log grid, Brent the smallest bracket."""
+def _pwave_scan_solve(residual, R, label, *, hi=None, n_scan=200, needs_k0=True):
+    """Scan xi in (0, hi) on a log grid, Brent the smallest bracket.
+
+    residual(xi, z, log_xi, k0, k1) is the branch equation written as
+    arithmetic on xi, z = xi R, ln xi, K0(z) and K1(z).  The scan passes
+    numpy arrays over its whole grid (``bessel_k01``, ``np.log``); Brent and
+    ``_refine`` pass floats (``bessel_k``, ``math.log``), with k0 = None
+    unless ``needs_k0``.
+    """
+    def f(xi):
+        z = xi * R
+        return residual(xi, z, math.log(xi), bessel_k(0, z) if needs_k0 else None,
+                        bessel_k(1, z))
+
+    def f_grid(xi):
+        z = xi * R
+        return residual(xi, z, np.log(xi), *bessel_k01(z))
+
     lo = min(1e-7 / R, 1e-7)
     hi = 1.0 - 1e-12 if hi is None else hi
-    brackets, min_abs = scan_sign_changes(f, lo, hi, n=n_scan, log=True)
+    brackets, min_abs = scan_sign_changes(f_grid, lo, hi, n=n_scan, log=True)
     if not brackets:
         raise NoRealRootError(
             f"{label}: no sign change for xi in [{lo:.3g}, 1) at R = {R:g} "
@@ -202,7 +218,12 @@ def _pwave_scan_solve(f, R, label, *, hi=None, n_scan=200):
         log.debug("%s: %d roots at R=%g; keeping smallest, others in %s",
                   label, len(brackets), R, others)
     a, b = brackets[0]
-    root = brent(f, a, b, xtol=1e-300, rtol=1e-15)
+    try:
+        root = brent(f, a, b, xtol=1e-300, rtol=1e-15)
+    except NotABracketError:
+        # the scan's array values and the floats can differ in the last
+        # ulp, so at an end where f ~ 0 both ends may show one sign here
+        root = a if abs(f(a)) <= abs(f(b)) else b
     root, res = _refine(f, root)
     return RootResult(xi=root, residual=res, bracket=(a, b),
                       converged=abs(res) <= 1e-10, n_roots=len(brackets))
@@ -231,14 +252,14 @@ def solve_pwave_I(R: float, params: TwoBodyParams, sign: int) -> RootResult:
         raise DomainError("sign must be +1 or -1")
     a1_inv = params.a1_inv
 
-    def f(xi):
-        z = xi * R
-        return -2.0 * bessel_k(1, z) / z - sign * pole_function(xi, a1_inv)
+    def residual(xi, z, log_xi, k0, k1):
+        return -2.0 * k1 / z - sign * (a1_inv / (xi * xi) + log_xi)
 
     hi = None
     if sign == -1 and a1_inv > 0.0:
         hi = pwave_pole(a1_inv) * (1.0 - 1e-9)
-    return _pwave_scan_solve(f, R, f"pwave_I({'+' if sign > 0 else '-'})", hi=hi)
+    return _pwave_scan_solve(residual, R, f"pwave_I({'+' if sign > 0 else '-'})",
+                             hi=hi, needs_k0=False)
 
 
 def solve_pwave_II(R: float, params: TwoBodyParams, sign: int) -> RootResult:
@@ -254,16 +275,13 @@ def solve_pwave_II(R: float, params: TwoBodyParams, sign: int) -> RootResult:
     a1_inv = params.a1_inv
     log_ga0 = EULER_GAMMA + math.log(0.5 * params.a0)
 
-    def f(xi):
-        z = xi * R
-        k0 = bessel_k(0, z)
-        k1 = bessel_k(1, z)
+    def residual(xi, z, log_xi, k0, k1):
         k2 = k0 + 2.0 * k1 / z
-        first = k2 + k0 + sign * pole_function(xi, a1_inv)
-        second = k0 - sign * (math.log(xi) + log_ga0)
+        first = k2 + k0 + sign * (a1_inv / (xi * xi) + log_xi)
+        second = k0 - sign * (log_xi + log_ga0)
         return first * second - 2.0 * k1 * k1
 
-    return _pwave_scan_solve(f, R, f"pwave_II({'+' if sign > 0 else '-'})")
+    return _pwave_scan_solve(residual, R, f"pwave_II({'+' if sign > 0 else '-'})")
 
 
 def xi_I0_closed(R: float) -> float:

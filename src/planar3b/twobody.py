@@ -33,8 +33,8 @@ class MassConfig:
     M: float
 
     def __post_init__(self):
-        if self.m <= 0 or self.M <= 0:
-            raise DomainError("masses must be positive")
+        if not (0.0 < self.m < math.inf and 0.0 < self.M < math.inf):  # NaN fails too
+            raise DomainError("masses must be positive and finite")
 
     @property
     def mu(self) -> float:
@@ -61,14 +61,15 @@ class TwoBodyParams:
     r0: float = 1.25
 
     def __post_init__(self):
-        if self.a0 <= 0:
-            raise DomainError("a0 must be positive")
-        if self.a1_inv < 0:
-            raise DomainError("a1_inv must be >= 0")
+        # written so that NaN fails every check
+        if not 0.0 < self.a0 < math.inf:
+            raise DomainError("a0 must be positive and finite")
+        if not 0.0 <= self.a1_inv < math.inf:
+            raise DomainError("a1_inv must be finite and >= 0")
         if self.r1 != 1.0:
             raise DomainError("core works in natural units; r1 must be 1")
-        if self.r0 <= 0:
-            raise DomainError("r0 must be positive")
+        if not 0.0 < self.r0 < math.inf:
+            raise DomainError("r0 must be positive and finite")
         if self.r1 > 0.5 * math.exp(EULER_GAMMA) * self.r0:
             raise DomainError(
                 f"effective range bound violated: need r0 >= {R0_MIN:.6f} r1"
@@ -80,7 +81,7 @@ class TwoBodyParams:
 
     @classmethod
     def from_a1(cls, a0: float, a1: float, **kw) -> "TwoBodyParams":
-        if a1 <= 0:
+        if not a1 > 0:
             raise DomainError("a1 must be positive (use a1_inv=0 for resonance)")
         return cls(a0=a0, a1_inv=0.0 if math.isinf(a1) else 1.0 / a1, **kw)
 

@@ -21,8 +21,6 @@ from . import _refvals, potentials, radial, scattering, specfun, wkb
 from .errors import NoRealRootError, TMatrixPoleError
 from .twobody import TwoBodyParams, dimer_energies
 
-logging.getLogger("planar3b.potentials").setLevel(logging.ERROR)
-
 _UNIFIED = potentials.UnifiedPotential()
 
 
@@ -382,17 +380,27 @@ _MODULE_OF = {
 
 
 def run_checks(cfg, only: str | None = None) -> list:
-    """Run the acceptance suite; `only` filters by module name."""
+    """Run the acceptance suite; `only` filters by module name.
+
+    The checks' sweeps would log the known extra roots as warnings, so the
+    potentials logger is held at ERROR while they run.
+    """
     results = []
-    for fn in ALL_CHECKS:
-        module = _MODULE_OF[fn.__name__]
-        if only is not None and module != only:
-            continue
-        try:
-            results.append(fn(cfg))
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(
-                _result(fn.__name__.removeprefix("check_"), module, False,
-                        f"raised {type(exc).__name__}: {exc}")
-            )
+    sweep_log = logging.getLogger("planar3b.potentials")
+    level = sweep_log.level
+    sweep_log.setLevel(logging.ERROR)
+    try:
+        for fn in ALL_CHECKS:
+            module = _MODULE_OF[fn.__name__]
+            if only is not None and module != only:
+                continue
+            try:
+                results.append(fn(cfg))
+            except Exception as exc:  # a crashed check is a failed check
+                results.append(
+                    _result(fn.__name__.removeprefix("check_"), module, False,
+                            f"raised {type(exc).__name__}: {exc}")
+                )
+    finally:
+        sweep_log.setLevel(level)
     return results

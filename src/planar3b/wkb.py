@@ -40,11 +40,14 @@ class WkbConfig:
     R_max: float = 1e150
 
     def __post_init__(self):
-        if abs(self.theta) > math.pi:
+        # written so that NaN fails every check
+        if not abs(self.theta) <= math.pi:
             raise DomainError("|theta| must not exceed pi")
-        if self.R_inner < 1.0:
-            raise DomainError("R_inner must be >= r1 = 1")
-        if self.quad_tol <= 0:
+        if not 1.0 <= self.R_inner < math.inf:
+            raise DomainError("R_inner must be finite and >= r1 = 1")
+        if not self.R_max > self.R_inner:
+            raise DomainError("R_max must exceed R_inner")
+        if not self.quad_tol > 0:
             raise DomainError("quad_tol must be positive")
         if self.phase_mode not in ("approx", "full"):
             raise DomainError("phase_mode must be 'approx' or 'full'")
@@ -221,6 +224,8 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
     least-squares line of ln(n^2 |E_n|) against n^2, whose theoretical slope
     is -pi^2/(2 nu0).
     """
+    if not 0.0 < nu0 < math.inf:
+        raise DomainError(f"nu0 must be positive and finite, got {nu0}")
     if potential is None:
         potential = _DEF_POTENTIAL
     if isinstance(n_range, tuple):

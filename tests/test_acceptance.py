@@ -4,6 +4,10 @@ Runs the same registry as ``planar3b validate`` so the CLI and the test
 suite cannot drift apart; one pass/fail line is printed per criterion.
 """
 
+import logging
+import subprocess
+import sys
+
 import pytest
 
 from planar3b import validation
@@ -28,3 +32,21 @@ def test_acceptance(check, cfg):
 def test_registry_covers_all_modules(cfg):
     modules = {validation._MODULE_OF[fn.__name__] for fn in validation.ALL_CHECKS}
     assert {"specfun", "potentials", "wkb", "radial_oracle", "scattering", "cli_io"} <= modules
+
+
+def test_validation_leaves_potentials_log_level_alone(cfg):
+    # importing the module changes no logger; run_checks lowers the sweep
+    # warnings only while it runs
+    code = ("import logging; log = logging.getLogger('planar3b.potentials'); "
+            "log.setLevel(logging.INFO); import planar3b.validation; "
+            "assert log.level == logging.INFO, log.level")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    log = logging.getLogger("planar3b.potentials")
+    level = log.level
+    try:
+        log.setLevel(logging.DEBUG)
+        assert validation.run_checks(cfg, only="specfun")[0].passed
+        assert log.level == logging.DEBUG
+    finally:
+        log.setLevel(level)

@@ -167,6 +167,24 @@ def test_cli_jobs_keeps_sweep_warnings(tmp_path):
     assert stderr[1] == stderr[0]
 
 
+def test_cli_nan_config_values_exit_2(tmp_path):
+    # NaN fails the dataclass validators, so load_config reports a
+    # configuration error instead of a solver failure or a silent run
+    ini = tmp_path / "a1_nan.ini"
+    ini.write_text("[twobody]\na1 = nan\n")
+    r = run_cli(["potentials", "--branch", "I+", "--config", str(ini),
+                 "--output", str(tmp_path / "a1")])
+    assert r.returncode == 2, r.stderr
+    assert "invalid configuration" in r.stderr
+
+    ini = tmp_path / "theta_nan.ini"
+    ini.write_text("[wkb]\ntheta = nan\n")
+    out = tmp_path / "theta"
+    r = run_cli(["spectrum", "--config", str(ini), "--output", str(out)])
+    assert r.returncode == 2, r.stderr
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_cli_validate_corrupted_tolerance(tmp_path):
     ini = tmp_path / "bad_tol.ini"
     ini.write_text("[wkb]\nquad_tol = 1.0\n")

@@ -1,0 +1,63 @@
+"""Bracket scan: one array evaluation over the grid, brackets by numpy."""
+
+import math
+
+import numpy as np
+
+from planar3b.numerics import scan_sign_changes
+
+
+def _scan(values):
+    """Scan a function whose value at grid point i is values[i]."""
+    table = np.array(values, dtype=float)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return table[x.astype(int)]
+
+    # a linear grid over [0, n - 1] puts grid point i at exactly i
+    result = scan_sign_changes(f, 0.0, len(values) - 1.0, n=len(values), log=False)
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+    return result
+
+
+def test_scan_non_finite_value_breaks_bracket():
+    brackets, _ = _scan([1.0, math.nan, -1.0, -2.0, math.inf, 3.0])
+    assert brackets == []
+    brackets, _ = _scan([1.0, math.nan, 2.0, -1.0])
+    assert brackets == [(2.0, 3.0)]
+
+
+def test_scan_exact_zero_gives_one_bracket():
+    assert _scan([1.0, 0.0, -1.0])[0] == [(0.0, 1.0)]
+    assert _scan([-1.0, 0.0, -1.0])[0] == [(0.0, 1.0)]
+    # a zero at the first grid point has no left neighbour to pair with
+    assert _scan([0.0, 1.0, 2.0])[0] == []
+
+
+def test_scan_brackets_in_increasing_order():
+    brackets, min_abs = _scan([2.0, -1.0, -0.5, 3.0, 4.0, -2.0])
+    assert brackets == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+    assert min_abs == 0.5
+
+
+def test_scan_min_abs_ignores_non_finite():
+    assert _scan([math.inf, -3.0, math.nan, 2.0, -math.inf])[1] == 2.0
+    brackets, min_abs = _scan([math.nan, math.inf])
+    assert brackets == [] and min_abs == math.inf
+
+
+def test_scan_log_grid_matches_expression():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 0.3
+
+    brackets, _ = scan_sign_changes(f, 1e-3, 1.0, n=50)
+    llo, lhi = math.log(1e-3), math.log(1.0)
+    grid = [math.exp(llo + (lhi - llo) * i / 49) for i in range(50)]
+    assert seen[0].tolist() == grid
+    [(a, b)] = brackets
+    assert a < 0.3 < b and grid.index(a) + 1 == grid.index(b)

@@ -4,10 +4,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar3b import potentials as P
 from planar3b.errors import DomainError, NoRealRootError
-from planar3b.specfun import EULER_GAMMA
+from planar3b.specfun import EULER_GAMMA, bessel_k
 from planar3b.twobody import TwoBodyParams, dimer_energies
 
 logging.getLogger("planar3b.potentials").setLevel(logging.ERROR)
@@ -199,6 +201,86 @@ def test_pwave_II_branches_merge_with_I_at_large_R():
         gap = max(abs(viip - vip), abs(viim - vim)) / scale
         assert gap < cap and gap < prev
         prev = gap
+
+
+# ------------------------------------------------------------------ bracket scan
+
+def test_scan_and_brent_disagreement_does_not_abort():
+    # The scan sees an exact zero at a grid point c, so its first bracket
+    # ends at c; the scalar residual is a few ulp lower there, so Brent sees
+    # one sign at both ends.  The solve must still refine to the root.
+    grid_point = []
+
+    def residual(xi, z, log_xi, k0, k1):
+        if isinstance(xi, np.ndarray):
+            grid_point.append(xi[100])
+            return xi - xi[100]
+        return (xi - grid_point[0]) - 1e-15 * grid_point[0]
+
+    r = P._pwave_scan_solve(residual, 10.0, "stub")
+    c = grid_point[0]
+    assert r.bracket[0] < r.bracket[1] == c
+    assert r.xi == pytest.approx(c, rel=1e-14)
+    assert r.converged and abs(r.residual) <= 1e-10 * c
+
+
+def _scalar_scan_reference(f, lo, hi, n):
+    """The scan as a scalar loop, one f(x) per grid point."""
+    llo, lhi = math.log(lo), math.log(hi)
+    brackets, x_prev, f_prev = [], None, None
+    for i in range(n):
+        x = math.exp(llo + (lhi - llo) * i / (n - 1))
+        fx = f(x)
+        if not math.isfinite(fx):
+            x_prev = f_prev = None
+            continue
+        if f_prev is not None and (fx == 0.0 or f_prev * fx < 0.0):
+            brackets.append((x_prev, x))
+        x_prev, f_prev = x, fx
+    return brackets
+
+
+def _scalar_pwave_residual(family, sign, R, params):
+    """The branch equations as written with scalar K and math.log."""
+    a1_inv = params.a1_inv
+    log_ga0 = EULER_GAMMA + math.log(0.5 * params.a0)
+
+    def f(xi):
+        z = xi * R
+        if family == "I":
+            return -2.0 * bessel_k(1, z) / z - sign * P.pole_function(xi, a1_inv)
+        k0, k1 = bessel_k(0, z), bessel_k(1, z)
+        first = k0 + 2.0 * k1 / z + k0 + sign * P.pole_function(xi, a1_inv)
+        return first * (k0 - sign * (math.log(xi) + log_ga0)) - 2.0 * k1 * k1
+
+    return f
+
+
+@given(family=st.sampled_from(["I", "II"]), sign=st.sampled_from([+1, -1]),
+       a0=st.floats(5.0, 20.0), log10_a1=st.one_of(st.floats(1.2, 4.0), st.just(math.inf)),
+       log10_R=st.floats(0.1, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_vectorized_scan_matches_scalar_loop(family, sign, a0, log10_a1, log10_R):
+    params = TwoBodyParams.from_a1(a0=a0, a1=10.0 ** log10_a1)
+    R = 10.0 ** log10_R
+    scans = []
+
+    def spy(f, lo, hi, n=200, *, log=True):
+        result = scan(f, lo, hi, n, log=log)
+        scans.append((lo, hi, n, result[0]))
+        return result
+
+    scan = P.scan_sign_changes
+    solve = P.solve_pwave_I if family == "I" else P.solve_pwave_II
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(P, "scan_sign_changes", spy)
+        try:
+            solve(R, params, sign)
+        except NoRealRootError:
+            pass
+    [(lo, hi, n, brackets)] = scans
+    f = _scalar_pwave_residual(family, sign, R, params)
+    assert brackets == _scalar_scan_reference(f, lo, hi, n)
 
 
 # ------------------------------------------------------------------ unified

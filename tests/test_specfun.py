@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,36 @@ def test_bessel_j_oracle_sweep(order):
 def test_bessel_y_oracle_sweep(order):
     for x in _JY_POINTS:
         _check_jy(specfun.bessel_y(order, x), oracles.bessel_y(order, x), x)
+
+
+# The array kernel on a log grid over its whole range, with the doubles on
+# both sides of the regime seam at 16 and of the series hand-off at 1e-8.
+_K01_POINTS = _loggrid(1e-8, 700.0, 120) + [
+    math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, 17.0),
+    math.nextafter(1e-8, 0.0), 2.0, 1e-9, 1e-30]
+
+
+def test_bessel_k01_oracle_sweep():
+    k0, k1 = specfun.bessel_k01(np.array(_K01_POINTS))
+    for i, x in enumerate(_K01_POINTS):
+        for order, got in ((0, k0[i]), (1, k1[i])):
+            assert _rel(got, oracles.bessel_k(order, x)) <= 1e-14
+            assert abs(got - specfun.bessel_k(order, x)) <= 1e-14 * got
+
+
+def test_bessel_k01_underflow_shape_and_domain():
+    big = np.array([740.0, 746.0, 800.0, 1e300, math.inf])
+    for order, values in enumerate(specfun.bessel_k01(big)):
+        assert values[0] > 0.0 and (values[1:] == 0.0).all()
+        assert values[0] == specfun.bessel_k(order, 740.0)
+    k0, k1 = specfun.bessel_k01([[1.0, 20.0], [1e-3, 1e-12]])
+    assert k0.shape == k1.shape == (2, 2)
+    assert k1[1, 1] == specfun.bessel_k(1, 1e-12)
+    k0, k1 = specfun.bessel_k01(3.0)
+    assert k0.shape == () and k0 == pytest.approx(specfun.bessel_k(0, 3.0), rel=1e-14)
+    for bad in ([1.0, math.nan], [0.0], [2.0, -1.0], -math.inf):
+        with pytest.raises(DomainError):
+            specfun.bessel_k01(bad)
 
 
 def test_oracle_against_mpmath_builtins():

@@ -23,6 +23,20 @@ def test_mass_config_nu0_above_one():
     assert twobody.MassConfig(m=1.0, M=0.7).nu0 > 1.0
 
 
+def test_params_reject_nan_and_inf():
+    nan, inf = math.nan, math.inf
+    for kw in ({"a0": nan}, {"a0": inf}, {"a0": 10.0, "a1_inv": nan},
+               {"a0": 10.0, "a1_inv": inf}, {"a0": 10.0, "r0": nan}):
+        with pytest.raises(DomainError):
+            twobody.TwoBodyParams(**kw)
+    for a1 in (nan, -inf, 0.0):
+        with pytest.raises(DomainError):
+            twobody.TwoBodyParams.from_a1(a0=10.0, a1=a1)
+    assert twobody.TwoBodyParams.from_a1(a0=10.0, a1=inf).a1_inv == 0.0
+    with pytest.raises(DomainError):
+        twobody.MassConfig(m=nan, M=1.0)
+
+
 # ----------------------------------------------------------- phase shifts
 
 def test_cot_delta0_dimer_pole_location():

@@ -206,3 +206,13 @@ def test_config_validation():
         wkb.WkbConfig(R_inner=0.5)
     with pytest.raises(DomainError):
         wkb.WkbConfig(phase_mode="other")
+    for kw in ({"theta": math.nan}, {"R_inner": math.nan}, {"R_inner": math.inf},
+               {"quad_tol": math.nan}, {"R_max": math.nan}, {"R_max": 0.5}):
+        with pytest.raises(DomainError):
+            wkb.WkbConfig(**kw)
+
+
+def test_quantize_spectrum_rejects_bad_nu0():
+    for nu0 in (math.nan, math.inf, 0.0, -5.0):
+        with pytest.raises(DomainError):
+            wkb.quantize_spectrum((1, 3), nu0, wkb.WkbConfig())
