@@ -545,8 +545,3 @@ def sweep_branch(branch: Branch, params: TwoBodyParams, R_grid,
         converged=ok,
         residual=res,
     )
-
-
-def swave_v_to_natural(v_over_eps0: float, a0: float) -> float:
-    """Convert V/|eps0| to natural units hbar^2/(mu r1^2)."""
-    return v_over_eps0 * 2.0 * math.exp(-2.0 * EULER_GAMMA) / (a0 * a0)

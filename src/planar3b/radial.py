@@ -14,6 +14,23 @@ the solution has grown by e^35 inside the classically forbidden region,
 which shifts eigenvalues by ~e^-70 and keeps the recurrence inside double
 range (this also makes the levels independent of the outer wall position
 once the wall clears the turning point).
+
+A window that starts at R = r1 puts the hard wall on the 1/x singularity of
+Q at x = 0.  There the shot starts from the regular series
+chi = x - (g/2) x^2 + (g^2/12 - eps/6) x^3 + ... (g = nu0 times the 1/x
+residue of W), and the first Numerov step takes the limit
+(h^2/12)(Q chi)(0) = (h^2/12) g chi'(0) in place of chi0 (1 + h^2 Q0/12)
+(Blatt, J. Comput. Phys. 1 (1967) 382).  Without that term the levels
+converge only as O(h^2); with it the scheme is fourth order again, and at
+nu0 = 200 the default step h = 8e-4 puts the deepest level within 5e-7
+relative of its h -> 0 limit.  A start at a regular point (an inner wall
+above r1, `numerov_integrate`, `bound_states_1d`) keeps the plain
+recurrence.
+
+The recurrence runs over plain Python float lists (numpy scalar arithmetic
+costs several times more per step); the rare renormalisations against
+overflow are replayed on the array afterwards and nodes are counted with
+numpy, so the values are bit for bit those of a step-by-step array loop.
 """
 
 from __future__ import annotations
@@ -50,38 +67,51 @@ class BoundStates:
     complete: bool
 
 
-def _numerov_sweep(q, h, y0, y1, *, count_from=0):
+def _check_finite(name, value, *, positive=False):
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        kind = "finite and positive" if positive else "finite"
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
+
+
+def _numerov_sweep(q, h, y0, y1, *, qy0=None):
     """Numerov recurrence for chi'' + q chi = 0 on a uniform grid.
 
-    Returns (values, node_count, scale_log) where values may have been
-    rescaled by exp(-scale_log) along the way to avoid overflow (sign
-    structure, and therefore nodes, are unaffected).
+    qy0 is the limit of q chi at the first point for a start on a 1/x
+    singularity, where q[0] is not finite; it replaces y0 (1 + h^2 q[0]/12)
+    in the first step.  Returns (values, node_count, scale_log) where values
+    may have been rescaled by exp(-scale_log) along the way to avoid
+    overflow (sign structure, and therefore nodes, are unaffected).
     """
-    n = len(q)
     t = (h * h / 12.0) * np.asarray(q, dtype=float)
-    y = np.empty(n)
-    y[0], y[1] = y0, y1
-    nodes = 0
-    scale_log = 0.0
-    ya, yb = y1, y0  # previous point, point before that
-    ta, tb = t[1], t[0]
-    for i in range(2, n):
-        tc = t[i]
-        yc = (2.0 * ya * (1.0 - 5.0 * ta) - yb * (1.0 + tb)) / (1.0 + tc)
+    shrink = (1.0 - 5.0 * t).tolist()
+    grow = (1.0 + t).tolist()
+    yb = y0
+    if qy0 is not None:  # the first step's yb * grow[0] is then (h^2/12) qy0
+        yb, grow[0] = 1.0, (h * h / 12.0) * qy0
+    ys = [y0, y1]
+    append = ys.append
+    renorms = []
+    ya = y1
+    for sa, gb, gc in zip(shrink[1:-1], grow[:-2], grow[2:]):
+        yc = (2.0 * ya * sa - yb * gb) / gc
         yb, ya = ya, yc
-        tb, ta = ta, tc
-        if abs(yc) > _RENORM_LIMIT:
+        if yc > _RENORM_LIMIT or yc < -_RENORM_LIMIT:
             f = abs(yc)
             yb /= f
             ya /= f
-            y[: i] /= f
-            scale_log += math.log(f)
-        y[i] = ya
-        if i - 1 >= count_from and y[i - 1] * y[i] < 0.0:
-            nodes += 1
-    if y[0] * y[1] < 0.0 and count_from == 0:
-        nodes += 1
-    return y, nodes, scale_log
+            renorms.append((len(ys), f))
+        append(ya)
+    y = np.array(ys, dtype=float)
+    # a pair counts as the recurrence saw it: before later renormalisations,
+    # but after the one made at its own second point
+    with np.errstate(over="ignore"):
+        cross = y[1:-1] * y[2:] < 0.0
+    for i, f in renorms:
+        cross[i - 2] = (y[i - 1] / f) * y[i] < 0.0
+    for i, f in renorms:
+        y[:i] /= f
+    nodes = int(np.count_nonzero(cross)) + int(y[0] * y[1] < 0.0)
+    return y, nodes, sum((math.log(f) for _, f in renorms), 0.0)
 
 
 def numerov_integrate(potential, E: float, grid, bc, *, nu0: float) -> WavefunctionSample:
@@ -90,6 +120,10 @@ def numerov_integrate(potential, E: float, grid, bc, *, nu0: float) -> Wavefunct
     grid must be uniform in x = ln R; bc supplies the first two values.  The
     local step criterion h^2 |Q| < 0.25 is enforced (StepSizeError).
     """
+    _check_finite("E", E)
+    _check_finite("nu0", nu0, positive=True)
+    _check_finite("bc[0]", bc[0])
+    _check_finite("bc[1]", bc[1])
     x = np.asarray(grid, dtype=float)
     if len(x) < 3:
         raise DomainError("grid must have at least 3 points")
@@ -113,9 +147,12 @@ def zero_energy_exact(x_grid, nu0: float, A: float, B: float) -> WavefunctionSam
 
     chi0(x) = sqrt(x) [A J1(2 sqrt(nu0 x)) + B Y1(2 sqrt(nu0 x))].
     """
+    _check_finite("nu0", nu0, positive=True)
+    _check_finite("A", A)
+    _check_finite("B", B)
     x = np.asarray(x_grid, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("zero_energy_exact needs x > 0")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise DomainError("zero_energy_exact needs finite x > 0")
     vals = np.empty_like(x)
     for i, xi in enumerate(x):
         z = 2.0 * math.sqrt(nu0 * xi)
@@ -125,28 +162,45 @@ def zero_energy_exact(x_grid, nu0: float, A: float, B: float) -> WavefunctionSam
     return WavefunctionSample(grid=x, values=vals, node_count=nodes, norm_const=norm)
 
 
-class _ShootingProblem:
-    """Hard-wall shooting on a fixed x grid for Q(x; eps) families."""
+def _start(wall, eps, h):
+    """y1 and the first step's qy0 (see _numerov_sweep) of a shot from y0 = 0.
 
-    def __init__(self, x, q_of_eps):
+    A regular start takes y1 = h.  On a g/x wall (wall = g) the shot follows
+    the regular solution y = x - (g/2) x^2 + (g^2/12 - eps/6) x^3 + ... of
+    y'' + (eps + g/x) y = 0, for which (q y)(0) = g.
+    """
+    if wall is None:
+        return h, None
+    return h * (1.0 - 0.5 * wall * h + (wall * wall / 12.0 - eps / 6.0) * h * h), wall
+
+
+class _ShootingProblem:
+    """Hard-wall shooting on a fixed x grid for Q(x; eps) families.
+
+    wall is the strength g of a g/x singularity of Q at x[0], or None for a
+    regular start.
+    """
+
+    def __init__(self, x, q_of_eps, wall=None):
         self.x = x
         self.h = x[1] - x[0]
         self.q_of_eps = q_of_eps
+        self.wall = wall
 
     def _cap_index(self, q):
-        """First index past which the forbidden-region action exceeds the cap."""
-        neg = np.flatnonzero(q < 0.0)
-        if len(neg) == 0:
-            return len(q) - 1
-        i0 = neg[0]
-        action = 0.0
-        for i in range(i0, len(q)):
-            if q[i] < 0.0:
-                action += math.sqrt(-q[i]) * self.h
-                if action > _FORBIDDEN_ACTION_CAP:
-                    return i
-            else:  # re-entered an allowed region: reset
-                action = 0.0
+        """First index past which the forbidden-region action exceeds the cap.
+
+        The action sums sqrt(-q) h over a run of negative q and starts again
+        from zero on the next run.
+        """
+        neg = q < 0.0
+        bounds = [0, *(np.flatnonzero(neg[1:] != neg[:-1]) + 1).tolist(), len(q)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if neg[lo]:
+                action = np.cumsum(np.sqrt(-q[lo:hi]) * self.h)
+                k = int(np.searchsorted(action, _FORBIDDEN_ACTION_CAP, side="right"))
+                if k < hi - lo:
+                    return lo + k
         return len(q) - 1
 
     def shoot(self, eps, end=None):
@@ -154,7 +208,8 @@ class _ShootingProblem:
         if end is None:
             end = self._cap_index(q)
         end = max(end, 3)
-        y, _, _ = _numerov_sweep(q[: end + 1], self.h, 0.0, self.h)
+        y1, qy0 = _start(self.wall, eps, self.h)
+        y, _, _ = _numerov_sweep(q[: end + 1], self.h, 0.0, y1, qy0=qy0)
         # interior sign changes only: a zero at the wall is a boundary, not a node
         interior = y[:-1]
         nodes = int(np.count_nonzero(interior[:-1] * interior[1:] < 0.0))
@@ -165,30 +220,42 @@ def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e
     """Node-count bisection plus Ridders refinement on the wall value.
 
     Only eigenvalues below eps_hi are reported (eps_hi = 0 restricts to
-    bound states of the radial problem).
+    bound states of the radial problem).  The node count of every full-grid
+    shot is kept, so each level's bisection starts from the tightest
+    bracket the earlier shots give.
     """
+    counted = {}
+
+    def shoot(eps):
+        shot = problem.shoot(eps)
+        counted[eps] = shot[0]
+        return shot
+
     # lower all-levels-excluded bound by doubling
     eps_lo = min(-1.0, eps_hi - 1.0)
     for _ in range(300):
-        if problem.shoot(eps_lo)[0] == 0:
+        if shoot(eps_lo)[0] == 0:
             break
         eps_lo = eps_hi - 4.0 * (eps_hi - eps_lo)
-    total = problem.shoot(eps_hi)[0]
+    total = shoot(eps_hi)[0]
     energies, nodes_out = [], []
     for k in range(k_levels):
         if k + 1 > total:
             return BoundStates(energies=energies, nodes=nodes_out, complete=False)
-        lo, hi = eps_lo, eps_hi
+        lo = max((e for e, n in counted.items() if n <= k), default=eps_lo)
+        hi = min((e for e, n in counted.items() if n > k), default=eps_hi)
+        if lo >= hi:  # counts not monotone in eps: start from the full range
+            lo, hi = eps_lo, eps_hi
         # shrink until node counts bracket k -> k+1 tightly
         for _ in range(200):
+            if (hi - lo) <= 1e-3 * max(abs(lo), abs(hi), 1e-12):
+                break
             mid = 0.5 * (lo + hi)
-            if problem.shoot(mid)[0] <= k:
+            if shoot(mid)[0] <= k:
                 lo = mid
             else:
                 hi = mid
-            if (hi - lo) <= 1e-3 * max(abs(lo), abs(hi), 1e-12):
-                break
-        end = problem.shoot(0.5 * (lo + hi))[2]  # freeze the grid cap
+        end = shoot(0.5 * (lo + hi))[2]  # freeze the grid cap
 
         def wall(eps):
             return problem.shoot(eps, end=end)[1]
@@ -217,70 +284,67 @@ def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e
     return BoundStates(energies=energies, nodes=nodes_out, complete=True)
 
 
-def _langer_grid(window, h):
-    x_lo = math.log(window[0]) if window[0] > 1.0 else 0.0
-    if window[0] < 1.0:
-        raise DomainError("radial window must start at R >= r1 = 1")
-    x_hi = math.log(window[1])
+def _uniform_grid(x_lo, x_hi, h):
+    _check_finite("h", h, positive=True)
     if x_hi <= x_lo:
         raise DomainError("empty radial window")
     n = max(int(math.ceil((x_hi - x_lo) / h)) + 1, 8)
     return np.linspace(x_lo, x_hi, n)
 
 
+def _langer_setup(potential, nu0, window, h):
+    """Grid in x = ln R, nu0 W(x) on it, and the strength g of the g/x
+    singularity of Q at the first point (None unless the window starts at
+    R = r1)."""
+    _check_finite("nu0", nu0, positive=True)
+    _check_finite("window[0]", window[0])
+    _check_finite("window[1]", window[1])
+    if window[0] < 1.0:
+        raise DomainError("radial window must start at R >= r1 = 1")
+    if window[1] <= window[0]:
+        raise DomainError("empty radial window")
+    x = _uniform_grid(math.log(window[0]), math.log(window[1]), h)
+    w = langer_w(potential)
+    wx = np.array([w(xi) if xi > 0.0 else 0.0 for xi in x])
+    wall = nu0 * x[1] * wx[1] if x[0] == 0.0 else None  # x W(x) -> residue
+    return x, nu0 * wx, wall
+
+
 def bound_states_numerov(potential, nu0: float, window, k_levels: int,
-                         *, h: float = 2e-4) -> BoundStates:
+                         *, h: float = 8e-4) -> BoundStates:
     """Hard-wall eigenvalues of the heavy-pair problem on an R window.
 
     Returns up to k_levels energies in units hbar^2/(mu r1^2), ascending.
     If the window supports fewer negative-energy levels the result carries
     complete=False.
     """
-    x = _langer_grid(window, h)
-    w = langer_w(potential)
-    wx = np.array([w(xi) if xi > 0.0 else 0.0 for xi in x])
+    x, vx, wall = _langer_setup(potential, nu0, window, h)
     e2x = np.exp(2.0 * x)
 
     def q_of_eps(eps):
-        return eps * e2x + nu0 * wx
+        return eps * e2x + vx
 
-    problem = _ShootingProblem(x, q_of_eps)
+    problem = _ShootingProblem(x, q_of_eps, wall)
     res = _eigensolve(problem, k_levels)
     return BoundStates(
         energies=[e / nu0 for e in res.energies], nodes=res.nodes, complete=res.complete
     )
 
 
-def count_negative_levels(potential, nu0: float, window, *, h: float = 2e-4) -> int:
+def count_negative_levels(potential, nu0: float, window, *, h: float = 8e-4) -> int:
     """Number of E < 0 hard-wall levels: node count of the zero-energy shot."""
-    x = _langer_grid(window, h)
-    w = langer_w(potential)
-    q = np.array([nu0 * (w(xi) if xi > 0.0 else 0.0) for xi in x])
-    _, nodes, _ = _numerov_sweep(q, x[1] - x[0], 0.0, x[1] - x[0])
+    x, q, wall = _langer_setup(potential, nu0, window, h)
+    h = x[1] - x[0]
+    y1, qy0 = _start(wall, 0.0, h)
+    _, nodes, _ = _numerov_sweep(q, h, 0.0, y1, qy0=qy0)
     return nodes
-
-
-def write_wavefunction_csv(sample: WavefunctionSample, path) -> None:
-    """Dump a sample as `x,chi` rows (17 significant digits)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,chi\n")
-        for x, chi in zip(sample.grid, sample.values):
-            fh.write(f"{x:.17g},{chi:.17g}\n")
-
-
-def write_eigenvalues_csv(states: BoundStates, path) -> None:
-    """Dump bound-state energies as `k,E_k,nodes` rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,E_k,nodes\n")
-        for k, (e, n) in enumerate(zip(states.energies, states.nodes)):
-            fh.write(f"{k},{e:.17g},{n}\n")
 
 
 def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundStates:
     """Plain 1D hard-wall problem chi'' + (E - U(x)) chi = 0 (solver self-test)."""
-    x_lo, x_hi = window
-    n = max(int(math.ceil((x_hi - x_lo) / h)) + 1, 8)
-    x = np.linspace(x_lo, x_hi, n)
+    _check_finite("window[0]", window[0])
+    _check_finite("window[1]", window[1])
+    x = _uniform_grid(window[0], window[1], h)
     u = np.array([u_of_x(xi) for xi in x])
 
     def q_of_eps(eps):

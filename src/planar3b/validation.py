@@ -201,7 +201,7 @@ def check_wkb_vs_numerov(cfg) -> CheckResult:
     cnt = radial.count_negative_levels(_UNIFIED, 20.0, (1.0, r1))
     count_ok = abs(cnt - round(nb)) <= 1
 
-    bs = radial.bound_states_numerov(_UNIFIED, 100.0, (1.0, r1), 3, h=2e-4)
+    bs = radial.bound_states_numerov(_UNIFIED, 100.0, (1.0, r1), 3)
     spec = wkb.quantize_spectrum((1, 3), 100.0, wkb.WkbConfig(phase_mode="full"))
     devs = [abs(lv[2] / e - 1.0) for e, lv in zip(bs.energies, spec.levels)]
     deep_ok = len(devs) == 3 and max(devs) < 0.15

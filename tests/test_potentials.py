@@ -396,9 +396,3 @@ def test_sweep_branch_failure_rows():
 def test_zero_branch_requires_resonance():
     with pytest.raises(DomainError):
         P.sweep_branch(P.Branch.PWAVE_I_ZERO, PARAMS_100, np.array([10.0]))
-
-
-def test_swave_to_natural_units():
-    # V/|eps0| = -1 must equal eps0 in natural units
-    d = dimer_energies(PARAMS_100)
-    assert P.swave_v_to_natural(-1.0, 10.0) == pytest.approx(d.eps0, rel=1e-14)

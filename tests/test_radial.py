@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar3b import radial, wkb
 from planar3b.errors import DomainError, StepSizeError
@@ -173,18 +175,164 @@ def test_window_validation():
         radial.bound_states_numerov(U, 20.0, (5.0, 5.0), 1)
 
 
-def test_csv_writers(tmp_path):
-    x = np.linspace(0.5, 2.0, 11)
-    sample = radial.zero_energy_exact(x, NU0, 1.0, 0.0)
-    wf_path = tmp_path / "chi.csv"
-    radial.write_wavefunction_csv(sample, wf_path)
-    lines = wf_path.read_text().splitlines()
-    assert lines[0] == "x,chi" and len(lines) == 12
-    assert float(lines[1].split(",")[0]) == 0.5
+@pytest.mark.parametrize("nu0, counts", [
+    (4.0, (1, 0)), (20.0, (4, 1)), (50.0, (7, 2)), (100.0, (10, 3)), (200.0, (14, 5)),
+])
+def test_level_counts_unchanged(nu0, counts):
+    # counts of the second-order wall start at h = 2e-4, on a wall at r1 and at e
+    assert radial.count_negative_levels(U, nu0, (1.0, R1_A1_100)) == counts[0]
+    assert radial.count_negative_levels(U, nu0, (math.e, R1_A1_100)) == counts[1]
 
-    states = radial.bound_states_1d(lambda t: t * t, (-6.0, 6.0), 2, h=2e-3)
-    ev_path = tmp_path / "levels.csv"
-    radial.write_eigenvalues_csv(states, ev_path)
-    lines = ev_path.read_text().splitlines()
-    assert lines[0] == "k,E_k,nodes"
-    assert lines[1].split(",")[2] == "0" and lines[2].split(",")[2] == "1"
+
+def test_wall_start_fourth_order():
+    # deepest level at nu0 = 200 on (1, 300): the change per halving of h must
+    # fall by ~16 (it fell by 3.9 with the 1/x term missing from the first step)
+    levels = [radial.bound_states_numerov(U, 200.0, (1.0, 300.0), 1, h=h).energies[0]
+              for h in (4e-4, 2e-4, 1e-4)]
+    ratio = (levels[0] - levels[1]) / (levels[1] - levels[2])
+    assert ratio >= 12.0
+
+
+def test_default_step_matches_fine_step():
+    coarse = radial.bound_states_numerov(U, 200.0, (1.0, 300.0), 2)
+    fine = radial.bound_states_numerov(U, 200.0, (1.0, 300.0), 2, h=1e-4)
+    np.testing.assert_allclose(coarse.energies, fine.energies, rtol=2e-6)
+
+
+# ------------------------------------------------------------- sweep kernel
+
+def _reference_sweep(q, h, y0, y1, qy0=None):
+    """Step-by-step array form of the Numerov recurrence."""
+    t = (h * h / 12.0) * np.asarray(q, dtype=float)
+    y = np.empty(len(q))
+    y[0], y[1] = y0, y1
+    nodes, scale_log = 0, 0.0
+    ya, yb = y1, y0
+    ta, tb = t[1], t[0]
+    for i in range(2, len(q)):
+        tc = t[i]
+        if i == 2 and qy0 is not None:
+            lead = (h * h / 12.0) * qy0
+        else:
+            lead = yb * (1.0 + tb)
+        yc = (2.0 * ya * (1.0 - 5.0 * ta) - lead) / (1.0 + tc)
+        yb, ya = ya, yc
+        tb, ta = ta, tc
+        if abs(yc) > 1e250:
+            f = abs(yc)
+            yb /= f
+            ya /= f
+            y[:i] /= f
+            scale_log += math.log(f)
+        y[i] = ya
+        if y[i - 1] * y[i] < 0.0:
+            nodes += 1
+    if y[0] * y[1] < 0.0:
+        nodes += 1
+    return y, nodes, scale_log
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["regular", "wall", "renormalised"])
+def test_sweep_matches_reference_bit_for_bit(seed, case):
+    rng = np.random.default_rng(seed)
+    h = 0.01
+    if case == "renormalised":
+        # |q| h^2 ~ 4: growth by ~e^2 a step, renormalised every ~290 steps,
+        # with single allowed points that flip signs
+        q = -4e4 * rng.uniform(0.5, 1.5, 2000)
+        q[rng.integers(0, 2000, 40)] *= -1.0
+    else:
+        q = rng.uniform(-3e3, 3e3, 1500)
+    y0, y1 = (0.0, h) if case != "regular" else (rng.normal(), rng.normal())
+    qy0 = rng.uniform(1.0, 300.0) if case == "wall" else None
+    got = radial._numerov_sweep(q, h, y0, y1, qy0=qy0)
+    with np.errstate(over="ignore"):
+        want = _reference_sweep(q, h, y0, y1, qy0)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    if case == "renormalised":
+        assert got[2] > 0.0
+
+
+def _reference_cap_index(q, h, cap=35.0):
+    action = 0.0
+    neg = np.flatnonzero(q < 0.0)
+    if len(neg) == 0:
+        return len(q) - 1
+    for i in range(neg[0], len(q)):
+        if q[i] < 0.0:
+            action += math.sqrt(-q[i]) * h
+            if action > cap:
+                return i
+        else:
+            action = 0.0
+    return len(q) - 1
+
+
+_q_runs = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 60), st.floats(1.0, 4e4)), min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=_q_runs, h=st.sampled_from([0.01, 0.05, 0.2]), seed=st.integers(0, 2**32 - 1))
+def test_cap_index_matches_loop(runs, h, seed):
+    # allowed and forbidden runs in any order, so the action restarts on
+    # every re-entered forbidden region
+    rng = np.random.default_rng(seed)
+    q = np.concatenate([(1.0 if allowed else -1.0) * scale * rng.uniform(0.1, 1.0, n)
+                        for allowed, n, scale in runs])
+    problem = radial._ShootingProblem(h * np.arange(len(q) + 1), lambda eps: q)
+    assert problem._cap_index(q) == _reference_cap_index(q, h)
+
+
+# ------------------------------------------------------------- domain errors
+
+_BAD = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("nu0", _BAD + (-5.0, 0.0))
+def test_bad_nu0_rejected(nu0):
+    with pytest.raises(DomainError):
+        radial.bound_states_numerov(U, nu0, (1.0, 3.0), 1)
+    with pytest.raises(DomainError):
+        radial.count_negative_levels(U, nu0, (1.0, 3.0))
+    with pytest.raises(DomainError):
+        radial.zero_energy_exact(np.array([1.0, 2.0]), nu0, 1.0, 0.0)
+    with pytest.raises(DomainError):
+        radial.numerov_integrate(U, 0.0, np.linspace(0.5, 1.0, 11), (0.0, 1e-3), nu0=nu0)
+
+
+@pytest.mark.parametrize("window", [(math.nan, 3.0), (1.0, math.nan), (1.0, math.inf),
+                                    (math.inf, 3.0), (3.0, 2.0), (1.0, 0.5)])
+def test_bad_window_rejected(window):
+    with pytest.raises(DomainError):
+        radial.bound_states_numerov(U, 20.0, window, 1)
+    with pytest.raises(DomainError):
+        radial.count_negative_levels(U, 20.0, window)
+
+
+@pytest.mark.parametrize("h", _BAD + (-1e-3, 0.0))
+def test_bad_step_rejected(h):
+    with pytest.raises(DomainError):
+        radial.bound_states_numerov(U, 20.0, (1.0, 3.0), 1, h=h)
+    with pytest.raises(DomainError):
+        radial.count_negative_levels(U, 20.0, (1.0, 3.0), h=h)
+    with pytest.raises(DomainError):
+        radial.bound_states_1d(lambda x: x * x, (-6.0, 6.0), 1, h=h)
+
+
+@pytest.mark.parametrize("bad", _BAD)
+def test_bad_values_rejected(bad):
+    x = np.linspace(0.5, 1.0, 11)
+    with pytest.raises(DomainError):
+        radial.numerov_integrate(U, bad, x, (0.0, 1e-3), nu0=NU0)
+    with pytest.raises(DomainError):
+        radial.numerov_integrate(U, 0.0, x, (bad, 1e-3), nu0=NU0)
+    with pytest.raises(DomainError):
+        radial.zero_energy_exact(np.array([1.0, bad]), NU0, 1.0, 0.0)
+    with pytest.raises(DomainError):
+        radial.zero_energy_exact(x, NU0, bad, 0.0)
+    with pytest.raises(DomainError):
+        radial.bound_states_1d(lambda t: t * t, (-6.0, bad), 1)
