@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -181,7 +178,7 @@ def _sweep_for_branch(cfg, branch):
     return _S_SWEEP if branch in potentials.S_BRANCHES else _P_SWEEP
 
 
-def cmd_potentials(cfg: RunConfig, branches, jobs: int = 1):
+def cmd_potentials(cfg: RunConfig, branches):
     """Sweep the requested branches; returns {branch: PotentialCurve} and
     writes one CSV per branch.
 
@@ -191,29 +188,26 @@ def cmd_potentials(cfg: RunConfig, branches, jobs: int = 1):
     """
     curves = {}
     failures = total = 0
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
-    with pool:
-        point_map = partial(pool.map, chunksize=16) if jobs > 1 else map
-        for branch in branches:
-            grid = _sweep_for_branch(cfg, branch).grid()
-            params = _branch_params(cfg, branch)
-            curve = potentials.sweep_branch(branch, params, grid, point_map)
-            curves[branch] = curve
-            lo, hi = potentials.branch_existence(branch, params)
-            expected = (curve.R_grid >= lo) & (curve.R_grid <= hi)
-            total += int(np.sum(expected))
-            failures += int(np.sum(expected & ~curve.converged))
-            tag = branch.value.replace("+", "_plus").replace("-", "_minus")
-            rows = [
-                (r, (v if ok else None), branch.value, bool(ok), (res if ok else None))
-                for r, v, ok, res in zip(curve.R_grid, curve.V, curve.converged, curve.residual)
-            ]
-            _write_csv(
-                os.path.join(cfg.output_dir, f"potential_{tag}.csv"),
-                _header(cfg, "potentials"),
-                ("R", "V", "branch", "converged", "residual"),
-                rows,
-            )
+    for branch in branches:
+        grid = _sweep_for_branch(cfg, branch).grid()
+        params = _branch_params(cfg, branch)
+        curve = potentials.sweep_branch(branch, params, grid)
+        curves[branch] = curve
+        lo, hi = potentials.branch_existence(branch, params)
+        expected = (curve.R_grid >= lo) & (curve.R_grid <= hi)
+        total += int(np.sum(expected))
+        failures += int(np.sum(expected & ~curve.converged))
+        tag = branch.value.replace("+", "_plus").replace("-", "_minus")
+        rows = [
+            (r, (v if ok else None), branch.value, bool(ok), (res if ok else None))
+            for r, v, ok, res in zip(curve.R_grid, curve.V, curve.converged, curve.residual)
+        ]
+        _write_csv(
+            os.path.join(cfg.output_dir, f"potential_{tag}.csv"),
+            _header(cfg, "potentials"),
+            ("R", "V", "branch", "converged", "residual"),
+            rows,
+        )
     if total and failures / total > 0.5:
         raise RuntimeError(f"solver failure rate {failures}/{total} exceeds 50%")
     return curves
@@ -361,7 +355,9 @@ def build_parser():
     common(p)
     p.add_argument("--branch", default="s+,s-,I+,I-,II+,II-",
                    help="comma list of branch tags (s+, s-, I+, I-, I0, II+, II-, II0, asym)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: each p-wave branch "
+                        "is one array solve in this process")
 
     p = sub.add_parser("spectrum", help="quasi-Coulomb spectrum to CSV")
     common(p)
@@ -410,7 +406,7 @@ def main(argv=None) -> int:
             except ConfigError as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
-            cmd_potentials(cfg, branches, jobs=args.jobs)
+            cmd_potentials(cfg, branches)
             return 0
         if args.command == "spectrum":
             cmd_spectrum(cfg, args.n_max, mass_ratio=args.mass_ratio)

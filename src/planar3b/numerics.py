@@ -1,13 +1,16 @@
 """Numerical kernels: bracket scan, bracketed root finding, adaptive quadrature.
 
 Brent, Ridders and adaptive Simpson work on scalar functions and need only
-the standard library; the bracket scan evaluates its function once over the
-whole grid as a numpy array.
+the standard library.  The bracket scan evaluates its function once over the
+whole grid, or over a stack of grids, as a numpy array, and
+``refine_brackets`` narrows many brackets at once, one array evaluation per
+step.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +75,20 @@ def brent(f, a, b, *, xtol=1e-15, rtol=4 * _EPS, maxiter=120):
     raise ConvergenceError(f"brent: no convergence after {maxiter} iterations")
 
 
+class RowScan(NamedTuple):
+    """Per-row result of a scan over several grids (see scan_sign_changes).
+
+    a, b, fa, fb: each row's first bracket and f at its ends (NaN where the
+    row has none); count: the row's number of brackets.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    fa: np.ndarray
+    fb: np.ndarray
+    count: np.ndarray
+
+
 def scan_sign_changes(f, lo, hi, n=200, *, log=True):
     """Scan f on an n-point grid over [lo, hi] and return sign-change brackets.
 
@@ -79,24 +96,101 @@ def scan_sign_changes(f, lo, hi, n=200, *, log=True):
     values as an array.  Non-finite values are skipped and break the
     brackets across them.  Returns a list of (a, b) intervals, in increasing
     order, together with the smallest finite |f| seen (for diagnostics).
+
+    lo and hi may instead be 1-D arrays, one grid per row: f is then called
+    once with the (rows, n) array of all grids, and the result is a RowScan
+    with each row's first bracket and bracket count.  Either way the grid
+    points are exp(ln lo + (ln hi - ln lo) i/(n - 1)) as math.exp and
+    math.log give them (numpy's exp can differ in the last bit).
     """
+    rows = np.ndim(lo) > 0 or np.ndim(hi) > 0
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
     if log:
-        if lo <= 0:
+        if not np.all(lo > 0):
             raise ValueError("log-spaced scan needs lo > 0")
-        llo, lhi = math.log(lo), math.log(hi)
-        grid = [math.exp(llo + (lhi - llo) * i / (n - 1)) for i in range(n)]
+        llo = np.array([math.log(v) for v in lo.tolist()])[:, None]
+        lhi = np.array([math.log(v) for v in hi.tolist()])[:, None]
+        exponent = llo + (lhi - llo) * np.arange(n) / (n - 1)
+        x = np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
+                        exponent.size).reshape(exponent.shape)
     else:
-        grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    x = np.array(grid)
-    fx = np.asarray(f(x), dtype=float)
+        x = lo[:, None] + (hi - lo)[:, None] * np.arange(n) / (n - 1)
+    fx = np.asarray(f(x if rows else x[0]), dtype=float).reshape(x.shape)
     finite = np.isfinite(fx)
-    left, right = fx[:-1], fx[1:]
+    left, right = fx[:, :-1], fx[:, 1:]
     # a pair brackets a root when both ends are finite and either the right
     # end is an exact zero or the signs differ
-    hits = finite[:-1] & finite[1:] & ((right == 0.0) | (np.sign(left) * np.sign(right) < 0.0))
-    brackets = [(grid[i], grid[i + 1]) for i in np.flatnonzero(hits)]
-    min_abs = float(np.abs(fx[finite]).min()) if finite.any() else math.inf
-    return brackets, min_abs
+    hits = finite[:, :-1] & finite[:, 1:] & ((right == 0.0)
+                                            | (np.sign(left) * np.sign(right) < 0.0))
+    if not rows:
+        grid = x[0].tolist()
+        min_abs = float(np.abs(fx[finite]).min()) if finite.any() else math.inf
+        return [(grid[i], grid[i + 1]) for i in np.flatnonzero(hits[0])], min_abs
+    count = hits.sum(axis=1)
+    found = count > 0
+    r = np.arange(len(x))
+    i = hits.argmax(axis=1)
+    return RowScan(*(np.where(found, v[r, j], math.nan)
+                     for v, j in ((x, i), (x, i + 1), (fx, i), (fx, i + 1))),
+                   count)
+
+
+def refine_brackets(f, a, b, fa, fb, *, maxiter=200):
+    """Roots of f on many brackets at once, each to adjacent doubles.
+
+    f(x, rows) evaluates the function of each bracket listed in the index
+    array `rows` at the points x (arrays of one length).  a < b, fa and fb
+    are arrays with fa*fb <= 0 per bracket.  Each step is one call of f on
+    the brackets still open: a regula falsi point with the Illinois rule
+    (the f value of an end kept twice in a row is halved for the next
+    secant; Dowell and Jarratt, BIT 11 (1971) 168) held a few ulp inside
+    the bracket, or the midpoint when the bracket is too narrow for that or
+    has not halved over the last three steps.  A bracket closes when it
+    holds no double between its ends or an end is an exact zero, as
+    ``potentials._refine`` would leave it.
+
+    Returns (x, fx): the end with the smaller |f| of each final bracket
+    (NaN where f gave a non-finite value).
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    ga, gb = fa.copy(), fb.copy()  # the secant's f values
+    moved = np.zeros(a.shape, dtype=np.int8)  # -1: a moved last step, +1: b
+    width = np.full((3,) + a.shape, math.inf)  # widths at the last three steps
+    lost = np.zeros(a.shape, dtype=bool)
+    for _ in range(maxiter):
+        mid = 0.5 * (a + b)
+        rows = np.flatnonzero((mid > a) & (mid < b) & (fa != 0.0) & (fb != 0.0) & ~lost)
+        if rows.size == 0:
+            break
+        ar, br, gar, gbr = a[rows], b[rows], ga[rows], gb[rows]
+        now = br - ar
+        # a secant point keeps 2-4 ulp from either end: once one end has
+        # converged, the next point lands past the root and closes the bracket
+        gap = 4.0 * _EPS * np.maximum(np.abs(ar), np.abs(br))
+        c = np.clip(br - gbr * (now / (gbr - gar)), ar + gap, br - gap)
+        secant = (c > ar) & (c < br) & (now > 2.0 * gap) & (now <= 0.5 * width[-1, rows])
+        c = np.where(secant, c, mid[rows])
+        width[1:, rows] = width[:-1, rows]
+        width[0, rows] = now
+        fc = np.asarray(f(c, rows), dtype=float)
+        lost[rows] = ~np.isfinite(fc)
+        left = (np.sign(fc) == np.sign(fa[rows])) | (fc == 0.0)
+        right = np.sign(fc) == np.sign(fb[rows])
+        mr = moved[rows]
+        # Illinois: halve the secant value of the end kept a second time
+        ga[rows] = np.where(left, fc, np.where(right & (mr == 1), 0.5 * gar, gar))
+        gb[rows] = np.where(right, fc, np.where(left & (mr == -1), 0.5 * gbr, gbr))
+        a[rows] = np.where(left, c, ar)
+        fa[rows] = np.where(left, fc, fa[rows])
+        b[rows] = np.where(right, c, br)
+        fb[rows] = np.where(right, fc, fb[rows])
+        moved[rows] = np.where(left, -1, np.where(right, 1, 0))
+    keep_a = np.abs(fa) <= np.abs(fb)
+    x = np.where(keep_a, a, b)
+    fx = np.where(keep_a, fa, fb)
+    x[lost] = fx[lost] = math.nan
+    return x, fx
 
 
 def expand_bracket_up(f, lo, hi0, *, factor=2.0, maxiter=200):

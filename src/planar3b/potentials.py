@@ -11,6 +11,13 @@ light-particle binding momentum xi at fixed heavy-pair separation R:
 * p-wave branch II (s+p superpositions), the product form
   [K2 + K0 +/- (a1_inv/xi^2 + ln xi)] [K0 -/+ ln(xi e^gamma a0/2)] = 2 K1^2.
 
+Each p-wave solve scans xi on a 200-point log grid and keeps the smallest
+root.  A single point (``solve_pwave_I``, ``solve_pwave_II``) refines its
+bracket with scalar Brent; a sweep (``sweep_branch``) evaluates the scans of
+all its separations as one R x xi sign map and refines every row's bracket
+at once with an array regula falsi, falling back to the scalar polish only
+for rows that miss the residual bound.
+
 The same zeros are reachable through the block determinants of the
 six-coefficient linear system (``determinant_residual``), which is the
 cross-check used by the validation suite.  Closed forms for the exact
@@ -27,12 +34,11 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, NoRealRootError, NotABracketError
-from .numerics import brent, expand_bracket_up, scan_sign_changes
+from .numerics import brent, expand_bracket_up, refine_brackets, scan_sign_changes
 from .specfun import EULER_GAMMA, bessel_k, bessel_k01
 from .twobody import TwoBodyParams, dimer_energies, pwave_pole, t_matrix
 
@@ -55,6 +61,16 @@ class Branch(Enum):
 
 S_BRANCHES = (Branch.SWAVE_PLUS, Branch.SWAVE_MINUS)
 ZERO_BRANCHES = (Branch.PWAVE_I_ZERO, Branch.PWAVE_II_ZERO)
+#: the equation family and sign of each root-finding p-wave branch
+PWAVE_BRANCHES = {
+    Branch.PWAVE_I_PLUS: ("I", +1), Branch.PWAVE_I_MINUS: ("I", -1),
+    Branch.PWAVE_I_ZERO: ("I", +1), Branch.PWAVE_II_PLUS: ("II", +1),
+    Branch.PWAVE_II_MINUS: ("II", -1), Branch.PWAVE_II_ZERO: ("II", +1),
+}
+#: xi grid points per p-wave scan, and rows of R per evaluation of a
+#: sweep's sign map (chunks keep the K kernel's temporaries small)
+_N_SCAN = 200
+_SWEEP_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -80,6 +96,7 @@ class PotentialCurve:
     validity: tuple
     converged: np.ndarray
     residual: np.ndarray
+    n_roots: np.ndarray
 
 
 def _refine(f, root):
@@ -110,6 +127,11 @@ def _refine(f, root):
     return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
 
 
+def _check_R(R, name="R"):
+    if not math.isfinite(R):
+        raise DomainError(f"{name} must be finite, got {R}")
+
+
 # --------------------------------------------------------------------------
 # s-wave branches (units: R/a0 and V/|eps0|)
 # --------------------------------------------------------------------------
@@ -121,6 +143,7 @@ def solve_swave(R_over_a0: float, sign: int) -> RootResult:
     (0, 1) that exists only for R > a0 (below, the solution is complex and
     NoRealRootError is raised).
     """
+    _check_R(R_over_a0, "R/a0")
     if R_over_a0 <= 0:
         raise DomainError("R/a0 must be positive")
     if sign not in (+1, -1):
@@ -185,7 +208,34 @@ def swave_asymptote(R_over_a0: float, sign: int, regime: str) -> float:
 # p-wave branches (natural units)
 # --------------------------------------------------------------------------
 
-def _pwave_scan_solve(residual, R, label, *, hi=None, n_scan=200, needs_k0=True):
+def _scalar_residual(residual, R, needs_k0):
+    """The branch residual at one R as a function of a float xi, through
+    scalar ``bessel_k`` and ``math.log`` (k0 = None unless ``needs_k0``)."""
+    def f(xi):
+        z = xi * R
+        return residual(xi, z, math.log(xi), bessel_k(0, z) if needs_k0 else None,
+                        bessel_k(1, z))
+
+    return f
+
+
+def _polish(f, a, b):
+    """Brent plus ``_refine`` on the scan bracket [a, b]: (root, residual)."""
+    try:
+        root = brent(f, a, b, xtol=1e-300, rtol=1e-15)
+    except NotABracketError:
+        # the scan's array values and the floats can differ in the last
+        # ulp, so at an end where f ~ 0 both ends may show one sign here
+        root = a if abs(f(a)) <= abs(f(b)) else b
+    return _refine(f, root)
+
+
+def _scan_window(R, hi):
+    """The xi window (lo, hi) of the p-wave scans at separation R."""
+    return np.minimum(1e-7 / R, 1e-7), 1.0 - 1e-12 if hi is None else hi
+
+
+def _pwave_scan_solve(residual, R, label, *, hi=None, n_scan=_N_SCAN, needs_k0=True):
     """Scan xi in (0, hi) on a log grid, Brent the smallest bracket.
 
     residual(xi, z, log_xi, k0, k1) is the branch equation written as
@@ -194,17 +244,12 @@ def _pwave_scan_solve(residual, R, label, *, hi=None, n_scan=200, needs_k0=True)
     ``_refine`` pass floats (``bessel_k``, ``math.log``), with k0 = None
     unless ``needs_k0``.
     """
-    def f(xi):
-        z = xi * R
-        return residual(xi, z, math.log(xi), bessel_k(0, z) if needs_k0 else None,
-                        bessel_k(1, z))
-
     def f_grid(xi):
         z = xi * R
         return residual(xi, z, np.log(xi), *bessel_k01(z))
 
-    lo = min(1e-7 / R, 1e-7)
-    hi = 1.0 - 1e-12 if hi is None else hi
+    lo, hi = _scan_window(R, hi)
+    lo = float(lo)
     brackets, min_abs = scan_sign_changes(f_grid, lo, hi, n=n_scan, log=True)
     if not brackets:
         raise NoRealRootError(
@@ -218,20 +263,75 @@ def _pwave_scan_solve(residual, R, label, *, hi=None, n_scan=200, needs_k0=True)
         log.debug("%s: %d roots at R=%g; keeping smallest, others in %s",
                   label, len(brackets), R, others)
     a, b = brackets[0]
-    try:
-        root = brent(f, a, b, xtol=1e-300, rtol=1e-15)
-    except NotABracketError:
-        # the scan's array values and the floats can differ in the last
-        # ulp, so at an end where f ~ 0 both ends may show one sign here
-        root = a if abs(f(a)) <= abs(f(b)) else b
-    root, res = _refine(f, root)
+    root, res = _polish(_scalar_residual(residual, R, needs_k0), a, b)
     return RootResult(xi=root, residual=res, bracket=(a, b),
                       converged=abs(res) <= 1e-10, n_roots=len(brackets))
+
+
+def _pwave_sweep(residual, R, *, hi=None, needs_k0=True):
+    """``_pwave_scan_solve`` at every separation of the array R at once.
+
+    The scans of all rows form one sign map on R x xi, evaluated in chunks
+    of _SWEEP_CHUNK rows (one ``bessel_k01`` call each); the first bracket
+    of every row is then narrowed by ``refine_brackets``, all rows together.
+    Rows that miss |F| <= 1e-10 there take the scalar Brent and ``_refine``
+    of a point solve on the same bracket.  Returns per row the root xi and
+    residual (NaN without a bracket) and the number of brackets.
+    """
+    def f_rows(xi, rows):
+        z = xi * R[rows]
+        return residual(xi, z, np.log(xi), *bessel_k01(z))
+
+    lo, hi = _scan_window(R, hi)
+    chunks = []
+    for start in range(0, len(R), _SWEEP_CHUNK):
+        rows = np.arange(start, min(start + _SWEEP_CHUNK, len(R)))
+        chunks.append(scan_sign_changes(lambda xi, rows=rows[:, None]: f_rows(xi, rows),
+                                        lo[rows], hi, n=_N_SCAN, log=True))
+    a, b, fa, fb, count = (np.concatenate(field) for field in zip(*chunks))
+    found = np.flatnonzero(count > 0)
+    xi = np.full(len(R), math.nan)
+    res = np.full(len(R), math.nan)
+    xi[found], res[found] = refine_brackets(lambda x, rows: f_rows(x, found[rows]),
+                                            a[found], b[found], fa[found], fb[found])
+    for i in found[~(np.abs(res[found]) <= 1e-10)]:
+        f = _scalar_residual(residual, float(R[i]), needs_k0)
+        xi[i], res[i] = _polish(f, float(a[i]), float(b[i]))
+    return xi, res, count
 
 
 def pole_function(xi: float, a1_inv: float) -> float:
     """a1_inv/xi^2 + ln xi, the real p-wave inverse-T combination."""
     return a1_inv / (xi * xi) + math.log(xi)
+
+
+def _pwave_equation(family, params, sign):
+    """(residual, scan cap, needs_k0, label) of p-wave branch I or II.
+
+    residual(xi, z, log_xi, k0, k1) works on floats and on numpy arrays
+    alike (see ``_pwave_scan_solve``).
+    """
+    if sign not in (+1, -1):
+        raise DomainError("sign must be +1 or -1")
+    a1_inv = params.a1_inv
+    label = f"pwave_{family}({'+' if sign > 0 else '-'})"
+    if family == "I":
+        def residual(xi, z, log_xi, k0, k1):
+            return -2.0 * k1 / z - sign * (a1_inv / (xi * xi) + log_xi)
+
+        hi = None
+        if sign == -1 and a1_inv > 0.0:
+            hi = pwave_pole(a1_inv) * (1.0 - 1e-9)
+        return residual, hi, False, label
+    log_ga0 = EULER_GAMMA + math.log(0.5 * params.a0)
+
+    def residual(xi, z, log_xi, k0, k1):
+        k2 = k0 + 2.0 * k1 / z
+        first = k2 + k0 + sign * (a1_inv / (xi * xi) + log_xi)
+        second = k0 - sign * (log_xi + log_ga0)
+        return first * second - 2.0 * k1 * k1
+
+    return residual, None, True, label
 
 
 def solve_pwave_I(R: float, params: TwoBodyParams, sign: int) -> RootResult:
@@ -246,20 +346,11 @@ def solve_pwave_I(R: float, params: TwoBodyParams, sign: int) -> RootResult:
     regime); the '-' branch scan is therefore capped at the physical pole
     kappa1, below which its genuine roots live.
     """
+    _check_R(R)
     if R <= params.r1:
         raise DomainError(f"branch I needs R > r1, got R = {R:g}")
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
-    a1_inv = params.a1_inv
-
-    def residual(xi, z, log_xi, k0, k1):
-        return -2.0 * k1 / z - sign * (a1_inv / (xi * xi) + log_xi)
-
-    hi = None
-    if sign == -1 and a1_inv > 0.0:
-        hi = pwave_pole(a1_inv) * (1.0 - 1e-9)
-    return _pwave_scan_solve(residual, R, f"pwave_I({'+' if sign > 0 else '-'})",
-                             hi=hi, needs_k0=False)
+    residual, hi, needs_k0, label = _pwave_equation("I", params, sign)
+    return _pwave_scan_solve(residual, R, label, hi=hi, needs_k0=needs_k0)
 
 
 def solve_pwave_II(R: float, params: TwoBodyParams, sign: int) -> RootResult:
@@ -268,20 +359,11 @@ def solve_pwave_II(R: float, params: TwoBodyParams, sign: int) -> RootResult:
     [K2 + K0 + sign*(a1_inv/xi^2 + ln xi)] [K0 - sign*ln(xi e^gamma a0/2)]
     = 2 K1(xi R)^2.
     """
+    _check_R(R)
     if R <= params.r1:
         raise DomainError(f"branch II needs R > r1, got R = {R:g}")
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
-    a1_inv = params.a1_inv
-    log_ga0 = EULER_GAMMA + math.log(0.5 * params.a0)
-
-    def residual(xi, z, log_xi, k0, k1):
-        k2 = k0 + 2.0 * k1 / z
-        first = k2 + k0 + sign * (a1_inv / (xi * xi) + log_xi)
-        second = k0 - sign * (log_xi + log_ga0)
-        return first * second - 2.0 * k1 * k1
-
-    return _pwave_scan_solve(residual, R, f"pwave_II({'+' if sign > 0 else '-'})")
+    residual, hi, needs_k0, label = _pwave_equation("II", params, sign)
+    return _pwave_scan_solve(residual, R, label, hi=hi, needs_k0=needs_k0)
 
 
 def xi_I0_closed(R: float) -> float:
@@ -313,9 +395,9 @@ def v_pwave(xi: float) -> float:
 
 
 def v_unified(R: float) -> float:
-    """Shared large-R asymptote -1/(R^2 ln R), natural units; needs R > 1."""
-    if R <= 1.0:
-        raise DomainError(f"v_unified needs R > 1 (ln R > 0), got {R:g}")
+    """Shared large-R asymptote -1/(R^2 ln R), natural units; needs finite R > 1."""
+    if not 1.0 < R < math.inf:
+        raise DomainError(f"v_unified needs finite R > 1 (ln R > 0), got {R:g}")
     return -1.0 / (R * R * math.log(R))
 
 
@@ -484,56 +566,57 @@ def branch_existence(branch: Branch, params: TwoBodyParams) -> tuple:
     return (2.0 * params.r1, math.inf)
 
 
-def _solve_branch_point(branch: Branch, params: TwoBodyParams, R: float):
-    """(V, converged, residual, n_roots) for one grid point; NaN on failure."""
+def _solve_branch_point(branch: Branch, R: float):
+    """(V, converged, residual) of an s-wave or asymptotic branch at one grid
+    point; NaN on failure."""
+    if branch is Branch.ASYMPTOTIC_UNIFIED:
+        try:
+            return v_unified(R), True, 0.0
+        except DomainError:
+            return math.nan, False, math.nan
     try:
-        if branch is Branch.SWAVE_PLUS:
-            r = solve_swave(R, +1)
-            return -r.xi ** 2, r.converged, r.residual, r.n_roots
-        if branch is Branch.SWAVE_MINUS:
-            r = solve_swave(R, -1)
-            return -r.xi ** 2, r.converged, r.residual, r.n_roots
-        if branch is Branch.ASYMPTOTIC_UNIFIED:
-            return v_unified(R), True, 0.0, 1
-        if branch is Branch.PWAVE_I_PLUS:
-            r = solve_pwave_I(R, params, +1)
-        elif branch is Branch.PWAVE_I_MINUS:
-            r = solve_pwave_I(R, params, -1)
-        elif branch is Branch.PWAVE_I_ZERO:
-            r = solve_pwave_I(R, params, +1)
-        elif branch is Branch.PWAVE_II_PLUS:
-            r = solve_pwave_II(R, params, +1)
-        elif branch is Branch.PWAVE_II_MINUS:
-            r = solve_pwave_II(R, params, -1)
-        elif branch is Branch.PWAVE_II_ZERO:
-            r = solve_pwave_II(R, params, +1)
-        else:
-            raise DomainError(f"unknown branch {branch}")
-        return v_pwave(r.xi), r.converged, r.residual, r.n_roots
+        r = solve_swave(R, +1 if branch is Branch.SWAVE_PLUS else -1)
     except (NoRealRootError, DomainError):
-        return math.nan, False, math.nan, 1
+        return math.nan, False, math.nan
+    return -r.xi ** 2, r.converged, r.residual
 
 
 def resonance_params(params: TwoBodyParams) -> TwoBodyParams:
     return TwoBodyParams(a0=params.a0, a1_inv=0.0, r1=params.r1, r0=params.r0)
 
 
-def sweep_branch(branch: Branch, params: TwoBodyParams, R_grid,
-                 point_map=map) -> PotentialCurve:
+def sweep_branch(branch: Branch, params: TwoBodyParams, R_grid) -> PotentialCurve:
     """Sample one branch over a grid (grid in units of a0 for s-wave branches,
     r1 otherwise).  Failed points carry V = NaN and converged = False.
 
-    The grid points run through ``point_map``: the builtin ``map`` or a
-    process pool's ``map``, with the same result either way.
+    A p-wave branch is solved as one array problem (``_pwave_sweep``) that
+    keeps, like ``solve_pwave_I``/``solve_pwave_II`` at each point, the
+    smallest-xi root; the s-wave and asymptotic branches go point by point.
     """
     if branch in ZERO_BRANCHES and params.a1_inv != 0.0:
         raise DomainError(f"{branch.value} requires exact resonance (a1_inv = 0)")
     grid = np.asarray(R_grid, dtype=float)
-    points = list(point_map(partial(_solve_branch_point, branch, params), grid.tolist()))
-    v = np.array([p[0] for p in points], dtype=float)
-    ok = np.array([p[1] for p in points], dtype=bool)
-    res = np.array([p[2] for p in points], dtype=float)
-    multi = sum(p[3] > 1 for p in points)
+    if not np.all(np.isfinite(grid)):
+        raise DomainError(f"{branch.value}: every R of the sweep must be finite")
+    n_roots = np.ones(grid.shape, dtype=int)
+    if branch in PWAVE_BRANCHES:
+        v = np.full(grid.shape, math.nan)
+        res = np.full(grid.shape, math.nan)
+        inside = grid > params.r1  # the point solvers raise DomainError below
+        family, sign = PWAVE_BRANCHES[branch]
+        residual, hi, needs_k0, _ = _pwave_equation(family, params, sign)
+        if inside.any():
+            xi, res[inside], count = _pwave_sweep(residual, grid[inside], hi=hi,
+                                                  needs_k0=needs_k0)
+            v[inside] = -0.5 * xi * xi
+            n_roots[inside] = np.maximum(count, 1)
+        ok = np.abs(res) <= 1e-10
+    else:
+        points = [_solve_branch_point(branch, R) for R in grid.tolist()]
+        v = np.array([p[0] for p in points], dtype=float)
+        ok = np.array([p[1] for p in points], dtype=bool)
+        res = np.array([p[2] for p in points], dtype=float)
+    multi = int((n_roots > 1).sum())
     if multi:
         log.warning("%s: %d of %d sweep points had extra roots; kept the "
                     "smallest xi at each", branch.value, multi, len(grid))
@@ -544,4 +627,5 @@ def sweep_branch(branch: Branch, params: TwoBodyParams, R_grid,
         validity=branch_validity(branch, params),
         converged=ok,
         residual=res,
+        n_roots=n_roots,
     )

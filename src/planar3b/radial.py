@@ -23,7 +23,9 @@ residue of W), and the first Numerov step takes the limit
 (Blatt, J. Comput. Phys. 1 (1967) 382).  Without that term the levels
 converge only as O(h^2); with it the scheme is fourth order again, and at
 nu0 = 200 the default step h = 8e-4 puts the deepest level within 5e-7
-relative of its h -> 0 limit.  A start at a regular point (an inner wall
+relative of its h -> 0 limit.  Above nu0 = 250 the default step is 0.2/nu0,
+which keeps h^2 Q ~ nu0 h at the first grid point below the Numerov
+criterion 0.25.  A start at a regular point (an inner wall
 above r1, `numerov_integrate`, `bound_states_1d`) keeps the plain
 recurrence.
 
@@ -295,8 +297,14 @@ def _uniform_grid(x_lo, x_hi, h):
 def _langer_setup(potential, nu0, window, h):
     """Grid in x = ln R, nu0 W(x) on it, and the strength g of the g/x
     singularity of Q at the first point (None unless the window starts at
-    R = r1)."""
+    R = r1).
+
+    The default step (h = None) is min(8e-4, 0.2/nu0): near the wall
+    h^2 Q ~ nu0 h, which then stays below the Numerov criterion 0.25.
+    """
     _check_finite("nu0", nu0, positive=True)
+    if h is None:
+        h = min(8e-4, 0.2 / nu0)
     _check_finite("window[0]", window[0])
     _check_finite("window[1]", window[1])
     if window[0] < 1.0:
@@ -311,7 +319,7 @@ def _langer_setup(potential, nu0, window, h):
 
 
 def bound_states_numerov(potential, nu0: float, window, k_levels: int,
-                         *, h: float = 8e-4) -> BoundStates:
+                         *, h: float | None = None) -> BoundStates:
     """Hard-wall eigenvalues of the heavy-pair problem on an R window.
 
     Returns up to k_levels energies in units hbar^2/(mu r1^2), ascending.
@@ -331,7 +339,7 @@ def bound_states_numerov(potential, nu0: float, window, k_levels: int,
     )
 
 
-def count_negative_levels(potential, nu0: float, window, *, h: float = 8e-4) -> int:
+def count_negative_levels(potential, nu0: float, window, *, h: float | None = None) -> int:
     """Number of E < 0 hard-wall levels: node count of the zero-energy shot."""
     x, q, wall = _langer_setup(potential, nu0, window, h)
     h = x[1] - x[0]

@@ -19,11 +19,13 @@ special-function library:
 * ``K2`` always goes through the upward recurrence K2 = K0 + 2 K1/x
   (cancellation-free: all terms positive).
 * ``bessel_k01`` returns K0 and K1 over a whole numpy array at once, for the
-  bracket scans of the p-wave solvers: the same trapezoidal rule, here for
-  1e-8 <= x < 16 on tabulated nodes, and the same asymptotic series for
-  x >= 16, truncated element by element.  It agrees with the scalar path to
-  a few ulp; the scalar functions stay, since a single argument costs
-  several times more through numpy.
+  sign maps and array refinement of the p-wave solvers, on the scalar
+  regimes: the power series for x <= 2 as one 16-term Horner pass in
+  x^2/4, the trapezoidal rule for 2 < x < 16 on at most 24 tabulated
+  nodes, and the asymptotic series for x >= 16, truncated element by
+  element.  It agrees with the scalar path to a few ulp; the scalar
+  functions stay, since a single argument costs several times more through
+  numpy.
 
 Phases of the Hankel expansion are evaluated as cos(x - pi/4) =
 (cos x + sin x)/sqrt(2) etc., so no accuracy is lost subtracting pi/4 from a
@@ -268,11 +270,26 @@ def _k_trapezoid(order, x):
     return val, 8.0 * _EPS * val
 
 
+def _k01_series_table():
+    # Rows: the power series of I0, of I1/(x/2), of the K0 sum and of the K1
+    # sum over (x/2), as coefficients of q^k = (x^2/4)^k, k = 0..15:
+    # 1/k!^2, 1/(k!(k+1)!), H_k/k!^2 and (H_k + H_{k+1})/(k!(k+1)!), with H_k
+    # the harmonic numbers.  At q <= 1 (x <= 2) the first term left out,
+    # q^16/16!^2, is below 1e-26.
+    table = np.empty((4, 16))
+    h = [math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(17)]
+    for k in range(16):
+        f0 = math.factorial(k) ** 2
+        f1 = math.factorial(k) * math.factorial(k + 1)
+        table[:, k] = 1.0 / f0, 1.0 / f1, h[k] / f0, (h[k] + h[k + 1]) / f1
+    return table
+
+
+_K_SERIES_TABLE = _k01_series_table()
 #: the trapezoidal rule's nodes t_j = j h as tabulated for ``bessel_k01``:
-#: -(cosh t_j - 1) and cosh t_j.  130 nodes reach x (cosh t - 1) > 60 for
-#: every x >= _K_ARRAY_MIN, so the rule's tail is below e^-60 there.
-_K_ARRAY_MIN = 1e-8
-_K_TRAP_T = _K_TRAP_STEP * np.arange(1, 131)
+#: -(cosh t_j - 1) and cosh t_j.  24 nodes reach x (cosh t - 1) > 60 for
+#: every x > _K_SERIES_MAX, so the rule's tail is below e^-60 there.
+_K_TRAP_T = _K_TRAP_STEP * np.arange(1, 25)
 _K_TRAP_NEG_W = -2.0 * np.sinh(0.5 * _K_TRAP_T) ** 2
 _K_TRAP_COSH = np.cosh(_K_TRAP_T)
 #: r_k = (mu - (2k - 1)^2)/(8k), k = 1..34, for orders 0 and 1 (rows): term
@@ -282,6 +299,20 @@ _K_TRAP_COSH = np.cosh(_K_TRAP_T)
 _K_ASYMP_K = np.arange(1.0, 35.0)
 _K_ASYMP_RATIOS = np.array([(mu - (2.0 * _K_ASYMP_K - 1.0) ** 2) / (8.0 * _K_ASYMP_K)
                             for mu in (0.0, 4.0)])[:, :, None]
+
+
+def _k01_series(x):
+    # _k_series for orders 0 and 1 over an array: one Horner pass in q over
+    # the four stacked series of _K_SERIES_TABLE.
+    q = 0.25 * x * x
+    p = np.empty((4, x.size))
+    p[:] = _K_SERIES_TABLE[:, -1:]
+    for c in _K_SERIES_TABLE[:, -2::-1].T:
+        p *= q
+        p += c[:, None]
+    half = 0.5 * x
+    lg = np.log(half) + EULER_GAMMA
+    return p[2] - lg * p[0], lg * half * p[1] + 1.0 / x - 0.5 * half * p[3]
 
 
 def _k01_trapezoid(x):
@@ -309,10 +340,11 @@ def _k01_asymp(x):
 def bessel_k01(x):
     """K0 and K1 at every element of an array x > 0, as two arrays.
 
-    The array form of ``bessel_k``: its trapezoidal rule for x < 16, here
-    down to x = 1e-8 (smaller elements take the scalar power series), and
-    its optimally truncated asymptotic series for x >= 16.  Agrees with
-    ``bessel_k`` to a few ulp and underflows to 0.0 the same way.
+    The array form of ``bessel_k``, on the same three regimes: its power
+    series for x <= 2 (here one fixed-degree Horner pass), its trapezoidal
+    rule for 2 < x < 16 and its optimally truncated asymptotic series for
+    x >= 16.  Agrees with ``bessel_k`` to a few ulp and underflows to 0.0
+    the same way.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0.0):  # also rejects NaN
@@ -320,13 +352,12 @@ def bessel_k01(x):
     flat = x.ravel()
     k0 = np.empty_like(flat)
     k1 = np.empty_like(flat)
-    tiny = flat < _K_ARRAY_MIN
+    small = flat <= _K_SERIES_MAX
     large = flat >= _K_ASYMP_MIN
-    for where, kernel in ((~(tiny | large), _k01_trapezoid), (large, _k01_asymp)):
+    for where, kernel in ((small, _k01_series), (~(small | large), _k01_trapezoid),
+                          (large, _k01_asymp)):
         if where.any():
             k0[where], k1[where] = kernel(flat[where])
-    for i in np.flatnonzero(tiny):
-        k0[i], k1[i] = _k_series(0, float(flat[i]))[0], _k_series(1, float(flat[i]))[0]
     return k0.reshape(x.shape), k1.reshape(x.shape)
 
 

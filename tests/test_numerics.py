@@ -1,10 +1,11 @@
-"""Bracket scan: one array evaluation over the grid, brackets by numpy."""
+"""Bracket scan: one array evaluation over the grid, brackets by numpy;
+array refinement of many brackets at once."""
 
 import math
 
 import numpy as np
 
-from planar3b.numerics import scan_sign_changes
+from planar3b.numerics import refine_brackets, scan_sign_changes
 
 
 def _scan(values):
@@ -61,3 +62,37 @@ def test_scan_log_grid_matches_expression():
     assert seen[0].tolist() == grid
     [(a, b)] = brackets
     assert a < 0.3 < b and grid.index(a) + 1 == grid.index(b)
+
+
+def test_scan_rows_first_bracket_and_count():
+    def f(x):
+        assert x.shape == (2, 50)
+        return np.where(np.arange(2)[:, None] == 0, x - 0.3, (x - 0.2) * (x - 0.6))
+
+    scan = scan_sign_changes(f, np.array([1e-3, 1e-3]), 1.0, n=50)
+    for row in range(2):
+        brackets, _ = scan_sign_changes(lambda x: f(np.stack([x, x]))[row], 1e-3, 1.0, n=50)
+        assert (scan.a[row], scan.b[row]) == brackets[0]
+        assert scan.count[row] == len(brackets)
+    assert scan.fa[0] < 0.0 < scan.fb[0]
+
+
+def test_refine_brackets_to_adjacent_doubles():
+    roots = np.array([0.3, 2.0 ** 0.5, 7.0, 1e-9])
+    calls = []
+
+    def f(x, rows):
+        calls.append(len(rows))
+        return x * x * x - roots[rows] ** 3
+
+    a, b = 0.5 * roots, 3.0 * roots
+    x, fx = refine_brackets(f, a, b, f(a, np.arange(4)), f(b, np.arange(4)))
+    for xi, root in zip(x, roots):
+        assert abs(xi - root) <= 2.0 * math.ulp(root)
+    assert len(calls) < 40
+    # an exact zero at an end is kept; a non-finite value loses the bracket
+    x, fx = refine_brackets(lambda x, rows: np.full(len(rows), math.nan),
+                            np.array([1.0, 1.0]), np.array([2.0, 2.0]),
+                            np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+    assert (x[0], fx[0]) == (1.0, 0.0)
+    assert math.isnan(x[1]) and math.isnan(fx[1])

@@ -396,3 +396,74 @@ def test_sweep_branch_failure_rows():
 def test_zero_branch_requires_resonance():
     with pytest.raises(DomainError):
         P.sweep_branch(P.Branch.PWAVE_I_ZERO, PARAMS_100, np.array([10.0]))
+
+
+def test_non_finite_R_rejected():
+    for branch in (P.Branch.PWAVE_I_PLUS, P.Branch.PWAVE_II_MINUS, P.Branch.ASYMPTOTIC_UNIFIED,
+                   P.Branch.SWAVE_PLUS):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                P.sweep_branch(branch, PARAMS_100, np.array([bad, 10.0]))
+    for bad in (math.inf, -math.inf, math.nan):
+        for sign in (+1, -1):
+            with pytest.raises(DomainError):
+                P.solve_swave(bad, sign)
+            with pytest.raises(DomainError):
+                P.solve_pwave_I(bad, PARAMS_100, sign)
+            with pytest.raises(DomainError):
+                P.solve_pwave_II(bad, PARAMS_100, sign)
+        with pytest.raises(DomainError):
+            P.v_unified(bad)
+
+
+_SWEEP_SOLVERS = {
+    P.Branch.PWAVE_I_PLUS: (P.solve_pwave_I, +1), P.Branch.PWAVE_I_MINUS: (P.solve_pwave_I, -1),
+    P.Branch.PWAVE_I_ZERO: (P.solve_pwave_I, +1), P.Branch.PWAVE_II_PLUS: (P.solve_pwave_II, +1),
+    P.Branch.PWAVE_II_MINUS: (P.solve_pwave_II, -1), P.Branch.PWAVE_II_ZERO: (P.solve_pwave_II, +1),
+}
+
+
+@given(branch=st.sampled_from(sorted(_SWEEP_SOLVERS, key=lambda b: b.value)),
+       a0=st.floats(5.0, 20.0), log10_a1=st.floats(1.2, 4.0),
+       bounds=st.tuples(st.floats(math.log10(1.2), math.log10(300.0)),
+                        st.floats(math.log10(1.2), math.log10(300.0))),
+       n=st.integers(5, 20))
+@settings(max_examples=30, deadline=None)
+def test_sweep_matches_point_solves(branch, a0, log10_a1, bounds, n):
+    params = TwoBodyParams.from_a1(a0=a0, a1=10.0 ** log10_a1)
+    if branch in P.ZERO_BRANCHES:
+        params = P.resonance_params(params)
+    grid = np.logspace(min(bounds), max(bounds), n)
+    curve = P.sweep_branch(branch, params, grid)
+    solve, sign = _SWEEP_SOLVERS[branch]
+    for i, R in enumerate(grid.tolist()):
+        try:
+            r = solve(R, params, sign)
+        except NoRealRootError:
+            assert not curve.converged[i] and math.isnan(curve.V[i])
+            assert curve.n_roots[i] == 1
+            continue
+        assert curve.converged[i] == r.converged
+        assert curve.n_roots[i] == r.n_roots
+        assert math.sqrt(-2.0 * curve.V[i]) == pytest.approx(r.xi, rel=1e-12)
+
+
+def test_sweep_is_one_array_problem():
+    calls = {"k01": 0, "k": 0}
+    k01, k = P.bessel_k01, P.bessel_k
+
+    def count_k01(x):
+        calls["k01"] += 1
+        return k01(x)
+
+    def count_k(order, x):
+        calls["k"] += 1
+        return k(order, x)
+
+    grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(P, "bessel_k01", count_k01)
+        mp_ctx.setattr(P, "bessel_k", count_k)
+        curve = P.sweep_branch(P.Branch.PWAVE_II_PLUS, PARAMS_100, grid)
+    assert curve.converged.all()
+    assert calls["k01"] < 100 and calls["k"] < 200

@@ -199,6 +199,20 @@ def test_default_step_matches_fine_step():
     np.testing.assert_allclose(coarse.energies, fine.energies, rtol=2e-6)
 
 
+def test_default_step_at_large_nu0():
+    # at nu0 = 2000 a step of 8e-4 puts nu0 h = 1.6 at the first grid point,
+    # beyond the Numerov criterion, and the deepest level was 2% off
+    default = radial.bound_states_numerov(U, 2000.0, (1.0, 300.0), 1)
+    fine = radial.bound_states_numerov(U, 2000.0, (1.0, 300.0), 1, h=1e-4)
+    assert default.energies[0] == pytest.approx(fine.energies[0], rel=1e-4)
+    # up to nu0 = 250 the default step stays 8e-4
+    for nu0 in (20.0, 250.0):
+        assert (radial.bound_states_numerov(U, nu0, (1.0, 30.0), 1).energies
+                == radial.bound_states_numerov(U, nu0, (1.0, 30.0), 1, h=8e-4).energies)
+        assert (radial.count_negative_levels(U, nu0, (1.0, 30.0))
+                == radial.count_negative_levels(U, nu0, (1.0, 30.0), h=8e-4))
+
+
 # ------------------------------------------------------------- sweep kernel
 
 def _reference_sweep(q, h, y0, y1, qy0=None):

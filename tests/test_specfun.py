@@ -60,10 +60,11 @@ def test_bessel_y_oracle_sweep(order):
 
 
 # The array kernel on a log grid over its whole range, with the doubles on
-# both sides of the regime seam at 16 and of the series hand-off at 1e-8.
+# both sides of the regime seams at 2 and 16, and tiny arguments.
 _K01_POINTS = _loggrid(1e-8, 700.0, 120) + [
     math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, 17.0),
-    math.nextafter(1e-8, 0.0), 2.0, 1e-9, 1e-30]
+    math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0),
+    math.nextafter(1e-8, 0.0), 1e-9, 1e-30]
 
 
 def test_bessel_k01_oracle_sweep():
