@@ -182,18 +182,22 @@ def cmd_potentials(cfg: RunConfig, branches):
     """Sweep the requested branches; returns {branch: PotentialCurve} and
     writes one CSV per branch.
 
-    A point is counted toward the solver-failure rate only when it lies in
-    the window where the branch has a solution at all; NoRealRoot rows
-    outside it are expected and simply emitted unconverged.
+    The branches that share a grid are solved by one
+    ``potentials.sweep_branches`` call.  A point is counted toward the
+    solver-failure rate only when it lies in the window where the branch has
+    a solution at all; NoRealRoot rows outside it are expected and simply
+    emitted unconverged.
     """
+    sweeps = [_sweep_for_branch(cfg, branch) for branch in branches]
     curves = {}
+    for sweep in {id(s): s for s in sweeps}.values():
+        jobs = [(branch, _branch_params(cfg, branch))
+                for branch, s in zip(branches, sweeps) if s is sweep]
+        curves.update(potentials.sweep_branches(jobs, sweep.grid()))
     failures = total = 0
     for branch in branches:
-        grid = _sweep_for_branch(cfg, branch).grid()
-        params = _branch_params(cfg, branch)
-        curve = potentials.sweep_branch(branch, params, grid)
-        curves[branch] = curve
-        lo, hi = potentials.branch_existence(branch, params)
+        curve = curves[branch]
+        lo, hi = potentials.branch_existence(branch, _branch_params(cfg, branch))
         expected = (curve.R_grid >= lo) & (curve.R_grid <= hi)
         total += int(np.sum(expected))
         failures += int(np.sum(expected & ~curve.converged))
@@ -356,8 +360,8 @@ def build_parser():
     p.add_argument("--branch", default="s+,s-,I+,I-,II+,II-",
                    help="comma list of branch tags (s+, s-, I+, I-, I0, II+, II-, II0, asym)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and ignored: each p-wave branch "
-                        "is one array solve in this process")
+                   help="accepted for compatibility and ignored: the branches on "
+                        "one grid are one array solve in this process")
 
     p = sub.add_parser("spectrum", help="quasi-Coulomb spectrum to CSV")
     common(p)

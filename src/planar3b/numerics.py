@@ -2,9 +2,10 @@
 
 Brent, Ridders and adaptive Simpson work on scalar functions and need only
 the standard library.  The bracket scan evaluates its function once over the
-whole grid, or over a stack of grids, as a numpy array, and
-``refine_brackets`` narrows many brackets at once, one array evaluation per
-step.
+whole grid as a numpy array; ``scan_grid`` and ``first_brackets`` do the
+same for a stack of grids whose values the caller computes (several
+functions may share one grid), and ``refine_brackets`` narrows many
+brackets at once, one array evaluation per step.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def brent(f, a, b, *, xtol=1e-15, rtol=4 * _EPS, maxiter=120):
 
 
 class RowScan(NamedTuple):
-    """Per-row result of a scan over several grids (see scan_sign_changes).
+    """Per-row result of a scan over several grids (see first_brackets).
 
     a, b, fa, fb: each row's first bracket and f at its ends (NaN where the
     row has none); count: the row's number of brackets.
@@ -89,44 +90,39 @@ class RowScan(NamedTuple):
     count: np.ndarray
 
 
-def scan_sign_changes(f, lo, hi, n=200, *, log=True):
-    """Scan f on an n-point grid over [lo, hi] and return sign-change brackets.
+def scan_grid(lo, hi, n=200, *, log=True):
+    """The (rows, n) array of scan grids over [lo, hi], one row per element
+    of lo and hi broadcast together (scalars give one row).
 
-    f is called once, with the whole grid as a numpy array, and returns the
-    values as an array.  Non-finite values are skipped and break the
-    brackets across them.  Returns a list of (a, b) intervals, in increasing
-    order, together with the smallest finite |f| seen (for diagnostics).
-
-    lo and hi may instead be 1-D arrays, one grid per row: f is then called
-    once with the (rows, n) array of all grids, and the result is a RowScan
-    with each row's first bracket and bracket count.  Either way the grid
-    points are exp(ln lo + (ln hi - ln lo) i/(n - 1)) as math.exp and
-    math.log give them (numpy's exp can differ in the last bit).
+    Log grid points are exp(ln lo + (ln hi - ln lo) i/(n - 1)) as math.exp
+    and math.log give them (numpy's exp can differ in the last bit).
     """
-    rows = np.ndim(lo) > 0 or np.ndim(hi) > 0
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.atleast_1d(np.asarray(hi, dtype=float)))
-    if log:
-        if not np.all(lo > 0):
-            raise ValueError("log-spaced scan needs lo > 0")
-        llo = np.array([math.log(v) for v in lo.tolist()])[:, None]
-        lhi = np.array([math.log(v) for v in hi.tolist()])[:, None]
-        exponent = llo + (lhi - llo) * np.arange(n) / (n - 1)
-        x = np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
-                        exponent.size).reshape(exponent.shape)
-    else:
-        x = lo[:, None] + (hi - lo)[:, None] * np.arange(n) / (n - 1)
-    fx = np.asarray(f(x if rows else x[0]), dtype=float).reshape(x.shape)
-    finite = np.isfinite(fx)
-    left, right = fx[:, :-1], fx[:, 1:]
+    if not log:
+        return lo[:, None] + (hi - lo)[:, None] * np.arange(n) / (n - 1)
+    if not np.all(lo > 0):
+        raise ValueError("log-spaced scan needs lo > 0")
+    llo = np.array([math.log(v) for v in lo.tolist()])[:, None]
+    lhi = np.array([math.log(v) for v in hi.tolist()])[:, None]
+    exponent = llo + (lhi - llo) * np.arange(n) / (n - 1)
+    return np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
+                       exponent.size).reshape(exponent.shape)
+
+
+def _sign_change_hits(fx):
     # a pair brackets a root when both ends are finite and either the right
     # end is an exact zero or the signs differ
-    hits = finite[:, :-1] & finite[:, 1:] & ((right == 0.0)
+    finite = np.isfinite(fx)
+    left, right = fx[:, :-1], fx[:, 1:]
+    return finite[:, :-1] & finite[:, 1:] & ((right == 0.0)
                                             | (np.sign(left) * np.sign(right) < 0.0))
-    if not rows:
-        grid = x[0].tolist()
-        min_abs = float(np.abs(fx[finite]).min()) if finite.any() else math.inf
-        return [(grid[i], grid[i + 1]) for i in np.flatnonzero(hits[0])], min_abs
+
+
+def first_brackets(x, fx) -> RowScan:
+    """Each row's first sign-change bracket and bracket count, from the
+    values fx of a function on the (rows, n) grids x (see scan_grid)."""
+    hits = _sign_change_hits(fx)
     count = hits.sum(axis=1)
     found = count > 0
     r = np.arange(len(x))
@@ -134,6 +130,23 @@ def scan_sign_changes(f, lo, hi, n=200, *, log=True):
     return RowScan(*(np.where(found, v[r, j], math.nan)
                      for v, j in ((x, i), (x, i + 1), (fx, i), (fx, i + 1))),
                    count)
+
+
+def scan_sign_changes(f, lo, hi, n=200, *, log=True):
+    """Scan f on an n-point grid over [lo, hi] and return sign-change brackets.
+
+    f is called once, with the whole grid (``scan_grid``) as a numpy array,
+    and returns the values as an array.  Non-finite values are skipped and
+    break the brackets across them.  Returns a list of (a, b) intervals, in
+    increasing order, together with the smallest finite |f| seen (for
+    diagnostics).
+    """
+    grid = scan_grid(lo, hi, n, log=log)
+    fx = np.asarray(f(grid[0]), dtype=float).reshape(grid.shape)
+    finite = np.isfinite(fx)
+    min_abs = float(np.abs(fx[finite]).min()) if finite.any() else math.inf
+    x = grid[0].tolist()
+    return [(x[i], x[i + 1]) for i in np.flatnonzero(_sign_change_hits(fx)[0])], min_abs
 
 
 def refine_brackets(f, a, b, fa, fb, *, maxiter=200):

@@ -12,11 +12,14 @@ light-particle binding momentum xi at fixed heavy-pair separation R:
   [K2 + K0 +/- (a1_inv/xi^2 + ln xi)] [K0 -/+ ln(xi e^gamma a0/2)] = 2 K1^2.
 
 Each p-wave solve scans xi on a 200-point log grid and keeps the smallest
-root.  A single point (``solve_pwave_I``, ``solve_pwave_II``) refines its
-bracket with scalar Brent; a sweep (``sweep_branch``) evaluates the scans of
-all its separations as one R x xi sign map and refines every row's bracket
-at once with an array regula falsi, falling back to the scalar polish only
-for rows that miss the residual bound.
+root.  A single point (``solve_swave``, ``solve_pwave_I``,
+``solve_pwave_II``) refines its bracket with scalar Brent.  A sweep
+(``sweep_branches``) solves all the branches asked for on one grid as one
+array problem: the p-wave branches share one R x xi sign map (K0 and K1 are
+evaluated once per scan window) and one array regula falsi that refines
+every branch's bracket at every R together; the s-wave branches grow their
+brackets for all R at once and go through the same regula falsi.  Only rows
+that miss the residual bound fall back to the scalar solvers.
 
 The same zeros are reachable through the block determinants of the
 six-coefficient linear system (``determinant_residual``), which is the
@@ -37,8 +40,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NoRealRootError, NotABracketError
-from .numerics import brent, expand_bracket_up, refine_brackets, scan_sign_changes
+from .errors import ConvergenceError, DomainError, NoRealRootError, NotABracketError
+from .numerics import (RowScan, brent, expand_bracket_up, first_brackets, refine_brackets,
+                       scan_grid, scan_sign_changes)
 from .specfun import EULER_GAMMA, bessel_k, bessel_k01
 from .twobody import TwoBodyParams, dimer_energies, pwave_pole, t_matrix
 
@@ -71,6 +75,9 @@ PWAVE_BRANCHES = {
 #: sweep's sign map (chunks keep the K kernel's temporaries small)
 _N_SCAN = 200
 _SWEEP_CHUNK = 16
+#: doublings of the s+ bracket up from xi = 2: the root is about
+#: (R/a0)^-1/2, below 2^540 for every positive double R/a0
+_SPLUS_DOUBLINGS = 1100
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ def solve_swave(R_over_a0: float, sign: int) -> RootResult:
         lo = 1.0 + 1e-15
         if f(lo) <= 0.0:  # K0 underflowed; root is pinned to xi = 1
             return RootResult(xi=1.0, residual=f(lo), bracket=(1.0, lo), converged=True)
-        lo, hi = expand_bracket_up(f, lo, 2.0)
+        lo, hi = expand_bracket_up(f, lo, 2.0, maxiter=_SPLUS_DOUBLINGS)
     else:
         def f(xi):
             return bessel_k(0, c * xi) + math.log(xi)
@@ -268,36 +275,65 @@ def _pwave_scan_solve(residual, R, label, *, hi=None, n_scan=_N_SCAN, needs_k0=T
                       converged=abs(res) <= 1e-10, n_roots=len(brackets))
 
 
-def _pwave_sweep(residual, R, *, hi=None, needs_k0=True):
-    """``_pwave_scan_solve`` at every separation of the array R at once.
+def _pwave_sweep(equations, R):
+    """``_pwave_scan_solve`` of several p-wave equations at every separation
+    of the array R at once.
 
-    The scans of all rows form one sign map on R x xi, evaluated in chunks
-    of _SWEEP_CHUNK rows (one ``bessel_k01`` call each); the first bracket
-    of every row is then narrowed by ``refine_brackets``, all rows together.
-    Rows that miss |F| <= 1e-10 there take the scalar Brent and ``_refine``
-    of a point solve on the same bracket.  Returns per row the root xi and
-    residual (NaN without a bracket) and the number of brackets.
+    equations holds (residual, hi, needs_k0) per branch.  The scans of all
+    rows form one sign map on R x xi, evaluated in chunks of _SWEEP_CHUNK
+    rows: per chunk the grid, ln xi, K0 and K1 are built once per distinct
+    scan cap hi (one ``bessel_k01`` call), and every equation with that cap
+    is evaluated on them.  The first bracket of every row of every equation
+    is then narrowed by one ``refine_brackets`` call, one ``bessel_k01``
+    call per step for all of them.  Rows that miss |F| <= 1e-10 there take
+    the scalar Brent and ``_refine`` of a point solve on the same bracket.
+    Returns per equation the root xi and residual at each row (NaN without
+    a bracket) and the number of brackets.
     """
-    def f_rows(xi, rows):
-        z = xi * R[rows]
-        return residual(xi, z, np.log(xi), *bessel_k01(z))
-
-    lo, hi = _scan_window(R, hi)
-    chunks = []
+    lo = _scan_window(R, None)[0]
+    caps = {}
+    for j, (_, hi, _) in enumerate(equations):
+        caps.setdefault(hi, []).append(j)
+    chunks = [[] for _ in equations]
     for start in range(0, len(R), _SWEEP_CHUNK):
-        rows = np.arange(start, min(start + _SWEEP_CHUNK, len(R)))
-        chunks.append(scan_sign_changes(lambda xi, rows=rows[:, None]: f_rows(xi, rows),
-                                        lo[rows], hi, n=_N_SCAN, log=True))
-    a, b, fa, fb, count = (np.concatenate(field) for field in zip(*chunks))
-    found = np.flatnonzero(count > 0)
-    xi = np.full(len(R), math.nan)
-    res = np.full(len(R), math.nan)
-    xi[found], res[found] = refine_brackets(lambda x, rows: f_rows(x, found[rows]),
-                                            a[found], b[found], fa[found], fb[found])
-    for i in found[~(np.abs(res[found]) <= 1e-10)]:
-        f = _scalar_residual(residual, float(R[i]), needs_k0)
-        xi[i], res[i] = _polish(f, float(a[i]), float(b[i]))
-    return xi, res, count
+        rows = slice(start, start + _SWEEP_CHUNK)
+        for hi, members in caps.items():
+            xi = scan_grid(lo[rows], _scan_window(R, hi)[1], _N_SCAN)
+            z = xi * R[rows, None]
+            args = (xi, z, np.log(xi), *bessel_k01(z))
+            for j in members:
+                chunks[j].append(first_brackets(xi, equations[j][0](*args)))
+    scans = [RowScan(*map(np.concatenate, zip(*c))) for c in chunks]
+    found = [np.flatnonzero(scan.count > 0) for scan in scans]
+    # the first brackets of all equations, one after another
+    owner = np.concatenate([np.full(rows.size, j) for j, rows in enumerate(found)])
+    a, b, fa, fb = (np.concatenate([scan[k][rows] for scan, rows in zip(scans, found)])
+                    for k in range(4))
+    Rb = R[np.concatenate(found)]
+
+    def f(x, rows):
+        z = x * Rb[rows]
+        args = (x, z, np.log(x), *bessel_k01(z))
+        who = owner[rows]
+        out = np.empty(len(rows))
+        for j, (residual, _, _) in enumerate(equations):
+            mine = who == j
+            if mine.any():
+                out[mine] = residual(*(v[mine] for v in args))
+        return out
+
+    xi, res = refine_brackets(f, a, b, fa, fb)
+    for k in np.flatnonzero(~(np.abs(res) <= 1e-10)):
+        residual, _, needs_k0 = equations[owner[k]]
+        xi[k], res[k] = _polish(_scalar_residual(residual, float(Rb[k]), needs_k0),
+                                float(a[k]), float(b[k]))
+    solutions = []
+    for j, (scan, rows) in enumerate(zip(scans, found)):
+        xi_j = np.full(len(R), math.nan)
+        res_j = np.full(len(R), math.nan)
+        xi_j[rows], res_j[rows] = xi[owner == j], res[owner == j]
+        solutions.append((xi_j, res_j, scan.count))
+    return solutions
 
 
 def pole_function(xi: float, a1_inv: float) -> float:
@@ -566,66 +602,146 @@ def branch_existence(branch: Branch, params: TwoBodyParams) -> tuple:
     return (2.0 * params.r1, math.inf)
 
 
-def _solve_branch_point(branch: Branch, R: float):
-    """(V, converged, residual) of an s-wave or asymptotic branch at one grid
-    point; NaN on failure."""
-    if branch is Branch.ASYMPTOTIC_UNIFIED:
-        try:
-            return v_unified(R), True, 0.0
-        except DomainError:
-            return math.nan, False, math.nan
-    try:
-        r = solve_swave(R, +1 if branch is Branch.SWAVE_PLUS else -1)
-    except (NoRealRootError, DomainError):
-        return math.nan, False, math.nan
-    return -r.xi ** 2, r.converged, r.residual
-
-
 def resonance_params(params: TwoBodyParams) -> TwoBodyParams:
     return TwoBodyParams(a0=params.a0, a1_inv=0.0, r1=params.r1, r0=params.r0)
 
 
-def sweep_branch(branch: Branch, params: TwoBodyParams, R_grid) -> PotentialCurve:
-    """Sample one branch over a grid (grid in units of a0 for s-wave branches,
-    r1 otherwise).  Failed points carry V = NaN and converged = False.
+def _swave_sweep(sign, R):
+    """``solve_swave`` at every R/a0 of the array R at once: per row the root
+    xi, its residual and whether it converged (NaN, NaN, False without a
+    root).
 
-    A p-wave branch is solved as one array problem (``_pwave_sweep``) that
-    keeps, like ``solve_pwave_I``/``solve_pwave_II`` at each point, the
-    smallest-xi root; the s-wave and asymptotic branches go point by point.
+    The brackets grow for all rows together (s+ doubling up from 2 as
+    ``expand_bracket_up`` does, s- on (1e-280, 1 - ulp)), and one
+    ``refine_brackets`` call narrows them, one ``bessel_k01`` call per step.
+    The point solver's special cases are kept, and rows that miss
+    |F| <= 1e-10 fall back to it.
     """
-    if branch in ZERO_BRANCHES and params.a1_inv != 0.0:
-        raise DomainError(f"{branch.value} requires exact resonance (a1_inv = 0)")
+    xi = np.full(len(R), math.nan)
+    res = np.full(len(R), math.nan)
+    ok = np.zeros(len(R), dtype=bool)
+    c = _TWO_EXP_NEG_GAMMA * R
+
+    def f(x, rows):
+        with np.errstate(over="ignore"):  # K1, unused here, overflows at subnormal x
+            return bessel_k01(c[rows] * x)[0] - sign * np.log(x)
+
+    if sign == +1:
+        rows = np.flatnonzero(R > 0.0)
+        lo = np.full(rows.size, 1.0 + 1e-15)
+        flo = f(lo, rows)
+        pinned = flo <= 0.0  # K0 underflowed; root is pinned to xi = 1
+        xi[rows[pinned]], res[rows[pinned]], ok[rows[pinned]] = 1.0, flo[pinned], True
+        rows, lo, flo = rows[~pinned], lo[~pinned], flo[~pinned]
+        hi = np.full(rows.size, 2.0)
+        fhi = np.full(rows.size, math.nan)
+        grow = np.arange(rows.size)
+        for _ in range(_SPLUS_DOUBLINGS):
+            if grow.size == 0:
+                break
+            fhi[grow] = f(hi[grow], rows[grow])
+            grow = grow[~((flo[grow] == 0.0) | (flo[grow] * fhi[grow] <= 0.0))]
+            lo[grow], flo[grow] = hi[grow], fhi[grow]
+            hi[grow] *= 2.0
+        keep = np.ones(rows.size, dtype=bool)
+        keep[grow] = False  # no sign change within the doublings: no root
+    else:
+        # f(0+) -> -ln(R/a0): no sign change (hence no real root) for R <= a0
+        rows = np.flatnonzero(R > 1.0)
+        hi = np.full(rows.size, math.nextafter(1.0, 0.0))
+        fhi = f(hi, rows)
+        near = rows[fhi < 0.0]
+        # root within an ulp of 1: asymptotically xi = 1 - K0(c)
+        xi[near] = 1.0 - bessel_k01(c[near])[0]
+        res[near], ok[near] = f(xi[near], near), True
+        rows, hi, fhi = rows[fhi >= 0.0], hi[fhi >= 0.0], fhi[fhi >= 0.0]
+        lo = np.full(rows.size, 1e-280)
+        flo = f(lo, rows)
+        keep = ~(flo > 0.0)
+    rows, lo, hi, flo, fhi = (v[keep] for v in (rows, lo, hi, flo, fhi))
+    xi[rows], res[rows] = refine_brackets(lambda x, k: f(x, rows[k]), lo, hi, flo, fhi)
+    ok[rows] = np.abs(res[rows]) <= 1e-10
+    for i in rows[~ok[rows]]:
+        try:
+            point = solve_swave(float(R[i]), sign)
+        except (NoRealRootError, ConvergenceError):
+            xi[i] = res[i] = math.nan
+            continue
+        xi[i], res[i], ok[i] = point.xi, point.residual, point.converged
+    return xi, res, ok
+
+
+def sweep_branches(jobs, R_grid) -> dict:
+    """Sample several branches over one grid: {branch: PotentialCurve} for
+    the (branch, params) pairs of `jobs`.
+
+    The grid is in units of a0 for the s-wave branches and r1 otherwise.
+    All branches of one call are one array solve: the p-wave branches share
+    one R x xi sign map and one refinement (``_pwave_sweep``) and keep, like
+    ``solve_pwave_I``/``solve_pwave_II`` at each point, the smallest-xi
+    root; each s-wave branch grows and refines all its brackets at once
+    (``_swave_sweep``); the asymptote is one array expression.  Failed
+    points carry V = NaN and converged = False.
+    """
+    jobs = list(jobs)
     grid = np.asarray(R_grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise DomainError(f"{branch.value}: every R of the sweep must be finite")
-    n_roots = np.ones(grid.shape, dtype=int)
-    if branch in PWAVE_BRANCHES:
+    for branch, params in jobs:
+        if branch in ZERO_BRANCHES and params.a1_inv != 0.0:
+            raise DomainError(f"{branch.value} requires exact resonance (a1_inv = 0)")
+        if not np.all(np.isfinite(grid)):
+            raise DomainError(f"{branch.value}: every R of the sweep must be finite")
+    inside = grid > 1.0  # R > r1 (natural units), as the point solvers require
+    equations = []
+    for branch, params in jobs:
+        if branch in PWAVE_BRANCHES:
+            family, sign = PWAVE_BRANCHES[branch]
+            equations.append(_pwave_equation(family, params, sign)[:3])
+    # one solution per p-wave job, taken in job order below
+    pwave = iter(_pwave_sweep(equations, grid[inside]) if equations and inside.any() else ())
+    curves = {}
+    for branch, params in jobs:
         v = np.full(grid.shape, math.nan)
         res = np.full(grid.shape, math.nan)
-        inside = grid > params.r1  # the point solvers raise DomainError below
-        family, sign = PWAVE_BRANCHES[branch]
-        residual, hi, needs_k0, _ = _pwave_equation(family, params, sign)
-        if inside.any():
-            xi, res[inside], count = _pwave_sweep(residual, grid[inside], hi=hi,
-                                                  needs_k0=needs_k0)
-            v[inside] = -0.5 * xi * xi
-            n_roots[inside] = np.maximum(count, 1)
-        ok = np.abs(res) <= 1e-10
-    else:
-        points = [_solve_branch_point(branch, R) for R in grid.tolist()]
-        v = np.array([p[0] for p in points], dtype=float)
-        ok = np.array([p[1] for p in points], dtype=bool)
-        res = np.array([p[2] for p in points], dtype=float)
-    multi = int((n_roots > 1).sum())
-    if multi:
-        log.warning("%s: %d of %d sweep points had extra roots; kept the "
-                    "smallest xi at each", branch.value, multi, len(grid))
-    return PotentialCurve(
-        branch=branch,
-        R_grid=grid,
-        V=v,
-        validity=branch_validity(branch, params),
-        converged=ok,
-        residual=res,
-        n_roots=n_roots,
-    )
+        n_roots = np.ones(grid.shape, dtype=int)
+        if branch in PWAVE_BRANCHES:
+            if inside.any():
+                xi, res[inside], count = next(pwave)
+                v[inside] = -0.5 * xi * xi
+                n_roots[inside] = np.maximum(count, 1)
+            ok = np.abs(res) <= 1e-10
+        elif branch in S_BRANCHES:
+            xi, res, ok = _swave_sweep(+1 if branch is Branch.SWAVE_PLUS else -1, grid)
+            with np.errstate(over="ignore"):
+                v = -xi * xi
+            overflow = np.isinf(v)  # for R/a0 below about 1e-308
+            v[overflow], ok[overflow] = math.nan, False
+        else:  # the asymptote v_unified, on 1 < R
+            g = grid[inside]
+            with np.errstate(over="ignore"):  # R^2 = inf gives V = -0.0, as in v_unified
+                v[inside] = -1.0 / (g * g * np.log(g))
+            res[inside] = 0.0
+            ok = inside.copy()
+        multi = int((n_roots > 1).sum())
+        if multi:
+            log.warning("%s: %d of %d sweep points had extra roots; kept the "
+                        "smallest xi at each", branch.value, multi, len(grid))
+        curves[branch] = PotentialCurve(
+            branch=branch,
+            R_grid=grid,
+            V=v,
+            validity=branch_validity(branch, params),
+            converged=ok,
+            residual=res,
+            n_roots=n_roots,
+        )
+    return curves
+
+
+def sweep_branch(branch: Branch, params: TwoBodyParams, R_grid) -> PotentialCurve:
+    """Sample one branch over a grid: ``sweep_branches`` with one job.
+
+    Branches that share a grid are cheaper in one ``sweep_branches`` call,
+    which evaluates K0 and K1 once for all of them; ``cli.cmd_potentials``
+    makes one such call per grid.
+    """
+    return sweep_branches([(branch, params)], R_grid)[branch]

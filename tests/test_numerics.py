@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from planar3b.numerics import refine_brackets, scan_sign_changes
+from planar3b.numerics import first_brackets, refine_brackets, scan_grid, scan_sign_changes
 
 
 def _scan(values):
@@ -66,10 +66,11 @@ def test_scan_log_grid_matches_expression():
 
 def test_scan_rows_first_bracket_and_count():
     def f(x):
-        assert x.shape == (2, 50)
         return np.where(np.arange(2)[:, None] == 0, x - 0.3, (x - 0.2) * (x - 0.6))
 
-    scan = scan_sign_changes(f, np.array([1e-3, 1e-3]), 1.0, n=50)
+    x = scan_grid(np.array([1e-3, 1e-3]), 1.0, n=50)
+    assert x.shape == (2, 50)
+    scan = first_brackets(x, f(x))
     for row in range(2):
         brackets, _ = scan_sign_changes(lambda x: f(np.stack([x, x]))[row], 1e-3, 1.0, n=50)
         assert (scan.a[row], scan.b[row]) == brackets[0]

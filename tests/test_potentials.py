@@ -70,6 +70,20 @@ def test_swave_residuals_tiny():
         assert r.converged and abs(r.residual) <= 1e-10
 
 
+def test_swave_plus_tiny_R_reaches_coulomb_limit():
+    # the root, about (R/a0)^-1/2 (1e65 and 1e100), lies beyond 200 doublings of 2
+    for x in (1e-130, 1e-200):
+        want = P.swave_asymptote(x, +1, "small")
+        r = P.solve_swave(x, +1)
+        assert r.converged and -r.xi ** 2 == pytest.approx(want, rel=1e-10)
+        curve = P.sweep_branch(P.Branch.SWAVE_PLUS, PARAMS_100, np.array([x, 1.0]))
+        assert curve.converged.all() and curve.V[0] == pytest.approx(want, rel=1e-10)
+    # below R/a0 ~ 1e-308, V = -xi^2 overflows: the row is unconverged, no raise
+    curve = P.sweep_branch(P.Branch.SWAVE_PLUS, PARAMS_100, np.array([1e-320, 1e-300]))
+    assert not curve.converged[0] and math.isnan(curve.V[0])
+    assert curve.converged[1] and curve.V[1] == pytest.approx(-1e300, rel=1e-10)
+
+
 def test_swave_asymptote_forms():
     x = 9.0
     tail = math.sqrt(math.pi * math.exp(EULER_GAMMA) / x) * math.exp(
@@ -420,6 +434,8 @@ _SWEEP_SOLVERS = {
     P.Branch.PWAVE_I_PLUS: (P.solve_pwave_I, +1), P.Branch.PWAVE_I_MINUS: (P.solve_pwave_I, -1),
     P.Branch.PWAVE_I_ZERO: (P.solve_pwave_I, +1), P.Branch.PWAVE_II_PLUS: (P.solve_pwave_II, +1),
     P.Branch.PWAVE_II_MINUS: (P.solve_pwave_II, -1), P.Branch.PWAVE_II_ZERO: (P.solve_pwave_II, +1),
+    P.Branch.SWAVE_PLUS: (lambda R, params, sign: P.solve_swave(R, sign), +1),
+    P.Branch.SWAVE_MINUS: (lambda R, params, sign: P.solve_swave(R, sign), -1),
 }
 
 
@@ -434,8 +450,11 @@ def test_sweep_matches_point_solves(branch, a0, log10_a1, bounds, n):
     if branch in P.ZERO_BRANCHES:
         params = P.resonance_params(params)
     grid = np.logspace(min(bounds), max(bounds), n)
+    if branch in P.S_BRANCHES:
+        grid /= a0  # R/a0 from 0.06 to 60, across the s- threshold at 1
     curve = P.sweep_branch(branch, params, grid)
     solve, sign = _SWEEP_SOLVERS[branch]
+    v_scale = 1.0 if branch in P.S_BRANCHES else 2.0  # V = -xi^2 or -xi^2/2
     for i, R in enumerate(grid.tolist()):
         try:
             r = solve(R, params, sign)
@@ -445,7 +464,52 @@ def test_sweep_matches_point_solves(branch, a0, log10_a1, bounds, n):
             continue
         assert curve.converged[i] == r.converged
         assert curve.n_roots[i] == r.n_roots
-        assert math.sqrt(-2.0 * curve.V[i]) == pytest.approx(r.xi, rel=1e-12)
+        xi = math.sqrt(-v_scale * curve.V[i])
+        if branch is P.Branch.SWAVE_MINUS and abs(xi / r.xi - 1.0) > 1e-12:
+            # just above R/a0 = 1 the s- equation is flat in xi (its slope
+            # times xi is about ln(R/a0)), so a few-ulp difference between
+            # array and scalar K0 moves the root by more than 1e-12: require
+            # instead that xi is a root of the scalar equation to rounding
+            c = 2.0 * math.exp(-EULER_GAMMA) * R
+            assert abs(bessel_k(0, c * xi) + math.log(xi)) <= 1e-14
+        else:
+            assert xi == pytest.approx(r.xi, rel=1e-12)
+
+
+_PWAVE_JOBS = [(b, PARAMS_100) for b in (P.Branch.PWAVE_I_PLUS, P.Branch.PWAVE_I_MINUS,
+                                         P.Branch.PWAVE_II_PLUS, P.Branch.PWAVE_II_MINUS)]
+_PWAVE_JOBS += [(b, P.resonance_params(PARAMS_100)) for b in P.ZERO_BRANCHES]
+
+
+def test_sweep_branches_matches_single_branch_sweeps():
+    grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
+    curves = P.sweep_branches(_PWAVE_JOBS, grid)
+    assert list(curves) == [b for b, _ in _PWAVE_JOBS]
+    for branch, params in _PWAVE_JOBS:
+        one = P.sweep_branch(branch, params, grid)
+        for field in ("V", "residual"):
+            assert np.array_equal(getattr(curves[branch], field), getattr(one, field),
+                                  equal_nan=True), (branch, field)
+        assert np.array_equal(curves[branch].converged, one.converged)
+        assert np.array_equal(curves[branch].n_roots, one.n_roots)
+
+
+def test_sweep_branches_share_one_sign_map():
+    calls = []
+    k01 = P.bessel_k01
+
+    def count_k01(x):
+        calls.append(x)
+        return k01(x)
+
+    grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(P, "bessel_k01", count_k01)
+        curves = P.sweep_branches(_PWAVE_JOBS, grid)
+    # 7 chunks of 16 rows times two scan caps (I- has its own), then one
+    # call per refinement step for all six branches together
+    assert len(calls) <= 40
+    assert all(curve.converged.any() for curve in curves.values())
 
 
 def test_sweep_is_one_array_problem():
