@@ -222,8 +222,11 @@ def expand_bracket_up(f, lo, hi0, *, factor=2.0, maxiter=200):
 def adaptive_simpson(f, a, b, tol, *, max_depth=48):
     """Integral of f over [a, b] by adaptive Simpson to absolute tolerance.
 
-    Returns (value, error_estimate).  Raises QuadratureError when an interval
-    cannot meet its share of the tolerance within `max_depth` bisections.
+    Returns (value, error_estimate).  Intervals are bisected at least
+    three times before their error estimate is trusted: on a wide interval
+    the two Simpson sums can agree by coincidence.  Raises QuadratureError
+    when an interval cannot meet its share of the tolerance within
+    `max_depth` bisections.
     """
     if a == b:
         return 0.0, 0.0
@@ -244,7 +247,8 @@ def adaptive_simpson(f, a, b, tol, *, max_depth=48):
         s_right = (b0 - m0) * (fm0 + 4.0 * frm + fb0) / 6.0
         s2 = s_left + s_right
         err = (s2 - s0) / 15.0
-        if abs(err) <= tol0 or (b0 - a0) <= _EPS * (abs(a0) + abs(b0)):
+        if ((abs(err) <= tol0 and depth >= 3)
+                or (b0 - a0) <= _EPS * (abs(a0) + abs(b0))):
             total += s2 + err  # Richardson extrapolation
             err_total += abs(err)
             continue

@@ -441,7 +441,8 @@ class UnifiedPotential:
     """Callable wrapper for the asymptotic potential with its log-space form.
 
     ``langer_w(x)`` returns -e^(2x) V(e^x) = 1/x exactly, which stays finite
-    where e^(2x) overflows; the WKB machinery prefers it when present.
+    where e^(2x) overflows; the WKB machinery prefers it when present.  It
+    takes a float (and returns a float) or an array.
     """
 
     validity = (math.e, math.inf)
@@ -450,8 +451,8 @@ class UnifiedPotential:
         return v_unified(R)
 
     @staticmethod
-    def langer_w(x: float) -> float:
-        if x <= 0:
+    def langer_w(x):
+        if (np.asarray(x) <= 0.0).any():
             raise DomainError("langer_w needs x = ln R > 0")
         return 1.0 / x
 

@@ -134,7 +134,7 @@ def numerov_integrate(potential, E: float, grid, bc, *, nu0: float) -> Wavefunct
         raise DomainError("grid must be uniform in x")
     w = langer_w(potential)
     eps = nu0 * E
-    q = np.array([eps * math.exp(2.0 * xi) + nu0 * w(xi) for xi in x])
+    q = np.array([eps * math.exp(2.0 * xi) for xi in x.tolist()]) + nu0 * w(x)
     if np.max(h * h * np.abs(q)) > 0.25:
         raise StepSizeError(
             f"step h = {h:g} too coarse: max h^2|Q| = {np.max(h*h*np.abs(q)):.3g}"
@@ -313,7 +313,9 @@ def _langer_setup(potential, nu0, window, h):
         raise DomainError("empty radial window")
     x = _uniform_grid(math.log(window[0]), math.log(window[1]), h)
     w = langer_w(potential)
-    wx = np.array([w(xi) if xi > 0.0 else 0.0 for xi in x])
+    wx = np.zeros_like(x)
+    inside = x > 0.0
+    wx[inside] = w(x[inside])
     wall = nu0 * x[1] * wx[1] if x[0] == 0.0 else None  # x W(x) -> residue
     return x, nu0 * wx, wall
 

@@ -223,7 +223,7 @@ def check_phi_correction(cfg) -> CheckResult:
     chain_worst = 0.0
     for x_eps in (1e2, 1e4):
         for x in (2.0, x_eps / 2.0):
-            full = wkb.wkb_phase_langer(x, x_eps, nu0, _UNIFIED.langer_w, 0.0, quad_tol)
+            full = wkb.wkb_phase_langer(x, x_eps, nu0, _UNIFIED.langer_w, 0.0)
             approx = 2.0 * math.sqrt(nu0) * (math.sqrt(x_eps) - math.sqrt(x))
             corr = wkb.phi_correction(x, x_eps, nu0, quad_tol)
             chain_worst = max(chain_worst, abs(full - (approx - corr)))

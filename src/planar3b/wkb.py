@@ -10,18 +10,23 @@ is evaluated as sqrt(nu0) * int_x^{x_E} sqrt(W(x') - W(x_E) e^{2(x'-x_E)}) dx'
 with W(x) = -e^{2x} V(e^x), a form that stays finite far beyond the range
 where e^{x} itself overflows.  Square-root endpoint behavior at both the
 turning point and a possible inner 1/x singularity is removed by quadratic
-substitutions before handing the integrand to adaptive Simpson.
+substitutions, which leave smooth integrands; these are summed on a fixed
+32-node Gauss-Legendre rule (DLMF 3.5(v)), three panels per phase, so the
+phases of many turning points are one array expression and full-phase
+quantization solves for all levels at once with ``refine_brackets``.  The
+energy correction Phi (``phi_correction``) keeps adaptive Simpson.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoTurningPointError
-from .numerics import adaptive_simpson, brent
+from .errors import ConvergenceError, DomainError, NoTurningPointError
+from .numerics import adaptive_simpson, brent, refine_brackets
 from .potentials import UnifiedPotential
 
 _DEF_POTENTIAL = UnifiedPotential()
@@ -29,9 +34,11 @@ _DEF_POTENTIAL = UnifiedPotential()
 
 @dataclass(frozen=True)
 class WkbConfig:
-    """Short-range phase theta (|theta| <= pi), inner matching radius and
-    quadrature tolerance; phase_mode selects the quantization phase
-    ('approx' = energy-free closed form, 'full' = quadrature)."""
+    """Short-range phase theta (|theta| <= pi), inner matching radius, and
+    the absolute tolerance quad_tol of ``phi_correction`` (also the bound of
+    validate's phi chain check; the full phase uses a fixed rule and has no
+    tolerance); phase_mode selects the quantization phase ('approx' =
+    energy-free closed form, 'full' = quadrature)."""
 
     theta: float = 0.0
     R_inner: float = 1.0
@@ -47,8 +54,8 @@ class WkbConfig:
             raise DomainError("R_inner must be finite and >= r1 = 1")
         if not self.R_max > self.R_inner:
             raise DomainError("R_max must exceed R_inner")
-        if not self.quad_tol > 0:
-            raise DomainError("quad_tol must be positive")
+        if not 0 < self.quad_tol < math.inf:
+            raise DomainError("quad_tol must be finite and positive")
         if self.phase_mode not in ("approx", "full"):
             raise DomainError("phase_mode must be 'approx' or 'full'")
 
@@ -76,11 +83,20 @@ class SpectrumResult:
 
 def langer_w(potential):
     """-e^(2x) V(e^x) for a potential callable, preferring an exact
-    log-space form when the object provides one."""
+    log-space form when the object provides one.
+
+    The returned function takes a float or an array of x; without a log
+    form it maps the potential's scalar form over the elements.
+    """
     w = getattr(potential, "langer_w", None)
     if w is not None:
         return w
-    return lambda x: -math.exp(2.0 * x) * potential(math.exp(x))
+
+    def w_mapped(x):
+        vals = [-math.exp(2.0 * v) * potential(math.exp(v)) for v in np.ravel(x).tolist()]
+        return np.reshape(vals, np.shape(x)) if np.ndim(x) else vals[0]
+
+    return w_mapped
 
 
 def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
@@ -110,45 +126,63 @@ def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
     return math.exp(x_e)
 
 
-def wkb_phase_langer(x: float, x_eps: float, nu0: float, w, theta: float,
-                     quad_tol: float = 1e-10, *, energy_term: bool = True) -> float:
+@functools.cache
+def _phase_rule():
+    # 32-node Gauss-Legendre rule mapped to [0, 1].  Built on first use, so
+    # that runs which never take a full phase do not load numpy.polynomial.
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _phase_integrals(x, x_eps, w, energy_term):
+    # int_x^{x_eps} sqrt(W(x') - W(x_eps) e^{2(x'-x_eps)}) dx' for 1-D arrays
+    # x < x_eps, on three panels of the rule: the left half in y = sqrt(x')
+    # (regularizes a 1/x' singularity at x' -> 0) and the right half in
+    # u = sqrt(x_eps - x') (regularizes the turning point), split at
+    # u_s = min(u_b, 6) because e^{-2u^2} < e^-72 beyond it
+    t, weights = _phase_rule()
+    x_mid = 0.5 * (x + x_eps)
+    u_b = np.sqrt(x_eps - x_mid)
+    lo = np.empty((3, x_eps.size))  # (panel, row): y on panel 0, u on 1 and 2
+    width = np.empty_like(lo)
+    lo[0] = np.sqrt(x)
+    width[0] = np.sqrt(x_mid) - lo[0]
+    lo[1] = 0.0
+    width[1] = lo[2] = np.minimum(u_b, 6.0)
+    width[2] = u_b - lo[2]
+    v = lo[..., None] + width[..., None] * t  # (panel, row, node)
+    # the left integrand is analytic with vanishing slope at y = 0; nudging
+    # the evaluation point dodges W(0) without measurable error
+    np.maximum(v[0], 1e-8, out=v[0])
+    xp = v * v
+    np.subtract(x_eps[:, None], xp[1:], out=xp[1:])
+    p_sq = w(xp)
+    if energy_term:
+        p_sq = p_sq - w(x_eps)[:, None] * np.exp(2.0 * (xp - x_eps[:, None]))
+    integrand = v * np.sqrt(np.maximum(p_sq, 0.0))
+    return 2.0 * (integrand @ weights * width).sum(axis=0)
+
+
+def wkb_phase_langer(x, x_eps, nu0: float, w, theta: float, *,
+                     energy_term: bool = True):
     """Phase accumulated between x and the turning point x_eps, log coordinate.
 
-    w is the log-space potential W(x) = -e^(2x) V(e^x); with
-    ``energy_term=False`` the energy under the square root is dropped
-    entirely (the E = 0 phase up to a cap at x_eps).
+    w is the log-space potential W(x) = -e^(2x) V(e^x), called on arrays;
+    with ``energy_term=False`` the energy under the square root is dropped
+    entirely (the E = 0 phase up to a cap at x_eps).  x and x_eps may be
+    arrays (broadcast together, one phase per element); floats give a float.
     """
-    if x_eps < x:
+    xs, xe = np.asarray(x, dtype=float), np.asarray(x_eps, dtype=float)
+    if not (xs <= xe).all():
         raise DomainError("need x <= x_eps")
-    if x_eps == x:
-        return theta
-    w_eps = w(x_eps) if energy_term else 0.0
-
-    def p_sq(xp):
-        val = w(xp) - w_eps * math.exp(2.0 * (xp - x_eps))
-        return val if val > 0.0 else 0.0
-
-    x_mid = 0.5 * (x + x_eps)
-    # left half in y = sqrt(x'): regularizes a 1/x' singularity at x' -> 0
-    y_a, y_b = math.sqrt(x), math.sqrt(x_mid)
-
-    def left(y):
-        # the integrand is analytic with vanishing slope at y = 0; nudging
-        # the evaluation point dodges W(0) without measurable error
-        if y < 1e-8:
-            y = 1e-8
-        return 2.0 * y * math.sqrt(p_sq(y * y))
-
-    # right half in u = sqrt(x_eps - x'): regularizes the turning point
-    u_b = math.sqrt(x_eps - x_mid)
-
-    def right(u):
-        return 2.0 * u * math.sqrt(p_sq(x_eps - u * u))
-
-    tol = 0.5 * quad_tol / max(math.sqrt(nu0), 1.0)
-    left_val, _ = adaptive_simpson(left, y_a, y_b, tol)
-    right_val, _ = adaptive_simpson(right, 0.0, u_b, tol)
-    return math.sqrt(nu0) * (left_val + right_val) + theta
+    live = xs < xe
+    phase = np.zeros(live.shape)
+    if live.any():
+        xs, xe = (v if v.shape == live.shape else np.broadcast_to(v, live.shape)
+                  for v in (xs, xe))
+        phase[live] = _phase_integrals(xs[live], xe[live], w, energy_term)
+    phase = math.sqrt(nu0) * phase + theta
+    return float(phase) if phase.ndim == 0 else phase
 
 
 def wkb_phase(R: float, E: float, potential, cfg: WkbConfig,
@@ -168,7 +202,7 @@ def wkb_phase(R: float, E: float, potential, cfg: WkbConfig,
     if x > x_e:
         raise DomainError("R beyond the outer turning point")
     return wkb_phase_langer(x, x_e, nu0, langer_w(potential), cfg.theta,
-                            cfg.quad_tol, energy_term=energy_term)
+                            energy_term=energy_term)
 
 
 def wkb_phase_approx(R: float, R_E: float, nu0: float, theta: float) -> float:
@@ -189,28 +223,74 @@ def phi_correction(x: float, x_eps: float, nu0: float, quad_tol: float = 1e-10) 
     if not 0 < x < x_eps:
         raise DomainError("need 0 < x < x_eps")
 
-    def integrand(s):
-        a = 1.0 - s / x_eps
-        inner = 1.0 - a * math.exp(-2.0 * s)
+    def integrand(s, a):
+        # a = 1 - s/x_eps, passed in so that the end piece keeps its digits
+        decay = math.exp(-2.0 * s)
+        inner = 1.0 - a * decay
         if inner < 0.0:
             inner = 0.0
-        return math.sqrt(a) * math.exp(-2.0 * s) / (1.0 + math.sqrt(inner))
+        return math.sqrt(a) * decay / (1.0 + math.sqrt(inner))
+
+    def middle(s):
+        return integrand(s, 1.0 - s / x_eps)
 
     length = x_eps - x
     cap = min(length, 40.0)  # e^{-80} tail is far below any tolerance here
     pref = math.sqrt(nu0 / x_eps)
-    tol = 0.5 * quad_tol / max(pref, 1.0)
-    # sqrt(s) behavior at s = 0: quadratic substitution on [0, min(1, cap)]
-    s0 = min(1.0, cap)
+    tol = quad_tol / (3.0 * max(pref, 1.0))  # a third for each of up to three pieces
+    # where the range runs to s = length, sqrt(1 - s/x_eps) falls to
+    # sqrt(x/x_eps) at its end, a near square-root end point once x << x_eps;
+    # the upper half of such a range goes in v = sqrt(x_eps - s)
+    s_end = 0.5 * cap if cap == length else cap
+    # sqrt(s) behavior at s = 0: quadratic substitution on [0, min(1, s_end)]
+    s0 = min(1.0, s_end)
 
     def head(t):
-        return 2.0 * t * integrand(t * t)
+        return 2.0 * t * middle(t * t)
+
+    def end(v):
+        return 2.0 * v * integrand(x_eps - v * v, v * v / x_eps)
 
     total, _ = adaptive_simpson(head, 0.0, math.sqrt(s0), tol)
-    if cap > s0:
-        tail, _ = adaptive_simpson(integrand, s0, cap, tol)
-        total += tail
+    if s_end > s0:
+        total += adaptive_simpson(middle, s0, s_end, tol)[0]
+    if cap > s_end:
+        total += adaptive_simpson(end, math.sqrt(x), math.sqrt(x_eps - s_end), tol)[0]
     return pref * total
+
+
+def _full_phase_roots(targets, nu0, w, x_inner, x_cap):
+    """x_n with wkb_phase_langer(x_inner, x_n) = target for every target, as
+    one array solve: each upper bracket end starts near the closed-form
+    level and doubles until the phase reaches its target (NaN once it
+    passes x_cap), the last end below it becoming the lower end; then one
+    ``refine_brackets`` call narrows all brackets.
+    """
+    target = np.array(targets, dtype=float)
+    # the phase is exactly 0 at x_inner
+    lo, f_lo = np.full(target.shape, x_inner), -target
+    hi = x_inner + np.maximum(1.0, (0.5 * target / math.sqrt(nu0)) ** 2)
+    f_hi = np.empty_like(target)
+    rows = np.arange(target.size)
+    while rows.size:
+        f_hi[rows] = wkb_phase_langer(x_inner, hi[rows], nu0, w, 0.0) - target[rows]
+        rows = rows[f_hi[rows] < 0.0]
+        lo[rows], f_lo[rows] = hi[rows], f_hi[rows]
+        hi[rows] *= 2.0
+        hi[rows[hi[rows] > x_cap]] = math.nan
+        rows = rows[hi[rows] <= x_cap]
+    if np.any(np.isnan(f_hi) & ~np.isnan(hi)):
+        raise ConvergenceError("full WKB phase is not finite at a bracket end")
+    found = np.flatnonzero(f_hi >= 0.0)
+
+    def f(x, rows):
+        return wkb_phase_langer(x_inner, x, nu0, w, 0.0) - target[found[rows]]
+
+    x_n = np.full(target.shape, math.nan)
+    x_n[found], _ = refine_brackets(f, lo[found], hi[found], f_lo[found], f_hi[found])
+    if np.any(np.isnan(x_n[found])):
+        raise ConvergenceError("full WKB phase is not finite inside a bracket")
+    return x_n.tolist()
 
 
 def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
@@ -219,10 +299,10 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
 
     In 'approx' mode the rule inverts in closed form,
     rho_n = exp([(pi n - theta)/(2 sqrt(nu0)) + sqrt(ln R_inner)]^2); in
-    'full' mode rho_n is root-found on the quadrature phase.  E_n = V(rho_n).
-    Levels whose rho_n exceeds cfg.R_max are dropped.  The fit summary is the
-    least-squares line of ln(n^2 |E_n|) against n^2, whose theoretical slope
-    is -pi^2/(2 nu0).
+    'full' mode all rho_n are root-found together on the quadrature phase.
+    E_n = V(rho_n).  Levels whose rho_n exceeds cfg.R_max are dropped.  The
+    fit summary is the least-squares line of ln(n^2 |E_n|) against n^2, whose
+    theoretical slope is -pi^2/(2 nu0).
     """
     if not 0.0 < nu0 < math.inf:
         raise DomainError(f"nu0 must be positive and finite, got {nu0}")
@@ -236,30 +316,22 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
     x_inner = math.log(cfg.R_inner)
     x_cap = math.log(cfg.R_max)
     sqrt_nu0 = math.sqrt(nu0)
-    levels = []
+    wanted = []  # (n, pi n - theta) of the levels with a positive target
     for n in ns:
         if n < 1:
             raise DomainError("levels are indexed from n = 1")
         target = math.pi * n - cfg.theta
-        if target <= 0:
+        if target > 0:
+            wanted.append((n, target))
+    if cfg.phase_mode == "approx":
+        x_ns = [(0.5 * target / sqrt_nu0 + math.sqrt(max(x_inner, 0.0))) ** 2
+                for _, target in wanted]
+    else:
+        x_ns = _full_phase_roots([target for _, target in wanted], nu0, w, x_inner, x_cap)
+    levels = []
+    for (n, _), x_n in zip(wanted, x_ns):
+        if not x_n <= x_cap:  # beyond R_max (NaN: the bracket search passed it)
             continue
-        if cfg.phase_mode == "approx":
-            x_n = (0.5 * target / sqrt_nu0 + math.sqrt(max(x_inner, 0.0))) ** 2
-            if x_n > x_cap:
-                continue
-        else:
-            def g(x_e):
-                return wkb_phase_langer(x_inner, x_e, nu0, w, 0.0, cfg.quad_tol) - target
-
-            hi = x_inner + max(1.0, (0.5 * target / sqrt_nu0) ** 2)
-            while g(hi) < 0.0:
-                hi *= 2.0
-                if hi > x_cap:
-                    hi = math.nan
-                    break
-            if math.isnan(hi):
-                continue
-            x_n = brent(g, x_inner + 1e-14, hi, xtol=1e-13, rtol=4e-16)
         rho_n = math.exp(x_n)
         e_n = -w(x_n) * math.exp(-2.0 * x_n)  # V(rho_n) through the log form
         levels.append((n, rho_n, e_n))

@@ -193,6 +193,27 @@ def test_cli_validate_corrupted_tolerance(tmp_path):
     assert "phi_correction" in r.stdout and "FAIL" in r.stdout
 
 
+def test_cli_infinite_quad_tol_exit_2(tmp_path):
+    # an infinite tolerance is a configuration error, not a failed check
+    ini = tmp_path / "inf_tol.ini"
+    ini.write_text("[wkb]\nquad_tol = inf\n")
+    r = run_cli(["validate", "--config", str(ini), "--only", "wkb"])
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "invalid configuration" in r.stderr
+
+
+def test_cli_full_mode_spectrum_deterministic(tmp_path):
+    ini = tmp_path / "full.ini"
+    ini.write_text("[model]\nnu0 = 200.0\n[wkb]\ntheta = 0.3\nphase_mode = full\n")
+    csvs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        r = run_cli(["spectrum", "--config", str(ini), "--output", str(out)])
+        assert r.returncode == 0, r.stderr
+        csvs.append((out / "spectrum.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_cli_validate_only_specfun():
     r = run_cli(["validate", "--only", "specfun"])
     assert r.returncode == 0, r.stdout + r.stderr

@@ -1,11 +1,12 @@
 """Bracket scan: one array evaluation over the grid, brackets by numpy;
-array refinement of many brackets at once."""
+array refinement of many brackets at once; adaptive Simpson."""
 
 import math
 
 import numpy as np
 
-from planar3b.numerics import first_brackets, refine_brackets, scan_grid, scan_sign_changes
+from planar3b.numerics import (adaptive_simpson, first_brackets, refine_brackets, scan_grid,
+                               scan_sign_changes)
 
 
 def _scan(values):
@@ -97,3 +98,12 @@ def test_refine_brackets_to_adjacent_doubles():
                             np.array([0.0, -1.0]), np.array([1.0, 1.0]))
     assert (x[0], fx[0]) == (1.0, 0.0)
     assert math.isnan(x[1]) and math.isnan(fx[1])
+
+
+def test_simpson_distrusts_coincident_estimates():
+    # sin^2(4 pi x) vanishes on all five points of the first two Simpson
+    # sums, so their agreement says nothing about the integral 1/2
+    def f(x):
+        return math.sin(4.0 * math.pi * x) ** 2
+
+    assert abs(adaptive_simpson(f, 0.0, 1.0, 1e-10)[0] - 0.5) < 1e-10

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planar3b import wkb
 from planar3b.errors import DomainError, NoTurningPointError
@@ -93,10 +95,66 @@ def test_phi_chain_reconciles_full_and_approx(x_eps):
     nu0 = 500.0
     quad_tol = 1e-10
     for x in (2.0, 10.0, x_eps / 2.0):
-        full = wkb.wkb_phase_langer(x, x_eps, nu0, U.langer_w, 0.0, quad_tol)
+        full = wkb.wkb_phase_langer(x, x_eps, nu0, U.langer_w, 0.0)
         approx = 2.0 * math.sqrt(nu0) * (math.sqrt(x_eps) - math.sqrt(x))
         phi = wkb.phi_correction(x, x_eps, nu0, quad_tol)
         assert abs(full - (approx - phi)) <= 2.0 * quad_tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_eps=st.floats(0.5, 700.0), frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       nu0=st.floats(1.0, 1e4))
+def test_phase_chain_identity(x_eps, frac, nu0):
+    # for W = 1/x the full phase is exactly the closed form minus Phi
+    quad_tol = 1e-10
+    x = frac * x_eps
+    assume(0.0 < x < x_eps)
+    full = wkb.wkb_phase_langer(x, x_eps, nu0, U.langer_w, 0.0)
+    approx = 2.0 * math.sqrt(nu0) * (math.sqrt(x_eps) - math.sqrt(x))
+    phi = wkb.phi_correction(x, x_eps, nu0, quad_tol)
+    assert abs(full - (approx - phi)) <= 2.0 * quad_tol + 1e-13 * abs(full)
+
+
+@pytest.mark.parametrize("nu0, x_eps", [(50.0, 1e7), (1e4, 1e7)])
+def test_phase_far_turning_point(nu0, x_eps):
+    # a fixed rule has no recursion depth to run out of; Phi does not depend
+    # on x once x_eps - x exceeds its cut-off of 40
+    full = wkb.wkb_phase_langer(0.0, x_eps, nu0, U.langer_w, 0.0)
+    want = 2.0 * math.sqrt(nu0 * x_eps) - wkb.phi_correction(1e-300, x_eps, nu0)
+    assert isinstance(full, float)
+    assert full == pytest.approx(want, rel=1e-12)
+
+
+def test_phase_on_arrays_matches_floats():
+    x_eps = np.array([[0.7, 3.0], [40.0, 900.0]])
+    phases = wkb.wkb_phase_langer(0.5, x_eps, 200.0, U.langer_w, 0.3)
+    assert phases.shape == x_eps.shape
+    for got, xe in zip(phases.ravel(), x_eps.ravel()):
+        assert got == pytest.approx(wkb.wkb_phase_langer(0.5, float(xe), 200.0, U.langer_w, 0.3),
+                                    rel=1e-15, abs=1e-15)
+    assert wkb.wkb_phase_langer(2.0, np.array([2.0, 5.0]), 200.0, U.langer_w, 0.3)[0] == 0.3
+    with pytest.raises(DomainError):
+        wkb.wkb_phase_langer(2.0, np.array([3.0, 1.0]), 200.0, U.langer_w, 0.3)
+
+
+def test_langer_w_maps_scalar_potential_over_arrays():
+    # a potential without a log form goes through the same array path
+    w = wkb.langer_w(lambda R: U(R))
+    x = np.array([0.5, 2.0, 30.0])
+    np.testing.assert_allclose(w(x), 1.0 / x, rtol=1e-14)
+    assert w(2.0) == pytest.approx(0.5, rel=1e-14)
+    assert U.langer_w(4.0) == 0.25 and isinstance(U.langer_w(4.0), float)
+    for bad in (0.0, np.array([1.0, 0.0]), np.array([-1.0])):
+        with pytest.raises(DomainError):
+            U.langer_w(bad)
+
+
+def test_phi_whole_range_at_small_x_eps():
+    # x_eps - x <= 1 puts the last node of the sqrt-substituted head at
+    # sqrt(x_eps - x)^2, which can round past x_eps
+    phi = wkb.phi_correction(1e-130, 0.5, 1.0)
+    full = wkb.wkb_phase_langer(1e-130, 0.5, 1.0, U.langer_w, 0.0)
+    assert full == pytest.approx(2.0 * math.sqrt(0.5) - phi, abs=2e-10)
 
 
 def test_phi_domain():
@@ -167,6 +225,33 @@ def test_full_mode_exceeds_closed_form_by_phi_shift():
     assert all(b > a for a, b in zip(gaps, gaps[1:]))  # increasing toward the cap
 
 
+class _CountingPotential(UnifiedPotential):
+    def __init__(self):
+        self.calls = self.elements = 0
+
+    def langer_w(self, x):
+        self.calls += 1
+        self.elements += np.size(x)
+        return super().langer_w(x)
+
+
+def test_full_mode_work_bound():
+    # every level's phase is one array expression on fixed nodes, refined
+    # together: tens of W calls, not tens of thousands
+    pot = _CountingPotential()
+    spec = wkb.quantize_spectrum((1, 6), 200.0, wkb.WkbConfig(phase_mode="full"), pot)
+    assert len(spec.levels) == 6
+    assert pot.calls <= 100
+    assert pot.elements <= 12_000
+
+
+def test_full_mode_drops_levels_beyond_rmax():
+    cfg = wkb.WkbConfig(R_max=1e10, phase_mode="full")
+    spec = wkb.quantize_spectrum((1, 40), 5.0, cfg)
+    assert spec.levels and spec.levels[-1][0] < 40
+    assert all(rho <= 1e10 for _, rho, _ in spec.levels)
+
+
 def test_levels_beyond_rmax_are_dropped():
     cfg = wkb.WkbConfig(R_max=1e10)
     spec = wkb.quantize_spectrum((1, 200), 5.0, cfg)
@@ -207,7 +292,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         wkb.WkbConfig(phase_mode="other")
     for kw in ({"theta": math.nan}, {"R_inner": math.nan}, {"R_inner": math.inf},
-               {"quad_tol": math.nan}, {"R_max": math.nan}, {"R_max": 0.5}):
+               {"quad_tol": math.nan}, {"quad_tol": math.inf}, {"R_max": math.nan},
+               {"R_max": 0.5}):
         with pytest.raises(DomainError):
             wkb.WkbConfig(**kw)
 
