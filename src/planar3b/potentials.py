@@ -231,8 +231,8 @@ def _polish(f, a, b):
     try:
         root = brent(f, a, b, xtol=1e-300, rtol=1e-15)
     except NotABracketError:
-        # the scan's array values and the floats can differ in the last
-        # ulp, so at an end where f ~ 0 both ends may show one sign here
+        # the scan's array values and the floats can differ by a few ulp,
+        # so at an end where f ~ 0 both ends may show one sign here
         root = a if abs(f(a)) <= abs(f(b)) else b
     return _refine(f, root)
 
@@ -532,6 +532,8 @@ def light_wavefunction(branch: str, sign: int, kappa: float, R: float,
         raise DomainError("sign must be +1 or -1")
     if kappa <= 0 or R <= 0:
         raise DomainError("kappa and R must be positive")
+    if branch == "II" and params is None:
+        raise DomainError("branch II wavefunction needs TwoBodyParams for T0")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError("points must be an (n, 2) array")
@@ -541,27 +543,17 @@ def light_wavefunction(branch: str, sign: int, kappa: float, R: float,
     r_m = np.hypot(xm, y)
     phi_p = np.arctan2(y, xp)
     phi_m = np.arctan2(y, xm)
-    out = np.empty(len(pts))
-    mask = (r_p < 1e-6) | (r_m < 1e-6)
+    out = np.full(len(pts), math.nan)
+    ok = ~((r_p < 1e-6) | (r_m < 1e-6))  # NaN points go on, to DomainError
+    k0_p, k1_p = bessel_k01(kappa * r_p[ok])
+    k0_m, k1_m = bessel_k01(kappa * r_m[ok])
     if branch == "I":
-        for i in range(len(pts)):
-            if mask[i]:
-                out[i] = math.nan
-                continue
-            out[i] = (math.sin(phi_p[i]) * bessel_k(1, kappa * r_p[i])
-                      + sign * math.sin(phi_m[i]) * bessel_k(1, kappa * r_m[i]))
+        out[ok] = np.sin(phi_p[ok]) * k1_p + sign * np.sin(phi_m[ok]) * k1_m
         return out
-    if params is None:
-        raise DomainError("branch II wavefunction needs TwoBodyParams for T0")
     t0 = t_matrix(0, kappa, params)
     amp = (2.0 * t0 * bessel_k(0, kappa * R) + sign) / (2.0 * t0 * bessel_k(1, kappa * R))
-    for i in range(len(pts)):
-        if mask[i]:
-            out[i] = math.nan
-            continue
-        out[i] = (bessel_k(0, kappa * r_p[i]) + sign * bessel_k(0, kappa * r_m[i])
-                  - amp * (math.cos(phi_p[i]) * bessel_k(1, kappa * r_p[i])
-                           - sign * math.cos(phi_m[i]) * bessel_k(1, kappa * r_m[i])))
+    out[ok] = (k0_p + sign * k0_m
+               - amp * (np.cos(phi_p[ok]) * k1_p - sign * np.cos(phi_m[ok]) * k1_m))
     return out
 
 

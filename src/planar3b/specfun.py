@@ -10,22 +10,21 @@ special-function library:
   in double, so there Bessel's integrals (DLMF 10.9.1, 10.9.7) are
   evaluated by 64-node Gauss-Legendre quadrature, which returns J and Y
   together to a few 1e-15 absolute.
-* ``K``: log-type power series for x <= 2, asymptotic expansion for
-  x >= 16.  Neither reaches 1e-10 relative accuracy in double precision on
-  the gap (series cancellation grows like e^(2x), the asymptotic tail only
-  shrinks like e^(-2x)), so the mid range evaluates the integral
-  K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt by the trapezoidal rule,
-  which is spectrally accurate for this integrand.
+* ``K``: one scheme per regime, for K0 and K1 together: the log-type power
+  series (DLMF 10.31.2) for x <= 2 as one 16-term Horner pass in x^2/4,
+  the asymptotic expansion (DLMF 10.40.2) for x >= 16, stopped where its
+  terms start to grow.  Neither reaches 1e-10 relative accuracy in double
+  precision on the gap (series cancellation grows like e^(2x), the
+  asymptotic tail only shrinks like e^(-2x)), so the mid range evaluates
+  the integral K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt (DLMF
+  10.32.9) by the trapezoidal rule on at most 24 tabulated nodes, which is
+  spectrally accurate for this integrand.  The scheme has two loops over
+  the same tables: ``bessel_k`` takes one float at a time (a numpy call
+  would cost several times more per argument), ``bessel_k01`` a whole
+  numpy array, for the sign maps and array refinement of the p-wave
+  solvers and for wavefunction grids.  The two agree to 8 ulp.
 * ``K2`` always goes through the upward recurrence K2 = K0 + 2 K1/x
   (cancellation-free: all terms positive).
-* ``bessel_k01`` returns K0 and K1 over a whole numpy array at once, for the
-  sign maps and array refinement of the p-wave solvers, on the scalar
-  regimes: the power series for x <= 2 as one 16-term Horner pass in
-  x^2/4, the trapezoidal rule for 2 < x < 16 on at most 24 tabulated
-  nodes, and the asymptotic series for x >= 16, truncated element by
-  element.  It agrees with the scalar path to a few ulp; the scalar
-  functions stay, since a single argument costs several times more through
-  numpy.
 
 Phases of the Hankel expansion are evaluated as cos(x - pi/4) =
 (cos x + sin x)/sqrt(2) etc., so no accuracy is lost subtracting pi/4 from a
@@ -34,6 +33,7 @@ large argument.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -79,19 +79,6 @@ def _j_series(order, x):
         if k > 200:
             break
     return total, 4.0 * _EPS * peak
-
-
-def _i_series(order, x):
-    q = 0.25 * x * x
-    term = 1.0 if order == 0 else 0.5 * x
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + order))
-        total += term
-        if term <= _EPS * total or k > 200:
-            return total
 
 
 def _y_series(order, x):
@@ -209,67 +196,6 @@ def _jy_asymp(order, x):
     return j_val, y_val, est
 
 
-def _k_series(order, x):
-    lg = math.log(0.5 * x) + EULER_GAMMA
-    q = 0.25 * x * x
-    if order == 0:
-        i_val = _i_series(0, x)
-        total = 0.0
-        term = 1.0
-        harmonic = 0.0
-        k = 0
-        while True:
-            k += 1
-            term *= q / (k * k)
-            harmonic += 1.0 / k
-            total += harmonic * term
-            if harmonic * term <= _EPS * (total + 1e-300) or k > 200:
-                break
-        val = -lg * i_val + total
-        est = 4.0 * _EPS * (abs(lg) * i_val + total)
-        return val, est
-    i_val = _i_series(1, x)
-    total = 0.0
-    term = 0.5 * x
-    h_k = 0.0
-    h_k1 = 1.0
-    k = 0
-    while True:
-        total += (h_k + h_k1) * term
-        if (h_k + h_k1) * term <= _EPS * total and k > 2:
-            break
-        k += 1
-        if k > 200:
-            break
-        term *= q / (k * (k + 1))
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-    val = lg * i_val + 1.0 / x - 0.5 * total
-    est = 4.0 * _EPS * (abs(lg) * i_val + 1.0 / x + 0.5 * total)
-    return val, est
-
-
-def _k_trapezoid(order, x):
-    # K_nu(x) = e^{-x} * int_0^inf exp(-x(cosh t - 1)) cosh(nu t) dt.
-    # Trapezoidal rule: discretization error ~ exp(-pi^2/h) for this
-    # integrand, far below double noise at h = 0.18.
-    h = _K_TRAP_STEP
-    total = 0.5  # t = 0 contribution
-    j = 1
-    while True:
-        t = j * h
-        w = x * 2.0 * math.sinh(0.5 * t) ** 2  # x (cosh t - 1), cancellation-free
-        term = math.exp(-w) * math.cosh(order * t)
-        total += term
-        if term < 1e-22 * total:
-            break
-        j += 1
-        if j > 2000:
-            break
-    val = math.exp(-x) * h * total
-    return val, 8.0 * _EPS * val
-
-
 def _k01_series_table():
     # Rows: the power series of I0, of I1/(x/2), of the K0 sum and of the K1
     # sum over (x/2), as coefficients of q^k = (x^2/4)^k, k = 0..15:
@@ -286,7 +212,7 @@ def _k01_series_table():
 
 
 _K_SERIES_TABLE = _k01_series_table()
-#: the trapezoidal rule's nodes t_j = j h as tabulated for ``bessel_k01``:
+#: the trapezoidal rule's nodes t_j = j h as tabulated for both K loops:
 #: -(cosh t_j - 1) and cosh t_j.  24 nodes reach x (cosh t - 1) > 60 for
 #: every x > _K_SERIES_MAX, so the rule's tail is below e^-60 there.
 _K_TRAP_T = _K_TRAP_STEP * np.arange(1, 25)
@@ -299,11 +225,65 @@ _K_TRAP_COSH = np.cosh(_K_TRAP_T)
 _K_ASYMP_K = np.arange(1.0, 35.0)
 _K_ASYMP_RATIOS = np.array([(mu - (2.0 * _K_ASYMP_K - 1.0) ** 2) / (8.0 * _K_ASYMP_K)
                             for mu in (0.0, 4.0)])[:, :, None]
+#: The same tables as Python floats, for the one-argument loop of
+#: ``_k01_float``: the series' columns in Horner order, the rule's
+#: (cosh t_j - 1) and its node pairs, and the asymptotic ratios per order.
+_K_SERIES_COLS = tuple(map(tuple, _K_SERIES_TABLE[:, ::-1].T.tolist()))
+_K_TRAP_W = (-_K_TRAP_NEG_W).tolist()
+_K_TRAP_NODES = tuple(zip(_K_TRAP_NEG_W.tolist(), _K_TRAP_COSH.tolist()))
+_K_ASYMP_ROWS = tuple(map(tuple, _K_ASYMP_RATIOS[:, :, 0].tolist()))
+
+
+def _k01_float(x):
+    # (K0, its absolute-error estimate, K1, its estimate) at one float x > 0:
+    # the scheme of bessel_k01's three kernels below, on the same tables,
+    # one float at a time.
+    if x <= _K_SERIES_MAX:
+        q = 0.25 * x * x
+        p0 = p1 = p2 = p3 = 0.0
+        for c0, c1, c2, c3 in _K_SERIES_COLS:
+            p0 = p0 * q + c0
+            p1 = p1 * q + c1
+            p2 = p2 * q + c2
+            p3 = p3 * q + c3
+        half = 0.5 * x
+        lg = math.log(half) + EULER_GAMMA
+        k0 = p2 - lg * p0
+        k1 = lg * half * p1 + 1.0 / x - 0.5 * half * p3
+        return (k0, 4.0 * _EPS * (abs(lg) * p0 + p2),
+                k1, 4.0 * _EPS * (abs(lg) * half * p1 + 1.0 / x + 0.5 * half * p3))
+    if x < _K_ASYMP_MIN:
+        s0 = s1 = 0.0
+        for neg_w, cosh_t in _K_TRAP_NODES[:bisect.bisect_left(_K_TRAP_W, 60.0 / x) + 1]:
+            e = math.exp(neg_w * x)
+            s0 += e
+            s1 += e * cosh_t
+        scale = _K_TRAP_STEP * math.exp(-x)
+        k0 = scale * (0.5 + s0)
+        k1 = scale * (0.5 + s1)
+        return k0, 8.0 * _EPS * k0, k1, 8.0 * _EPS * k1
+    amp = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
+    out = []
+    for ratios in _K_ASYMP_ROWS:
+        term = 1.0
+        total = 0.0
+        for r in ratios:
+            if abs(r) >= x:
+                break
+            term *= r / x
+            total += term
+            if -1e-17 < term < 1e-17:
+                # the terms left before the cut, at most 34 and each one
+                # smaller, add up to less than 2 ulp of 1 + total
+                break
+        # the remainder is of the order of the last term kept
+        out += amp * (1.0 + total), amp * (abs(term) + 8.0 * _EPS)
+    return tuple(out)
 
 
 def _k01_series(x):
-    # _k_series for orders 0 and 1 over an array: one Horner pass in q over
-    # the four stacked series of _K_SERIES_TABLE.
+    # DLMF 10.31.2 for orders 0 and 1 over an array: one Horner pass in q
+    # over the four stacked series of _K_SERIES_TABLE.
     q = 0.25 * x * x
     p = np.empty((4, x.size))
     p[:] = _K_SERIES_TABLE[:, -1:]
@@ -316,8 +296,11 @@ def _k01_series(x):
 
 
 def _k01_trapezoid(x):
-    # _k_trapezoid for orders 0 and 1 over an array, with one node count for
-    # all elements, taken from the smallest.
+    # DLMF 10.32.9, K_nu(x) = e^-x int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt,
+    # by the trapezoidal rule at step h = 0.18 (discretization error
+    # ~ exp(-pi^2/h)), for orders 0 and 1 over an array.  The nodes run until
+    # x (cosh t - 1) >= 60, with one node count for all elements, taken from
+    # the smallest.
     n = min(int(np.searchsorted(-_K_TRAP_NEG_W, 60.0 / x.min())) + 1, _K_TRAP_T.size)
     e = np.multiply.outer(_K_TRAP_NEG_W[:n], x)
     np.exp(e, out=e)
@@ -329,8 +312,8 @@ def _k01_trapezoid(x):
 
 
 def _k01_asymp(x):
-    # _k_asymp for orders 0 and 1 over an array, each element truncated
-    # before its smallest term.
+    # DLMF 10.40.2 for orders 0 and 1 over an array, each element stopped
+    # where its terms start to grow.
     terms = np.cumprod(_K_ASYMP_RATIOS / x, axis=1)
     terms[np.abs(_K_ASYMP_RATIOS) >= x] = 0.0
     total = 1.0 + terms.sum(axis=1)
@@ -340,11 +323,11 @@ def _k01_asymp(x):
 def bessel_k01(x):
     """K0 and K1 at every element of an array x > 0, as two arrays.
 
-    The array form of ``bessel_k``, on the same three regimes: its power
-    series for x <= 2 (here one fixed-degree Horner pass), its trapezoidal
-    rule for 2 < x < 16 and its optimally truncated asymptotic series for
-    x >= 16.  Agrees with ``bessel_k`` to a few ulp and underflows to 0.0
-    the same way.
+    The array form of ``bessel_k``, on the same three regimes and tables:
+    the power series for x <= 2 as one fixed-degree Horner pass, the
+    trapezoidal rule for 2 < x < 16 and the optimally truncated asymptotic
+    series for x >= 16.  Agrees with ``bessel_k`` to 8 ulp or better and
+    underflows to 0.0 the same way.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0.0):  # also rejects NaN
@@ -359,26 +342,6 @@ def bessel_k01(x):
         if where.any():
             k0[where], k1[where] = kernel(flat[where])
     return k0.reshape(x.shape), k1.reshape(x.shape)
-
-
-def _k_asymp(order, x):
-    mu = 4.0 * order * order
-    term = 1.0
-    total = 1.0
-    k = 0
-    prev = math.inf
-    while True:
-        term *= (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x)
-        k += 1
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if prev <= _EPS * abs(total):
-            break
-    val = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
-    est = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * (prev + 8.0 * _EPS)
-    return val, est
 
 
 def _check_order(order, allowed, name):
@@ -416,18 +379,13 @@ def bessel_k_result(order: int, x: float) -> SpecFunResult:
     _check_order(order, (0, 1, 2), "bessel_k")
     if not x > 0.0:  # also rejects NaN; +inf underflows to 0.0 below
         raise DomainError(f"bessel_k: x must be > 0, got {x}")
-    if order == 2:
-        k0 = bessel_k_result(0, x)
-        k1 = bessel_k_result(1, x)
-        val = k0.value + 2.0 * k1.value / x
-        return SpecFunResult(val, k0.est_abs_error + 2.0 * k1.est_abs_error / x + 2.0 * _EPS * val)
-    if x <= _K_SERIES_MAX:
-        val, est = _k_series(order, x)
-    elif x < _K_ASYMP_MIN:
-        val, est = _k_trapezoid(order, x)
-    else:
-        val, est = _k_asymp(order, x)
-    return SpecFunResult(val, est)
+    k0, e0, k1, e1 = _k01_float(x)
+    if order == 0:
+        return SpecFunResult(k0, e0)
+    if order == 1:
+        return SpecFunResult(k1, e1)
+    val = k0 + 2.0 * k1 / x
+    return SpecFunResult(val, e0 + 2.0 * e1 / x + 2.0 * _EPS * val)
 
 
 def bessel_j(order: int, x: float) -> float:

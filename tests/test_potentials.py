@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from planar3b import potentials as P
 from planar3b.errors import DomainError, NoRealRootError
 from planar3b.specfun import EULER_GAMMA, bessel_k
-from planar3b.twobody import TwoBodyParams, dimer_energies
+from planar3b.twobody import TwoBodyParams, dimer_energies, t_matrix
 
 logging.getLogger("planar3b.potentials").setLevel(logging.ERROR)
 
@@ -388,6 +388,51 @@ def test_psi_masks_centers():
     pts = np.array([[5.0, 0.0], [-5.0, 1e-9]])
     vals = P.light_wavefunction("I", +1, kappa, R, pts)
     assert np.isnan(vals).all()
+
+
+def _psi_by_point(branch, sign, kappa, R, pts, params):
+    # the documented formula, one point and one scalar K call at a time
+    out = []
+    for x, y in pts:
+        r_p, r_m = math.hypot(x + R / 2, y), math.hypot(x - R / 2, y)
+        if r_p < 1e-6 or r_m < 1e-6:
+            out.append(math.nan)
+            continue
+        phi_p, phi_m = math.atan2(y, x + R / 2), math.atan2(y, x - R / 2)
+        if branch == "I":
+            out.append(math.sin(phi_p) * bessel_k(1, kappa * r_p)
+                       + sign * math.sin(phi_m) * bessel_k(1, kappa * r_m))
+            continue
+        t0 = t_matrix(0, kappa, params)
+        amp = (2 * t0 * bessel_k(0, kappa * R) + sign) / (2 * t0 * bessel_k(1, kappa * R))
+        out.append(bessel_k(0, kappa * r_p) + sign * bessel_k(0, kappa * r_m)
+                   - amp * (math.cos(phi_p) * bessel_k(1, kappa * r_p)
+                            - sign * math.cos(phi_m) * bessel_k(1, kappa * r_m)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("branch", ["I", "II"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_psi_array_matches_pointwise_formula(branch, sign):
+    R = 10.0
+    kappa = _solved_kappa(R)
+    g = np.linspace(-12.0, 12.0, 25)
+    pts = np.array([(x, y) for x in g for y in g]
+                   + [(c + dx, dy) for c in (-R / 2, R / 2)
+                      for dx, dy in ((0.0, 0.0), (0.0, 9e-7), (-7e-7, 7e-7), (1.5e-6, 0.0),
+                                     (0.0, 2e-6), (3e-3, 0.0), (0.0, 20.0))])
+    got = P.light_wavefunction(branch, sign, kappa, R, pts, PARAMS_100)
+    want = _psi_by_point(branch, sign, kappa, R, pts, PARAMS_100)
+    nan = np.isnan(want)
+    assert nan.sum() == 8  # the centres, twice, and the points within 1e-6 of them
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    scale = np.abs(want[~nan]).max()
+    assert np.abs(got[~nan] - want[~nan]).max() <= 1e-13 * scale
+
+
+def test_psi_rejects_nan_points():
+    with pytest.raises(DomainError):
+        P.light_wavefunction("I", +1, 0.1, 10.0, np.array([[0.0, 1.0], [math.nan, 0.0]]))
 
 
 def test_psi_II_needs_params():

@@ -44,7 +44,7 @@ def _check_jy(got, want, x):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_bessel_k_oracle_sweep(order):
     for x in _loggrid(1e-6, 700.0, 50):
-        assert _rel(specfun.bessel_k(order, x), oracles.bessel_k(order, x)) <= 1e-10
+        assert _rel(specfun.bessel_k(order, x), oracles.bessel_k(order, x)) <= 1e-14
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -67,12 +67,36 @@ _K01_POINTS = _loggrid(1e-8, 700.0, 120) + [
     math.nextafter(1e-8, 0.0), 1e-9, 1e-30]
 
 
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
 def test_bessel_k01_oracle_sweep():
     k0, k1 = specfun.bessel_k01(np.array(_K01_POINTS))
     for i, x in enumerate(_K01_POINTS):
         for order, got in ((0, k0[i]), (1, k1[i])):
             assert _rel(got, oracles.bessel_k(order, x)) <= 1e-14
-            assert abs(got - specfun.bessel_k(order, x)) <= 1e-14 * got
+            assert _ulps(got, specfun.bessel_k(order, x)) <= 8
+
+
+# One draw per K regime: the series (log-uniform), the trapezoidal rule and
+# the asymptotic series, and the doubles on both sides of the seams.
+_K_REGIME_X = st.one_of(
+    st.floats(min_value=-8.0, max_value=math.log10(2.0)).map(lambda e: 10.0 ** e),
+    st.floats(min_value=2.0, max_value=16.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=16.0, max_value=700.0),
+    st.sampled_from([math.nextafter(seam, seam + side) for seam in (2.0, 16.0)
+                     for side in (-1.0, 0.0, 1.0)]))
+
+
+@given(st.lists(_K_REGIME_X, min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_bessel_k01_matches_scalar(xs):
+    # an array evaluation shares its trapezoid node count among its elements
+    k0, k1 = specfun.bessel_k01(np.array(xs))
+    for i, x in enumerate(xs):
+        for order, got in ((0, k0[i]), (1, k1[i])):
+            assert _ulps(got, specfun.bessel_k(order, x)) <= 8
 
 
 def test_bessel_k01_underflow_shape_and_domain():
