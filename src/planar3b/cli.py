@@ -222,6 +222,8 @@ def cmd_potentials(cfg: RunConfig, branches):
 def cmd_spectrum(cfg: RunConfig, n_max: int, mass_ratio: float | None = None):
     """Spectrum CSV with the neighbor-ratio column plus a fit summary."""
     if mass_ratio is not None:
+        if not 0 < mass_ratio < math.inf:
+            raise ConfigError(f"mass ratio must be finite and positive, got {mass_ratio!r}")
         nu0 = (1.0 + 2.0 / mass_ratio) / 2.0  # nu0 = (m + 2M)/(2m)
     else:
         nu0 = cfg.nu0_value
@@ -251,6 +253,9 @@ def cmd_spectrum(cfg: RunConfig, n_max: int, mass_ratio: float | None = None):
 # ----------------------------------------------------------------- resonances
 
 def cmd_resonances(cfg: RunConfig, n_max: int, k: float | None = None):
+    if k is not None and not 0 < k < math.inf:
+        # checked here too: rows whose A0 overflows never reach cross_section
+        raise ConfigError(f"k must be finite and positive, got {k!r}")
     nu0 = cfg.nu0_value
     table = scattering.resonance_positions((1, n_max), nu0)
     columns = ["n", "a1_n_exact", "a1_n_asymptotic", "A0_midpoint"]
@@ -288,6 +293,8 @@ def cmd_resonances(cfg: RunConfig, n_max: int, k: float | None = None):
 
 def cmd_wavefunction(cfg: RunConfig, branch: str, sign: int, separation: float,
                      extent: float, grid_size: int):
+    if grid_size < 2:
+        raise ConfigError("wavefunction needs a grid size of at least 2")
     params = cfg.twobody
     if branch == "I":
         root = potentials.solve_pwave_I(separation, params, sign)

@@ -1,11 +1,11 @@
 """Numerical kernels: bracket scan, bracketed root finding, adaptive quadrature.
 
 Brent, Ridders and adaptive Simpson work on scalar functions and need only
-the standard library.  The bracket scan evaluates its function once over the
-whole grid as a numpy array; ``scan_grid`` and ``first_brackets`` do the
-same for a stack of grids whose values the caller computes (several
-functions may share one grid), and ``refine_brackets`` narrows many
-brackets at once, one array evaluation per step.
+the standard library.  The bracket scan ``scan_sign_changes`` evaluates its
+function once over a whole stack of grids as a numpy array (several
+functions may share one grid) and returns every bracket of every row, and
+``refine_brackets`` narrows many brackets at once, one array evaluation per
+step.
 """
 
 from __future__ import annotations
@@ -76,18 +76,17 @@ def brent(f, a, b, *, xtol=1e-15, rtol=4 * _EPS, maxiter=120):
     raise ConvergenceError(f"brent: no convergence after {maxiter} iterations")
 
 
-class RowScan(NamedTuple):
-    """Per-row result of a scan over several grids (see first_brackets).
+class Brackets(NamedTuple):
+    """Every bracket of a scan in row-major order (see scan_sign_changes):
+    its row, ends a < b and f values fa, fb there, plus f on the whole grid
+    as f returned it (fx)."""
 
-    a, b, fa, fb: each row's first bracket and f at its ends (NaN where the
-    row has none); count: the row's number of brackets.
-    """
-
+    row: np.ndarray
     a: np.ndarray
     b: np.ndarray
     fa: np.ndarray
     fb: np.ndarray
-    count: np.ndarray
+    fx: np.ndarray
 
 
 def scan_grid(lo, hi, n=200, *, log=True):
@@ -110,43 +109,26 @@ def scan_grid(lo, hi, n=200, *, log=True):
                        exponent.size).reshape(exponent.shape)
 
 
-def _sign_change_hits(fx):
-    # a pair brackets a root when both ends are finite and either the right
-    # end is an exact zero or the signs differ
-    finite = np.isfinite(fx)
-    left, right = fx[:, :-1], fx[:, 1:]
-    return finite[:, :-1] & finite[:, 1:] & ((right == 0.0)
-                                            | (np.sign(left) * np.sign(right) < 0.0))
+def scan_sign_changes(f, lo, hi, n=200, *, log=True) -> Brackets:
+    """Every sign-change bracket of f on n-point grids over [lo, hi].
 
-
-def first_brackets(x, fx) -> RowScan:
-    """Each row's first sign-change bracket and bracket count, from the
-    values fx of a function on the (rows, n) grids x (see scan_grid)."""
-    hits = _sign_change_hits(fx)
-    count = hits.sum(axis=1)
-    found = count > 0
-    r = np.arange(len(x))
-    i = hits.argmax(axis=1)
-    return RowScan(*(np.where(found, v[r, j], math.nan)
-                     for v, j in ((x, i), (x, i + 1), (fx, i), (fx, i + 1))),
-                   count)
-
-
-def scan_sign_changes(f, lo, hi, n=200, *, log=True):
-    """Scan f on an n-point grid over [lo, hi] and return sign-change brackets.
-
-    f is called once, with the whole grid (``scan_grid``) as a numpy array,
-    and returns the values as an array.  Non-finite values are skipped and
-    break the brackets across them.  Returns a list of (a, b) intervals, in
-    increasing order, together with the smallest finite |f| seen (for
-    diagnostics).
+    f is called once, with the (rows, n) array of grids (``scan_grid``), and
+    returns its values there: shape (rows, n), or (m, rows, n) for m
+    functions on the same grids, which count as m * rows rows (function j on
+    grid r is row j * rows + r).  A pair of neighbouring points brackets a
+    root when both values are finite and either the right one is an exact
+    zero or the signs differ, so non-finite values break the brackets across
+    them.
     """
-    grid = scan_grid(lo, hi, n, log=log)
-    fx = np.asarray(f(grid[0]), dtype=float).reshape(grid.shape)
-    finite = np.isfinite(fx)
-    min_abs = float(np.abs(fx[finite]).min()) if finite.any() else math.inf
-    x = grid[0].tolist()
-    return [(x[i], x[i + 1]) for i in np.flatnonzero(_sign_change_hits(fx)[0])], min_abs
+    x = scan_grid(lo, hi, n, log=log)
+    fx = np.asarray(f(x), dtype=float)
+    v = fx.reshape(-1, n)
+    left, right = v[:, :-1], v[:, 1:]
+    hits = (np.isfinite(left) & np.isfinite(right)
+            & ((right == 0.0) | (np.sign(left) * np.sign(right) < 0.0)))
+    row, i = np.nonzero(hits)
+    grid = row % len(x)
+    return Brackets(row, x[grid, i], x[grid, i + 1], v[row, i], v[row, i + 1], fx)
 
 
 def refine_brackets(f, a, b, fa, fb, *, maxiter=200):

@@ -11,15 +11,17 @@ light-particle binding momentum xi at fixed heavy-pair separation R:
 * p-wave branch II (s+p superpositions), the product form
   [K2 + K0 +/- (a1_inv/xi^2 + ln xi)] [K0 -/+ ln(xi e^gamma a0/2)] = 2 K1^2.
 
-Each p-wave solve scans xi on a 200-point log grid and keeps the smallest
-root.  A single point (``solve_swave``, ``solve_pwave_I``,
-``solve_pwave_II``) refines its bracket with scalar Brent.  A sweep
-(``sweep_branches``) solves all the branches asked for on one grid as one
-array problem: the p-wave branches share one R x xi sign map (K0 and K1 are
-evaluated once per scan window) and one array regula falsi that refines
-every branch's bracket at every R together; the s-wave branches grow their
-brackets for all R at once and go through the same regula falsi.  Only rows
-that miss the residual bound fall back to the scalar solvers.
+Each p-wave solve scans xi on a 200-point log grid with
+``scan_sign_changes``, which returns every bracket, and keeps the smallest
+root (``_kept_brackets``).  A single point (``solve_swave``,
+``solve_pwave_I``, ``solve_pwave_II``) scans one row and refines its bracket
+with scalar Brent.  A sweep (``sweep_branches``) solves all the branches
+asked for on one grid as one array problem: the p-wave branches share one
+R x xi sign map (K0 and K1 are evaluated once per scan window) and one array
+regula falsi that refines every branch's bracket at every R together; the
+s-wave branches grow their brackets for all R at once and go through the
+same regula falsi.  Only rows that miss the residual bound fall back to the
+scalar solvers.
 
 The same zeros are reachable through the block determinants of the
 six-coefficient linear system (``determinant_residual``), which is the
@@ -41,8 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NoRealRootError, NotABracketError
-from .numerics import (RowScan, brent, expand_bracket_up, first_brackets, refine_brackets,
-                       scan_grid, scan_sign_changes)
+from .numerics import brent, expand_bracket_up, refine_brackets, scan_sign_changes
 from .specfun import EULER_GAMMA, bessel_k, bessel_k01
 from .twobody import TwoBodyParams, dimer_energies, pwave_pole, t_matrix
 
@@ -242,74 +243,82 @@ def _scan_window(R, hi):
     return np.minimum(1e-7 / R, 1e-7), 1.0 - 1e-12 if hi is None else hi
 
 
-def _pwave_scan_solve(residual, R, label, *, hi=None, n_scan=_N_SCAN, needs_k0=True):
-    """Scan xi in (0, hi) on a log grid, Brent the smallest bracket.
-
-    residual(xi, z, log_xi, k0, k1) is the branch equation written as
-    arithmetic on xi, z = xi R, ln xi, K0(z) and K1(z).  The scan passes
-    numpy arrays over its whole grid (``bessel_k01``, ``np.log``); Brent and
-    ``_refine`` pass floats (``bessel_k``, ``math.log``), with k0 = None
-    unless ``needs_k0``.
-    """
-    def f_grid(xi):
-        z = xi * R
-        return residual(xi, z, np.log(xi), *bessel_k01(z))
+def _scan_pwave(residuals, R, hi):
+    """``scan_sign_changes`` of the branch residuals on the xi window of
+    each separation of the array R (one grid row per R), with ln xi, K0 and
+    K1 evaluated once, by one ``bessel_k01`` call, for all of them."""
+    def f(xi):
+        z = xi * R[:, None]
+        args = (xi, z, np.log(xi), *bessel_k01(z))
+        return np.array([residual(*args) for residual in residuals])
 
     lo, hi = _scan_window(R, hi)
-    lo = float(lo)
-    brackets, min_abs = scan_sign_changes(f_grid, lo, hi, n=n_scan, log=True)
-    if not brackets:
-        raise NoRealRootError(
-            f"{label}: no sign change for xi in [{lo:.3g}, 1) at R = {R:g} "
-            f"(min |F| = {min_abs:.3g})",
-            window=(lo, 1.0),
-            min_abs_residual=min_abs,
-        )
-    if len(brackets) > 1:
-        others = ", ".join(f"[{a:.3g}, {b:.3g}]" for a, b in brackets[1:])
+    return scan_sign_changes(f, lo, hi, _N_SCAN)
+
+
+def _kept_brackets(scan, rows):
+    """The root choice of every p-wave solve: each of the `rows` rows of a
+    scan keeps its smallest-xi bracket.  Returns the number of brackets of
+    each row and the indices of the kept ones among the scan's brackets."""
+    count = np.bincount(scan.row, minlength=rows)
+    return count, np.searchsorted(scan.row, np.flatnonzero(count))
+
+
+def _pwave_point(family, R, params, sign):
+    """``solve_pwave_I`` or ``solve_pwave_II``: scan one row of xi, then
+    Brent and ``_refine`` the smallest bracket with scalar K and math.log."""
+    _check_R(R)
+    if R <= params.r1:
+        raise DomainError(f"branch {family} needs R > r1, got R = {R:g}")
+    residual, hi, needs_k0, label = _pwave_equation(family, params, sign)
+    scan = _scan_pwave([residual], np.array([R]), hi)
+    (count,), kept = _kept_brackets(scan, 1)
+    if not count:
+        lo = float(_scan_window(R, hi)[0])
+        min_abs = float(np.abs(scan.fx[np.isfinite(scan.fx)]).min(initial=math.inf))
+        raise NoRealRootError(f"{label}: no sign change for xi in [{lo:.3g}, 1) at R = {R:g} "
+                              f"(min |F| = {min_abs:.3g})",
+                              window=(lo, 1.0), min_abs_residual=min_abs)
+    if count > 1:
+        others = ", ".join(f"[{a:.3g}, {b:.3g}]" for a, b in zip(scan.a[1:], scan.b[1:]))
         log.debug("%s: %d roots at R=%g; keeping smallest, others in %s",
-                  label, len(brackets), R, others)
-    a, b = brackets[0]
+                  label, count, R, others)
+    a, b = float(scan.a[kept[0]]), float(scan.b[kept[0]])
     root, res = _polish(_scalar_residual(residual, R, needs_k0), a, b)
     return RootResult(xi=root, residual=res, bracket=(a, b),
-                      converged=abs(res) <= 1e-10, n_roots=len(brackets))
+                      converged=abs(res) <= 1e-10, n_roots=int(count))
 
 
 def _pwave_sweep(equations, R):
-    """``_pwave_scan_solve`` of several p-wave equations at every separation
-    of the array R at once.
+    """``_pwave_point`` of several p-wave equations at every separation of
+    the array R at once.
 
-    equations holds (residual, hi, needs_k0) per branch.  The scans of all
-    rows form one sign map on R x xi, evaluated in chunks of _SWEEP_CHUNK
-    rows: per chunk the grid, ln xi, K0 and K1 are built once per distinct
-    scan cap hi (one ``bessel_k01`` call), and every equation with that cap
-    is evaluated on them.  The first bracket of every row of every equation
-    is then narrowed by one ``refine_brackets`` call, one ``bessel_k01``
-    call per step for all of them.  Rows that miss |F| <= 1e-10 there take
-    the scalar Brent and ``_refine`` of a point solve on the same bracket.
-    Returns per equation the root xi and residual at each row (NaN without
-    a bracket) and the number of brackets.
+    equations holds (residual, hi, needs_k0) per branch.  The scans form one
+    sign map on R x xi, one ``_scan_pwave`` per chunk of _SWEEP_CHUNK rows
+    and distinct cap hi.  One ``refine_brackets`` call, one ``bessel_k01``
+    call per step, narrows every kept bracket; rows that miss |F| <= 1e-10
+    take a point solve's scalar ``_polish`` on the same bracket.  Returns per
+    equation the root xi and residual at each row (NaN without a bracket)
+    and the number of brackets.
     """
-    lo = _scan_window(R, None)[0]
     caps = {}
     for j, (_, hi, _) in enumerate(equations):
         caps.setdefault(hi, []).append(j)
-    chunks = [[] for _ in equations]
+    # id j * len(R) + i stands for equation j at separation R[i]
+    count = np.zeros(len(equations) * len(R), dtype=int)
+    ids, brackets = [], []
     for start in range(0, len(R), _SWEEP_CHUNK):
-        rows = slice(start, start + _SWEEP_CHUNK)
+        rows = np.arange(start, min(start + _SWEEP_CHUNK, len(R)))
         for hi, members in caps.items():
-            xi = scan_grid(lo[rows], _scan_window(R, hi)[1], _N_SCAN)
-            z = xi * R[rows, None]
-            args = (xi, z, np.log(xi), *bessel_k01(z))
-            for j in members:
-                chunks[j].append(first_brackets(xi, equations[j][0](*args)))
-    scans = [RowScan(*map(np.concatenate, zip(*c))) for c in chunks]
-    found = [np.flatnonzero(scan.count > 0) for scan in scans]
-    # the first brackets of all equations, one after another
-    owner = np.concatenate([np.full(rows.size, j) for j, rows in enumerate(found)])
-    a, b, fa, fb = (np.concatenate([scan[k][rows] for scan, rows in zip(scans, found)])
-                    for k in range(4))
-    Rb = R[np.concatenate(found)]
+            scan = _scan_pwave([equations[j][0] for j in members], R[rows], hi)
+            where = (np.asarray(members)[:, None] * len(R) + rows).ravel()
+            count[where], kept = _kept_brackets(scan, where.size)
+            ids.append(where[scan.row[kept]])
+            brackets.append(np.stack(scan[1:5])[:, kept])
+    ids = np.concatenate(ids)
+    a, b, fa, fb = np.concatenate(brackets, axis=1)
+    owner, at = np.divmod(ids, len(R))
+    Rb = R[at]
 
     def f(x, rows):
         z = x * Rb[rows]
@@ -327,13 +336,10 @@ def _pwave_sweep(equations, R):
         residual, _, needs_k0 = equations[owner[k]]
         xi[k], res[k] = _polish(_scalar_residual(residual, float(Rb[k]), needs_k0),
                                 float(a[k]), float(b[k]))
-    solutions = []
-    for j, (scan, rows) in enumerate(zip(scans, found)):
-        xi_j = np.full(len(R), math.nan)
-        res_j = np.full(len(R), math.nan)
-        xi_j[rows], res_j[rows] = xi[owner == j], res[owner == j]
-        solutions.append((xi_j, res_j, scan.count))
-    return solutions
+    shape = (len(equations), len(R))
+    xi_all, res_all = np.full(shape, math.nan), np.full(shape, math.nan)
+    xi_all.flat[ids], res_all.flat[ids] = xi, res
+    return list(zip(xi_all, res_all, count.reshape(shape)))
 
 
 def pole_function(xi: float, a1_inv: float) -> float:
@@ -345,7 +351,7 @@ def _pwave_equation(family, params, sign):
     """(residual, scan cap, needs_k0, label) of p-wave branch I or II.
 
     residual(xi, z, log_xi, k0, k1) works on floats and on numpy arrays
-    alike (see ``_pwave_scan_solve``).
+    alike (see ``_pwave_point``).
     """
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -382,11 +388,7 @@ def solve_pwave_I(R: float, params: TwoBodyParams, sign: int) -> RootResult:
     regime); the '-' branch scan is therefore capped at the physical pole
     kappa1, below which its genuine roots live.
     """
-    _check_R(R)
-    if R <= params.r1:
-        raise DomainError(f"branch I needs R > r1, got R = {R:g}")
-    residual, hi, needs_k0, label = _pwave_equation("I", params, sign)
-    return _pwave_scan_solve(residual, R, label, hi=hi, needs_k0=needs_k0)
+    return _pwave_point("I", R, params, sign)
 
 
 def solve_pwave_II(R: float, params: TwoBodyParams, sign: int) -> RootResult:
@@ -395,11 +397,7 @@ def solve_pwave_II(R: float, params: TwoBodyParams, sign: int) -> RootResult:
     [K2 + K0 + sign*(a1_inv/xi^2 + ln xi)] [K0 - sign*ln(xi e^gamma a0/2)]
     = 2 K1(xi R)^2.
     """
-    _check_R(R)
-    if R <= params.r1:
-        raise DomainError(f"branch II needs R > r1, got R = {R:g}")
-    residual, hi, needs_k0, label = _pwave_equation("II", params, sign)
-    return _pwave_scan_solve(residual, R, label, hi=hi, needs_k0=needs_k0)
+    return _pwave_point("II", R, params, sign)
 
 
 def xi_I0_closed(R: float) -> float:

@@ -38,8 +38,8 @@ def cross_section(k: float, A0: float) -> float:
 
     valid for k r1 << 1.
     """
-    if k <= 0 or A0 <= 0:
-        raise DomainError("cross_section needs k > 0 and A0 > 0")
+    if not (0 < k < math.inf and 0 < A0 < math.inf):
+        raise DomainError(f"cross_section needs finite k > 0 and A0 > 0, got {k!r}, {A0!r}")
     log_term = math.log(0.5 * k * A0) + 0.5772156649015329
     return (math.pi**2 / k) / (0.25 * math.pi**2 + log_term * log_term)
 

@@ -188,6 +188,35 @@ def test_cli_nan_config_values_exit_2(tmp_path):
     assert not (out / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--mass-ratio", "0"],
+    ["spectrum", "--mass-ratio", "inf"],
+    ["resonances", "--k", "nan"],
+    ["resonances", "--k", "inf"],
+    ["wavefunction", "--grid-size", "-2"],
+    ["wavefunction", "--grid-size", "0"],
+    ["wavefunction", "--grid-size", "1"],
+])
+def test_cli_bad_flag_values_exit_2(tmp_path, capsys, args):
+    # out-of-domain flag values are configuration errors: exit 2, a one-line
+    # message and no traceback, never a crash or a silent run
+    assert cli.main([*args, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_bad_k_without_finite_A0_exit_2(tmp_path, capsys):
+    # at nu0 = 0.01 every A0 overflows, so no row calls cross_section
+    ini = tmp_path / "tiny_nu0.ini"
+    ini.write_text("[model]\nnu0 = 0.01\n")
+    out = tmp_path / "out"
+    assert cli.main(["resonances", "--config", str(ini), "--k", "nan",
+                     "--output", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validate_corrupted_tolerance(tmp_path):
     ini = tmp_path / "bad_tol.ini"
     ini.write_text("[wkb]\nquad_tol = 1.0\n")

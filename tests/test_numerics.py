@@ -4,13 +4,21 @@ array refinement of many brackets at once; adaptive Simpson."""
 import math
 
 import numpy as np
+import pytest
 
-from planar3b.numerics import (adaptive_simpson, first_brackets, refine_brackets, scan_grid,
-                               scan_sign_changes)
+from planar3b import potentials as P
+from planar3b.errors import NoRealRootError
+from planar3b.numerics import adaptive_simpson, refine_brackets, scan_sign_changes
+from planar3b.twobody import TwoBodyParams
+
+
+def _pairs(scan):
+    return list(zip(scan.a.tolist(), scan.b.tolist()))
 
 
 def _scan(values):
-    """Scan a function whose value at grid point i is values[i]."""
+    """Scan a function whose value at grid point i is values[i]: the
+    brackets as (a, b) pairs, and the scan."""
     table = np.array(values, dtype=float)
     calls = []
 
@@ -19,16 +27,19 @@ def _scan(values):
         return table[x.astype(int)]
 
     # a linear grid over [0, n - 1] puts grid point i at exactly i
-    result = scan_sign_changes(f, 0.0, len(values) - 1.0, n=len(values), log=False)
+    scan = scan_sign_changes(f, 0.0, len(values) - 1.0, n=len(values), log=False)
     assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
-    return result
+    assert (scan.row == 0).all()
+    np.testing.assert_array_equal(scan.fx, table[None, :])
+    return _pairs(scan), scan
 
 
 def test_scan_non_finite_value_breaks_bracket():
     brackets, _ = _scan([1.0, math.nan, -1.0, -2.0, math.inf, 3.0])
     assert brackets == []
-    brackets, _ = _scan([1.0, math.nan, 2.0, -1.0])
+    brackets, scan = _scan([1.0, math.nan, 2.0, -1.0])
     assert brackets == [(2.0, 3.0)]
+    assert (scan.fa.tolist(), scan.fb.tolist()) == ([2.0], [-1.0])
 
 
 def test_scan_exact_zero_gives_one_bracket():
@@ -39,15 +50,31 @@ def test_scan_exact_zero_gives_one_bracket():
 
 
 def test_scan_brackets_in_increasing_order():
-    brackets, min_abs = _scan([2.0, -1.0, -0.5, 3.0, 4.0, -2.0])
+    brackets, scan = _scan([2.0, -1.0, -0.5, 3.0, 4.0, -2.0])
     assert brackets == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
-    assert min_abs == 0.5
+    assert scan.fa.tolist() == [2.0, -0.5, 4.0]
+    assert scan.fb.tolist() == [-1.0, 3.0, -2.0]
 
 
-def test_scan_min_abs_ignores_non_finite():
-    assert _scan([math.inf, -3.0, math.nan, 2.0, -math.inf])[1] == 2.0
-    brackets, min_abs = _scan([math.nan, math.inf])
-    assert brackets == [] and min_abs == math.inf
+def test_scan_min_abs_ignores_non_finite(monkeypatch):
+    # the scan hands back every value; a point solve without a bracket
+    # reports the smallest finite |F| among them
+    values = []
+
+    def residual(xi, z, log_xi, k0, k1):
+        if isinstance(xi, np.ndarray):
+            out = np.full(xi.shape, 5.0)
+            out[..., :len(values)] = values
+            return out
+        return 5.0
+
+    monkeypatch.setattr(P, "_pwave_equation", lambda *args: (residual, None, True, "stub"))
+    for given, min_abs in (([math.inf, -3.0, math.nan, 2.0, -math.inf], 2.0),
+                           ([math.nan, math.inf] * 100, math.inf)):
+        values[:] = given
+        with pytest.raises(NoRealRootError) as info:
+            P.solve_pwave_I(10.0, TwoBodyParams.from_a1(a0=10.0, a1=100.0), +1)
+        assert info.value.min_abs_residual == min_abs
 
 
 def test_scan_log_grid_matches_expression():
@@ -57,26 +84,39 @@ def test_scan_log_grid_matches_expression():
         seen.append(x)
         return x - 0.3
 
-    brackets, _ = scan_sign_changes(f, 1e-3, 1.0, n=50)
+    scan = scan_sign_changes(f, 1e-3, 1.0, n=50)
     llo, lhi = math.log(1e-3), math.log(1.0)
     grid = [math.exp(llo + (lhi - llo) * i / 49) for i in range(50)]
-    assert seen[0].tolist() == grid
-    [(a, b)] = brackets
+    assert len(seen) == 1 and seen[0].tolist() == [grid]
+    [(a, b)] = _pairs(scan)
     assert a < 0.3 < b and grid.index(a) + 1 == grid.index(b)
 
 
-def test_scan_rows_first_bracket_and_count():
-    def f(x):
-        return np.where(np.arange(2)[:, None] == 0, x - 0.3, (x - 0.2) * (x - 0.6))
+def test_scan_stack_brackets_match_single_scans():
+    # two functions on two grids: scan row j * 2 + r is function j on grid r
+    lo = np.array([1e-3, 0.25])
 
-    x = scan_grid(np.array([1e-3, 1e-3]), 1.0, n=50)
-    assert x.shape == (2, 50)
-    scan = first_brackets(x, f(x))
-    for row in range(2):
-        brackets, _ = scan_sign_changes(lambda x: f(np.stack([x, x]))[row], 1e-3, 1.0, n=50)
-        assert (scan.a[row], scan.b[row]) == brackets[0]
-        assert scan.count[row] == len(brackets)
-    assert scan.fa[0] < 0.0 < scan.fb[0]
+    def g(j, x):
+        return x - 0.3 if j == 0 else (x - 0.2) * (x - 0.6) * (x - 0.7)
+
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.stack([g(0, x), g(1, x)])
+
+    scan = scan_sign_changes(f, lo, 1.0, n=50)
+    assert calls == [(2, 50)] and scan.fx.shape == (2, 2, 50)
+    for j in range(2):
+        for r in range(2):
+            single = scan_sign_changes(lambda x: g(j, x), lo[r], 1.0, n=50)
+            mine = scan.row == 2 * j + r
+            assert _pairs(single) and _pairs(single) == list(zip(scan.a[mine].tolist(),
+                                                                 scan.b[mine].tolist()))
+            assert scan.fa[mine].tolist() == single.fa.tolist()
+            assert scan.fb[mine].tolist() == single.fb.tolist()
+    assert np.all(np.diff(scan.row) >= 0)
+    assert np.bincount(scan.row).tolist() == [1, 1, 3, 2]
 
 
 def test_refine_brackets_to_adjacent_doubles():

@@ -219,7 +219,7 @@ def test_pwave_II_branches_merge_with_I_at_large_R():
 
 # ------------------------------------------------------------------ bracket scan
 
-def test_scan_and_brent_disagreement_does_not_abort():
+def test_scan_and_brent_disagreement_does_not_abort(monkeypatch):
     # The scan sees an exact zero at a grid point c, so its first bracket
     # ends at c; the scalar residual is a few ulp lower there, so Brent sees
     # one sign at both ends.  The solve must still refine to the root.
@@ -227,11 +227,12 @@ def test_scan_and_brent_disagreement_does_not_abort():
 
     def residual(xi, z, log_xi, k0, k1):
         if isinstance(xi, np.ndarray):
-            grid_point.append(xi[100])
-            return xi - xi[100]
+            grid_point.append(xi[0, 100])
+            return xi - xi[0, 100]
         return (xi - grid_point[0]) - 1e-15 * grid_point[0]
 
-    r = P._pwave_scan_solve(residual, 10.0, "stub")
+    monkeypatch.setattr(P, "_pwave_equation", lambda *args: (residual, None, True, "stub"))
+    r = P.solve_pwave_I(10.0, PARAMS_100, +1)
     c = grid_point[0]
     assert r.bracket[0] < r.bracket[1] == c
     assert r.xi == pytest.approx(c, rel=1e-14)
@@ -281,7 +282,8 @@ def test_vectorized_scan_matches_scalar_loop(family, sign, a0, log10_a1, log10_R
 
     def spy(f, lo, hi, n=200, *, log=True):
         result = scan(f, lo, hi, n, log=log)
-        scans.append((lo, hi, n, result[0]))
+        scans.append((np.asarray(lo).item(), np.asarray(hi).item(), n,
+                      list(zip(result.a.tolist(), result.b.tolist()))))
         return result
 
     scan = P.scan_sign_changes
@@ -554,6 +556,30 @@ def test_sweep_branches_share_one_sign_map():
     # 7 chunks of 16 rows times two scan caps (I- has its own), then one
     # call per refinement step for all six branches together
     assert len(calls) <= 40
+    assert all(curve.converged.any() for curve in curves.values())
+
+
+def test_sweep_branches_scan_once_per_chunk_and_cap():
+    # the point solves' scan, one call per chunk of 16 rows and scan cap;
+    # each call evaluates every branch with that cap on one stack of grids
+    shapes = []
+    scan = P.scan_sign_changes
+
+    def spy(f, lo, hi, n=200, *, log=True):
+        def stacked(x):
+            fx = f(x)
+            shapes.append(fx.shape)
+            return fx
+
+        return scan(stacked, lo, hi, n, log=log)
+
+    grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(P, "scan_sign_changes", spy)
+        curves = P.sweep_branches(_PWAVE_JOBS, grid)
+    assert len(shapes) == 14  # 7 chunks x 2 caps (I- has its own)
+    assert sorted({m for m, _, _ in shapes}) == [1, 5]
+    assert sum(rows for m, rows, _ in shapes if m == 5) == 100
     assert all(curve.converged.any() for curve in curves.values())
 
 

@@ -34,6 +34,13 @@ def test_cross_section_value():
     assert S.cross_section(k, A0) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("k, A0", [(math.nan, 14.0), (math.inf, 14.0), (0.0, 14.0),
+                                   (0.01, math.nan), (0.01, math.inf), (0.01, -1.0)])
+def test_cross_section_rejects_bad_inputs(k, A0):
+    with pytest.raises(DomainError):
+        S.cross_section(k, A0)
+
+
 def test_cross_section_peak_scales_inverse_A0():
     # the peak in k sits at 2 e^-gamma / A0, so it scales as 1/A0
     for A0 in (5.0, 50.0):
