@@ -108,6 +108,8 @@ def load_config(path: str | None) -> RunConfig:
             )
         if parser.has_option("model", "nu0"):
             cfg.nu0 = parser.getfloat("model", "nu0")
+            if not 0.0 < cfg.nu0 < math.inf:  # NaN fails too
+                raise DomainError(f"[model] nu0 must be positive and finite, got {cfg.nu0}")
         if parser.has_section("twobody"):
             a0 = parser.getfloat("twobody", "a0", fallback=10.0)
             r0 = parser.getfloat("twobody", "r0", fallback=1.25)

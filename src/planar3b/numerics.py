@@ -5,7 +5,8 @@ the standard library.  The bracket scan ``scan_sign_changes`` evaluates its
 function once over a whole stack of grids as a numpy array (several
 functions may share one grid) and returns every bracket of every row, and
 ``refine_brackets`` narrows many brackets at once, one array evaluation per
-step.
+step.  ``brent`` and ``refine_brackets`` close a bracket by one rule: at
+adjacent doubles or an exact zero, keeping the end with the smaller |f|.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from .errors import ConvergenceError, NotABracketError, QuadratureError
 _EPS = 2.220446049250313e-16
 
 
-def brent(f, a, b, *, xtol=1e-15, rtol=4 * _EPS, maxiter=120):
-    """Root of f on the sign-change interval [a, b] by Brent's method.
+def brent(f, a, b, *, maxiter=120):
+    """Root of f on the sign-change interval [a, b] by Brent's method, to
+    adjacent doubles.
 
-    f(a) and f(b) must have opposite signs (either endpoint may be an exact
-    zero).  Returns the root location; tolerance is ``xtol + rtol*|x|``.
+    f(a) and f(b) must have opposite signs (either may be an exact zero).
+    The bracket closes when no double lies strictly between its ends or f
+    is exactly 0 at an end, the rule of ``refine_brackets``; each step moves
+    at least one ulp toward the far end, so it cannot stall.  Returns
+    (x, f(x)) at the end with the smaller |f| (the lower end on a tie).
     """
     fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
     if fa * fb > 0.0:
         raise NotABracketError(f"not a bracket: f({a})={fa}, f({b})={fb}")
     c, fc = a, fa
@@ -39,10 +40,11 @@ def brent(f, a, b, *, xtol=1e-15, rtol=4 * _EPS, maxiter=120):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * rtol * abs(b) + 0.5 * xtol
+        step = math.nextafter(b, c)
+        if fb == 0.0 or step == c:
+            return (c, fc) if abs(fc) == abs(fb) and c < b else (b, fb)
+        tol = abs(step - b)  # one ulp toward c
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
         if abs(e) < tol or abs(fa) <= abs(fb):
             d = e = m
         else:
@@ -65,10 +67,7 @@ def brent(f, a, b, *, xtol=1e-15, rtol=4 * _EPS, maxiter=120):
             else:
                 d = e = m
         a, fa = b, fb
-        if abs(d) > tol:
-            b += d
-        else:
-            b += tol if m > 0 else -tol
+        b = b + d if abs(d) > tol else step
         fb = f(b)
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
@@ -142,8 +141,8 @@ def refine_brackets(f, a, b, fa, fb, *, maxiter=200):
     secant; Dowell and Jarratt, BIT 11 (1971) 168) held a few ulp inside
     the bracket, or the midpoint when the bracket is too narrow for that or
     has not halved over the last three steps.  A bracket closes when it
-    holds no double between its ends or an end is an exact zero, as
-    ``potentials._refine`` would leave it.
+    holds no double between its ends or an end is an exact zero, as in
+    ``brent``.
 
     Returns (x, fx): the end with the smaller |f| of each final bracket
     (NaN where f gave a non-finite value).

@@ -20,8 +20,8 @@ asked for on one grid as one array problem: the p-wave branches share one
 R x xi sign map (K0 and K1 are evaluated once per scan window) and one array
 regula falsi that refines every branch's bracket at every R together; the
 s-wave branches grow their brackets for all R at once and go through the
-same regula falsi.  Only rows that miss the residual bound fall back to the
-scalar solvers.
+same regula falsi.  Both refinements close a bracket at adjacent doubles.
+Only rows that miss the residual bound fall back to the scalar solvers.
 
 The same zeros are reachable through the block determinants of the
 six-coefficient linear system (``determinant_residual``), which is the
@@ -107,34 +107,6 @@ class PotentialCurve:
     n_roots: np.ndarray
 
 
-def _refine(f, root):
-    """Squeeze a Brent root to the last ulp by local bisection; return residual."""
-    fr = f(root)
-    if fr == 0.0:
-        return root, 0.0
-    step = 8.0 * 2.220446049250313e-16 * abs(root)
-    a, b = root - step, root + step
-    fa, fb = f(a), f(b)
-    if fa * fr < 0.0:
-        b, fb = root, fr
-    elif fr * fb < 0.0:
-        a, fa = root, fr
-    else:
-        return root, fr  # already at a local floor
-    while True:
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m, 0.0
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-
-
 def _check_R(R, name="R"):
     if not math.isfinite(R):
         raise DomainError(f"{name} must be finite, got {R}")
@@ -185,8 +157,7 @@ def solve_swave(R_over_a0: float, sign: int) -> RootResult:
             raise NoRealRootError(
                 f"s-wave '-' bracket failed at R/a0 = {R_over_a0:g}", window=(lo, hi)
             )
-    root = brent(f, lo, hi, xtol=1e-300, rtol=1e-15)
-    root, res = _refine(f, root)
+    root, res = brent(f, lo, hi)
     return RootResult(xi=root, residual=res, bracket=(lo, hi), converged=abs(res) <= 1e-10)
 
 
@@ -197,8 +168,8 @@ def swave_asymptote(R_over_a0: float, sign: int, regime: str) -> float:
     '-'); 'large' is the long-distance form shared apart from the sign of
     the exponential correction.
     """
-    if R_over_a0 <= 0:
-        raise DomainError("R/a0 must be positive")
+    if not 0.0 < R_over_a0 < math.inf:  # NaN fails too
+        raise DomainError("R/a0 must be positive and finite")
     if regime not in ("small", "large"):
         raise DomainError("regime must be 'small' or 'large'")
     if sign not in (+1, -1):
@@ -228,14 +199,14 @@ def _scalar_residual(residual, R, needs_k0):
 
 
 def _polish(f, a, b):
-    """Brent plus ``_refine`` on the scan bracket [a, b]: (root, residual)."""
+    """Brent on the scan bracket [a, b]: (root, residual)."""
     try:
-        root = brent(f, a, b, xtol=1e-300, rtol=1e-15)
+        return brent(f, a, b)
     except NotABracketError:
         # the scan's array values and the floats can differ by a few ulp,
         # so at an end where f ~ 0 both ends may show one sign here
-        root = a if abs(f(a)) <= abs(f(b)) else b
-    return _refine(f, root)
+        fa, fb = f(a), f(b)
+        return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
 
 
 def _scan_window(R, hi):
@@ -266,7 +237,7 @@ def _kept_brackets(scan, rows):
 
 def _pwave_point(family, R, params, sign):
     """``solve_pwave_I`` or ``solve_pwave_II``: scan one row of xi, then
-    Brent and ``_refine`` the smallest bracket with scalar K and math.log."""
+    Brent on the smallest bracket with scalar K and math.log."""
     _check_R(R)
     if R <= params.r1:
         raise DomainError(f"branch {family} needs R > r1, got R = {R:g}")
@@ -402,8 +373,8 @@ def solve_pwave_II(R: float, params: TwoBodyParams, sign: int) -> RootResult:
 
 def xi_I0_closed(R: float) -> float:
     """Closed-form resonance momentum of branch I for R >> r1."""
-    if R <= 1.0:
-        raise DomainError("closed form needs R > r1")
+    if not 1.0 < R < math.inf:  # NaN fails too
+        raise DomainError("closed form needs finite R > r1")
     inner = math.log(R) - EULER_GAMMA + 0.5
     if inner <= 0:
         raise DomainError(f"inner logarithm non-positive at R = {R:g}")
@@ -415,8 +386,8 @@ def xi_I0_closed(R: float) -> float:
 
 def xi_II0_closed(R: float) -> float:
     """Closed-form resonance momentum of branch II for R >> r1."""
-    if R <= 0.0:
-        raise DomainError("R must be positive")
+    if not 0.0 < R < math.inf:  # NaN fails too
+        raise DomainError("R must be positive and finite")
     denom = math.log(0.5 * R) + EULER_GAMMA + 1.5
     if denom <= 0:
         raise DomainError(f"closed form bracket non-positive at R = {R:g}")

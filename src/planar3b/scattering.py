@@ -46,8 +46,8 @@ def cross_section(k: float, A0: float) -> float:
 
 def r1_range(a1: float) -> float:
     """Range sqrt(a1/2 ln(a1/2)) of the near-resonant effective potentials."""
-    if a1 <= 2.0:
-        raise DomainError("r1_range needs a1 > 2")
+    if not 2.0 < a1 < math.inf:  # NaN fails too
+        raise DomainError("r1_range needs finite a1 > 2")
     return math.sqrt(0.5 * a1 * math.log(0.5 * a1))
 
 
@@ -84,8 +84,8 @@ def resonance_positions(n_range, nu0: float) -> ResonanceTable:
     N_b = n + 1), where it equals R1 exactly.  Overflowing entries are
     returned capped at inf.
     """
-    if nu0 <= 0:
-        raise DomainError("nu0 must be positive")
+    if not 0.0 < nu0 < math.inf:  # NaN fails too
+        raise DomainError(f"nu0 must be positive and finite, got {nu0}")
     if isinstance(n_range, tuple):
         ns = range(n_range[0], n_range[1] + 1)
     else:

@@ -104,17 +104,17 @@ class TwoBodyDerived:
 
 def cot_delta0(kappa: float, a0: float) -> float:
     """s-wave effective-range form: (2/pi) [gamma + ln(kappa a0 / 2)]."""
-    if kappa <= 0 or a0 <= 0:
-        raise DomainError("cot_delta0 needs kappa > 0 and a0 > 0")
+    if not (0.0 < kappa < math.inf and 0.0 < a0 < math.inf):  # NaN fails too
+        raise DomainError("cot_delta0 needs finite kappa > 0 and a0 > 0")
     return (2.0 / math.pi) * (EULER_GAMMA + math.log(0.5 * kappa * a0))
 
 
 def cot_delta1(kappa: float, a1_inv: float) -> float:
     """p-wave effective-range form: (2/pi) [a1_inv/kappa^2 + ln kappa]."""
-    if kappa <= 0:
-        raise DomainError("cot_delta1 needs kappa > 0")
-    if a1_inv < 0:
-        raise DomainError("a1_inv must be >= 0")
+    if not 0.0 < kappa < math.inf:  # NaN fails too
+        raise DomainError("cot_delta1 needs finite kappa > 0")
+    if not 0.0 <= a1_inv < math.inf:
+        raise DomainError("a1_inv must be finite and >= 0")
     return (2.0 / math.pi) * (a1_inv / (kappa * kappa) + math.log(kappa))
 
 
@@ -157,7 +157,7 @@ def pwave_pole(a1_inv: float) -> float:
     lo = k_star
     while f(lo) < 0.0:
         lo *= 0.5
-    return brent(f, lo, k_star, xtol=1e-300, rtol=1e-13)
+    return brent(f, lo, k_star)[0]
 
 
 def dimer_energies(params: TwoBodyParams) -> TwoBodyDerived:

@@ -105,6 +105,10 @@ def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
 
     Requires E < 0 and V monotone increasing toward 0 on the search domain.
     """
+    # written so that NaN fails every check
+    if not (math.isfinite(E) and 0.0 < R_lo < R_max):
+        raise DomainError(f"turning point needs finite E and 0 < R_lo < R_max, got "
+                          f"E = {E}, R_lo = {R_lo}, R_max = {R_max}")
     if E >= 0:
         raise NoTurningPointError("turning point requires E < 0")
     x_lo = math.log(R_lo)
@@ -122,7 +126,7 @@ def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
     def g(x):
         return potential(math.exp(x)) - E
 
-    x_e = brent(g, max(x_lo, x_hi - 2.0 * (x_hi - x_lo)), x_hi, xtol=1e-14, rtol=4e-16)
+    x_e, _ = brent(g, max(x_lo, x_hi - 2.0 * (x_hi - x_lo)), x_hi)
     return math.exp(x_e)
 
 
@@ -188,11 +192,16 @@ def wkb_phase_langer(x, x_eps, nu0: float, w, theta: float, *,
 def wkb_phase(R: float, E: float, potential, cfg: WkbConfig,
               nu0: float, R_cap: float | None = None) -> float:
     """Full WKB phase between R and the outer turning point (or R_cap at E=0)."""
-    if E > 0:
+    # written so that NaN fails every check
+    if not 0.0 < nu0 < math.inf:
+        raise DomainError(f"nu0 must be positive and finite, got {nu0}")
+    if not 1.0 <= R < math.inf:
+        raise DomainError(f"wkb_phase needs finite R >= 1, got {R}")
+    if not E <= 0:
         raise DomainError("wkb_phase needs E <= 0")
     if E == 0.0:
-        if R_cap is None:
-            raise DomainError("E = 0 phase diverges; supply R_cap")
+        if R_cap is None or not 0.0 < R_cap < math.inf:
+            raise DomainError("E = 0 phase diverges; supply a finite R_cap")
         x_e = math.log(R_cap)
         energy_term = False
     else:
@@ -207,8 +216,11 @@ def wkb_phase(R: float, E: float, potential, cfg: WkbConfig,
 
 def wkb_phase_approx(R: float, R_E: float, nu0: float, theta: float) -> float:
     """Energy-free closed form 2 sqrt(nu0) [sqrt(ln R_E) - sqrt(ln R)] + theta."""
-    if R < 1.0 or R_E < R:
-        raise DomainError("need 1 <= R <= R_E")
+    # written so that NaN fails every check
+    if not 1.0 <= R <= R_E < math.inf:
+        raise DomainError("need 1 <= R <= R_E < inf")
+    if not (0.0 < nu0 < math.inf and math.isfinite(theta)):
+        raise DomainError(f"need finite nu0 > 0 and finite theta, got {nu0}, {theta}")
     return 2.0 * math.sqrt(nu0) * (math.sqrt(math.log(R_E)) - math.sqrt(math.log(R))) + theta
 
 
@@ -220,8 +232,11 @@ def phi_correction(x: float, x_eps: float, nu0: float, quad_tol: float = 1e-10) 
 
     which tends to (1 - ln 2) sqrt(nu0/x_eps) as x_eps -> infinity.
     """
-    if not 0 < x < x_eps:
-        raise DomainError("need 0 < x < x_eps")
+    # written so that NaN fails every check
+    if not 0 < x < x_eps < math.inf:
+        raise DomainError("need 0 < x < x_eps < inf")
+    if not (0.0 < nu0 < math.inf and 0.0 < quad_tol < math.inf):
+        raise DomainError(f"need finite nu0 > 0 and quad_tol > 0, got {nu0}, {quad_tol}")
 
     def integrand(s, a):
         # a = 1 - s/x_eps, passed in so that the end piece keeps its digits
@@ -354,15 +369,16 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
 def count_bound_states(a1: float, nu0: float) -> float:
     """Number of heavy-pair levels in the near-resonant window,
     N_b = (1/pi) sqrt(2 nu0 ln(a1/2))."""
-    if a1 <= 2.0:
-        raise DomainError("count_bound_states needs a1 > 2")
-    if nu0 <= 0:
-        raise DomainError("nu0 must be positive")
+    # written so that NaN fails every check
+    if not 2.0 < a1 < math.inf:
+        raise DomainError("count_bound_states needs finite a1 > 2")
+    if not 0.0 < nu0 < math.inf:
+        raise DomainError("nu0 must be positive and finite")
     return math.sqrt(2.0 * nu0 * math.log(0.5 * a1)) / math.pi
 
 
 def n_max(mass_ratio_M_over_m: float) -> float:
     """Largest observable level index, (1/pi^2) M/m."""
-    if mass_ratio_M_over_m <= 0:
-        raise DomainError("mass ratio must be positive")
+    if not 0.0 < mass_ratio_M_over_m < math.inf:  # NaN fails too
+        raise DomainError("mass ratio must be positive and finite")
     return mass_ratio_M_over_m / (math.pi * math.pi)

@@ -217,6 +217,19 @@ def test_cli_bad_k_without_finite_A0_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nu0", ["nan", "inf"])
+def test_cli_bad_model_nu0_exit_2(tmp_path, capsys, nu0):
+    # an unusable nu0 is a config error that names the key, neither a run
+    # with empty a1 columns (nan) nor an error about a1 = 2 (inf)
+    ini = tmp_path / "bad_nu0.ini"
+    ini.write_text(f"[model]\nnu0 = {nu0}\n")
+    out = tmp_path / "out"
+    assert cli.main(["resonances", "--config", str(ini), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "nu0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_validate_corrupted_tolerance(tmp_path):
     ini = tmp_path / "bad_tol.ini"
     ini.write_text("[wkb]\nquad_tol = 1.0\n")

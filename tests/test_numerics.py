@@ -1,14 +1,18 @@
 """Bracket scan: one array evaluation over the grid, brackets by numpy;
-array refinement of many brackets at once; adaptive Simpson."""
+array refinement of many brackets at once; Brent's method to adjacent
+doubles, by the same closing rule; adaptive Simpson."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planar3b import potentials as P
-from planar3b.errors import NoRealRootError
-from planar3b.numerics import adaptive_simpson, refine_brackets, scan_sign_changes
+from planar3b.errors import NoRealRootError, NotABracketError
+from planar3b.numerics import adaptive_simpson, brent, refine_brackets, scan_sign_changes
+from planar3b.specfun import bessel_k
 from planar3b.twobody import TwoBodyParams
 
 
@@ -138,6 +142,70 @@ def test_refine_brackets_to_adjacent_doubles():
                             np.array([0.0, -1.0]), np.array([1.0, 1.0]))
     assert (x[0], fx[0]) == (1.0, 0.0)
     assert math.isnan(x[1]) and math.isnan(fx[1])
+
+
+def _closed(f, x, fx):
+    """True when (x, fx) is how a bracket of f closes: f(x) == fx, and f is
+    exactly 0 at x or changes sign toward a neighbouring double."""
+    if f(x) != fx:
+        return False
+    return fx == 0.0 or any(f(math.nextafter(x, to)) * fx < 0.0 for to in (-math.inf, math.inf))
+
+
+@given(st.sampled_from([3, 5]), st.floats(min_value=1e-30, max_value=1e30),
+       st.floats(min_value=0.01, max_value=0.999), st.floats(min_value=1.001, max_value=100.0),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_brent_matches_refine_brackets(power, c, below, above, negative):
+    # an odd power minus a constant is monotone under rounding, and numpy's
+    # products round as the float ones do, so its bracket closes on one pair
+    # of adjacent doubles; both refinements must return the same end
+    def f(x):
+        y = x
+        for _ in range(power - 1):
+            y = y * x
+        return y - c
+
+    root = c ** (1.0 / power)
+    a, b = below * root, above * root
+    if negative:
+        c = -c
+        a, b = -b, -a
+    fa, fb = f(a), f(b)
+    assume(fa * fb <= 0.0)  # c ** (1/power) may round outside a tight bracket
+    x, fx = brent(f, a, b)
+    rx, rfx = refine_brackets(lambda x, rows: f(x), np.array([a]), np.array([b]),
+                              np.array([fa]), np.array([fb]))
+    assert (x, fx) == (rx[0], rfx[0])
+    assert _closed(f, x, fx)
+
+
+def test_brent_returns_smaller_end_and_lower_on_tie():
+    # exact zero at an end
+    assert brent(lambda x: x - 1.0, 1.0, 2.0) == (1.0, 0.0)
+    assert brent(lambda x: x - 2.0, 1.0, 2.0) == (2.0, 0.0)
+    # a step function changes sign between adjacent doubles at 1: the ends
+    # tie on |f| and the lower one is kept
+    assert brent(lambda x: -1.0 if x < 1.0 else 1.0, 0.5, 3.0) == (math.nextafter(1.0, 0.0), -1.0)
+    with pytest.raises(NotABracketError):
+        brent(lambda x: x, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("R_over_a0", [1.0 + 36 * 2.0 ** -52, 1.0 + 1e-9, 1.001, 1.5, 30.0])
+def test_brent_closes_sminus_bracket(R_over_a0):
+    # the s- point solve's widest bracket, (1e-280, 1 - ulp), closes to
+    # adjacent doubles within brent's default maxiter; just above R/a0 = 1
+    # the root lies near 4e-8, far below the bracket's midpoint
+    c = 2.0 * math.exp(-0.5772156649015329) * R_over_a0
+    calls = []
+
+    def f(xi):
+        calls.append(xi)
+        return bessel_k(0, c * xi) + math.log(xi)
+
+    x, fx = brent(f, 1e-280, math.nextafter(1.0, 0.0))
+    assert len(calls) <= 2 + 120
+    assert _closed(f, x, fx)
 
 
 def test_simpson_distrusts_coincident_estimates():

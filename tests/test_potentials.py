@@ -222,7 +222,8 @@ def test_pwave_II_branches_merge_with_I_at_large_R():
 def test_scan_and_brent_disagreement_does_not_abort(monkeypatch):
     # The scan sees an exact zero at a grid point c, so its first bracket
     # ends at c; the scalar residual is a few ulp lower there, so Brent sees
-    # one sign at both ends.  The solve must still refine to the root.
+    # one sign at both ends.  The solve must not abort: it keeps the end with
+    # the smaller |f|, c, and the scalar residual there.
     grid_point = []
 
     def residual(xi, z, log_xi, k0, k1):
@@ -235,6 +236,7 @@ def test_scan_and_brent_disagreement_does_not_abort(monkeypatch):
     r = P.solve_pwave_I(10.0, PARAMS_100, +1)
     c = grid_point[0]
     assert r.bracket[0] < r.bracket[1] == c
+    assert (r.xi, r.residual) == (c, -1e-15 * c)
     assert r.xi == pytest.approx(c, rel=1e-14)
     assert r.converged and abs(r.residual) <= 1e-10 * c
 
@@ -602,3 +604,17 @@ def test_sweep_is_one_array_problem():
         curve = P.sweep_branch(P.Branch.PWAVE_II_PLUS, PARAMS_100, grid)
     assert curve.converged.all()
     assert calls["k01"] < 100 and calls["k"] < 200
+
+
+@pytest.mark.parametrize("call", [
+    lambda: P.swave_asymptote(math.nan, +1, "small"),
+    lambda: P.swave_asymptote(math.inf, +1, "large"),
+    lambda: P.swave_asymptote(math.inf, -1, "large"),
+    lambda: P.xi_I0_closed(math.nan),
+    lambda: P.xi_I0_closed(math.inf),
+    lambda: P.xi_II0_closed(math.nan),
+    lambda: P.xi_II0_closed(math.inf),
+])
+def test_closed_forms_reject_non_finite(call):
+    with pytest.raises(DomainError):
+        call()

@@ -161,3 +161,22 @@ def test_resonance_rows_increasing(n, nu0):
     tab = S.resonance_positions((n, n + 2), nu0)
     a1s = [r.a1_exact for r in tab.rows]
     assert a1s == sorted(a1s) and a1s[0] < a1s[1] < a1s[2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: S.atom_molecule_A0(math.nan, 10.0),
+    lambda: S.atom_molecule_A0(math.inf, 10.0),
+    lambda: S.atom_molecule_A0(100.0, math.nan),
+    lambda: S.r1_range(math.nan),
+    lambda: S.r1_range(math.inf),
+    lambda: S.resonance_positions((1, 3), math.nan),
+])
+def test_scattering_rejects_non_finite(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_resonance_positions_rejects_infinite_nu0():
+    # the error names nu0, not the a1 = 2 that nu0 = inf leads to
+    with pytest.raises(DomainError, match="nu0"):
+        S.resonance_positions((1, 3), math.inf)

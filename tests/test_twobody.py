@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,3 +165,35 @@ def test_domain_errors_nonpositive_kappa(a0):
         twobody.cot_delta0(-1.0, a0)
     with pytest.raises(DomainError):
         twobody.cot_delta1(0.0, 0.1)
+
+
+def test_pwave_pole_to_the_last_double():
+    # kappa1 closes to adjacent doubles: within 4.5e-16 relative of the
+    # 60-digit root of a1_inv/k^2 + ln k, for a1 from 6 (just above 2e) to 1e8
+    rng = random.Random(151)
+    for _ in range(300):
+        a1_inv = 1.0 / math.exp(rng.uniform(math.log(6.0), math.log(1e8)))
+        kappa = twobody.pwave_pole(a1_inv)
+        with mp.workdps(60):
+            exact = mp.findroot(lambda k: mp.mpf(a1_inv) / k**2 + mp.log(k), mp.mpf(kappa))
+            assert abs(kappa - exact) / exact <= 4.5e-16, (1.0 / a1_inv, kappa)
+
+
+PARAMS = twobody.TwoBodyParams.from_a1(a0=10.0, a1=100.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: twobody.cot_delta0(math.nan, 10.0),
+    lambda: twobody.cot_delta0(math.inf, 10.0),
+    lambda: twobody.cot_delta0(0.1, math.nan),
+    lambda: twobody.cot_delta1(math.nan, 0.01),
+    lambda: twobody.cot_delta1(math.inf, 0.01),
+    lambda: twobody.cot_delta1(0.1, math.nan),
+    lambda: twobody.cot_delta1(0.1, math.inf),
+    lambda: twobody.t_matrix(0, math.nan, PARAMS),
+    lambda: twobody.t_matrix(1, math.nan, PARAMS),
+    lambda: twobody.t_matrix(1, math.inf, PARAMS),
+])
+def test_twobody_rejects_non_finite(call):
+    with pytest.raises(DomainError):
+        call()

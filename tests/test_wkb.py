@@ -302,3 +302,33 @@ def test_quantize_spectrum_rejects_bad_nu0():
     for nu0 in (math.nan, math.inf, 0.0, -5.0):
         with pytest.raises(DomainError):
             wkb.quantize_spectrum((1, 3), nu0, wkb.WkbConfig())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wkb.turning_point(math.nan, U),
+    lambda: wkb.turning_point(-math.inf, U),
+    lambda: wkb.count_bound_states(math.nan, 10.0),
+    lambda: wkb.count_bound_states(math.inf, 10.0),
+    lambda: wkb.count_bound_states(100.0, math.nan),
+    lambda: wkb.count_bound_states(100.0, math.inf),
+    lambda: wkb.n_max(math.nan),
+    lambda: wkb.n_max(math.inf),
+    lambda: wkb.wkb_phase_approx(math.nan, 10.0, 10.0, 0.0),
+    lambda: wkb.wkb_phase_approx(2.0, math.nan, 10.0, 0.0),
+    lambda: wkb.wkb_phase_approx(2.0, math.inf, 10.0, 0.0),
+    lambda: wkb.wkb_phase_approx(2.0, 10.0, math.nan, 0.0),
+    lambda: wkb.wkb_phase_approx(2.0, 10.0, math.inf, 0.0),
+    lambda: wkb.wkb_phase_approx(2.0, 10.0, -1.0, 0.0),
+    lambda: wkb.wkb_phase_approx(2.0, 10.0, 10.0, math.nan),
+    lambda: wkb.wkb_phase(5.0, -0.01, U, wkb.WkbConfig(), nu0=math.nan),
+    lambda: wkb.wkb_phase(5.0, -0.01, U, wkb.WkbConfig(), nu0=math.inf),
+    lambda: wkb.wkb_phase(5.0, 0.0, U, wkb.WkbConfig(), nu0=10.0, R_cap=math.inf),
+    lambda: wkb.wkb_phase(0.5, -0.01, U, wkb.WkbConfig(), nu0=10.0),
+    lambda: wkb.phi_correction(2.0, 1e4, math.nan),
+    lambda: wkb.phi_correction(2.0, 1e4, -1.0),
+    lambda: wkb.phi_correction(2.0, math.inf, 10.0),
+    lambda: wkb.phi_correction(2.0, 1e4, 10.0, math.nan),
+])
+def test_wkb_rejects_bad_inputs(call):
+    with pytest.raises(DomainError):
+        call()
