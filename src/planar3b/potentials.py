@@ -436,8 +436,8 @@ def coupling_coefficients(kappa: float, R: float, params: TwoBodyParams):
     alpha_m = i pi T0(i kappa) H_m(i kappa R) and beta_m the same with T1,
     rewritten through K_m via H_m(iz) = (2/pi) i^-(m+1) K_m(z).
     """
-    if kappa <= 0 or R <= 0:
-        raise DomainError("coupling_coefficients needs kappa > 0 and R > 0")
+    if not (0.0 < kappa < math.inf and 0.0 < R < math.inf):  # NaN fails too
+        raise DomainError("coupling_coefficients needs finite kappa > 0 and R > 0")
     t0 = t_matrix(0, kappa, params)
     t1 = t_matrix(1, kappa, params)
     z = kappa * R
@@ -499,8 +499,8 @@ def light_wavefunction(branch: str, sign: int, kappa: float, R: float,
         raise DomainError("branch must be 'I' or 'II'")
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
-    if kappa <= 0 or R <= 0:
-        raise DomainError("kappa and R must be positive")
+    if not (0.0 < kappa < math.inf and 0.0 < R < math.inf):  # NaN fails too
+        raise DomainError("kappa and R must be positive and finite")
     if branch == "II" and params is None:
         raise DomainError("branch II wavefunction needs TwoBodyParams for T0")
     pts = np.asarray(points, dtype=float)

@@ -147,7 +147,12 @@ def numerov_integrate(potential, E: float, grid, bc, *, nu0: float) -> Wavefunct
 def zero_energy_exact(x_grid, nu0: float, A: float, B: float) -> WavefunctionSample:
     """Exact zero-energy solution of chi'' + (nu0/x) chi = 0:
 
-    chi0(x) = sqrt(x) [A J1(2 sqrt(nu0 x)) + B Y1(2 sqrt(nu0 x))].
+    chi0(x) = sqrt(x) [A J1(2 sqrt(nu0 x)) + B Y1(2 sqrt(nu0 x))],
+
+    with J1 and Y1 each taken in one array call over the whole grid.  This is
+    the only many-point use of J/Y, which is why ``specfun`` gives them one
+    array loop (on K's tables: power series for z <= 4, Gauss-Legendre
+    quadrature below z = 16, Hankel expansion above) and no scalar one.
     """
     _check_finite("nu0", nu0, positive=True)
     _check_finite("A", A)
@@ -155,10 +160,8 @@ def zero_energy_exact(x_grid, nu0: float, A: float, B: float) -> WavefunctionSam
     x = np.asarray(x_grid, dtype=float)
     if not np.all(np.isfinite(x) & (x > 0)):
         raise DomainError("zero_energy_exact needs finite x > 0")
-    vals = np.empty_like(x)
-    for i, xi in enumerate(x):
-        z = 2.0 * math.sqrt(nu0 * xi)
-        vals[i] = math.sqrt(xi) * (A * bessel_j(1, z) + B * bessel_y(1, z))
+    z = 2.0 * np.sqrt(nu0 * x)
+    vals = np.sqrt(x) * (A * bessel_j(1, z) + B * bessel_y(1, z))
     nodes = int(np.sum(vals[:-1] * vals[1:] < 0.0))
     norm = math.sqrt(np.trapezoid(vals * vals * np.exp(2.0 * x), x))
     return WavefunctionSample(grid=x, values=vals, node_count=nodes, norm_const=norm)

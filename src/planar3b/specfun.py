@@ -2,29 +2,36 @@
 
 The transcendental equations elsewhere in the package need only these seven
 functions, so they are implemented here directly instead of pulling in a
-special-function library:
+special-function library.  J/Y and K read the same coefficient tables, with
+one evaluation scheme per regime:
 
-* ``J``/``Y``: defining power series for x <= 6, Hankel large-argument
-  expansion for x >= 16 (optimally-truncated error ~ exp(-2x), i.e. 1e-14
-  at the crossover).  On the gap the series cancellation would cost ~e^x
-  in double, so there Bessel's integrals (DLMF 10.9.1, 10.9.7) are
-  evaluated by 64-node Gauss-Legendre quadrature, which returns J and Y
-  together to a few 1e-15 absolute.
-* ``K``: one scheme per regime, for K0 and K1 together: the log-type power
-  series (DLMF 10.31.2) for x <= 2 as one 16-term Horner pass in x^2/4,
-  the asymptotic expansion (DLMF 10.40.2) for x >= 16, stopped where its
-  terms start to grow.  Neither reaches 1e-10 relative accuracy in double
-  precision on the gap (series cancellation grows like e^(2x), the
-  asymptotic tail only shrinks like e^(-2x)), so the mid range evaluates
-  the integral K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt (DLMF
-  10.32.9) by the trapezoidal rule on at most 24 tabulated nodes, which is
-  spectrally accurate for this integrand.  The scheme has two loops over
-  the same tables: ``bessel_k`` takes one float at a time (a numpy call
-  would cost several times more per argument), ``bessel_k01`` a whole
-  numpy array, for the sign maps and array refinement of the p-wave
-  solvers and for wavefunction grids.  The two agree to 8 ulp.
+* ``K``: K0 and K1 together by the log-type power series (DLMF 10.31.2) for
+  x <= 2 as one 16-term Horner pass in q = x^2/4, and the asymptotic
+  expansion (DLMF 10.40.2) for x >= 16, stopped where its terms start to
+  grow.  Neither reaches 1e-10 relative accuracy in double precision on the
+  gap (series cancellation grows like e^(2x), the asymptotic tail only
+  shrinks like e^(-2x)), so the mid range evaluates the integral
+  K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt (DLMF 10.32.9) by the
+  trapezoidal rule on at most 24 tabulated nodes, which is spectrally
+  accurate for this integrand.
+* ``J``/``Y``: the power series of J_n and Y_n (DLMF 10.8.1-2) are the rows
+  of K's series table taken at -q instead of q, 20 terms for x <= 4.  The
+  Hankel expansion (DLMF 10.17.3-4) for x >= 16 sums K's asymptotic terms
+  with the signs + + - - from the zeroth on.  On the gap the series would
+  lose ~e^x to cancellation, so there Bessel's integrals (DLMF 10.9.1,
+  10.9.7) are evaluated by 64-node Gauss-Legendre quadrature, which returns
+  J and Y together to a few 1e-15 absolute.
 * ``K2`` always goes through the upward recurrence K2 = K0 + 2 K1/x
   (cancellation-free: all terms positive).
+
+K has two loops over its tables.  ``bessel_k`` takes one float at a time:
+the Brent polish of point solves calls it thousands of times so, and a
+numpy call would cost several times more per argument.  ``bessel_k01``
+takes a whole numpy array, for the sign maps and array refinement of the
+p-wave solvers and for wavefunction grids.  The two agree to 8 ulp.  J and
+Y have one loop, over arrays: their only many-point caller,
+``radial.zero_energy_exact``, passes a whole grid, and a float is evaluated
+as a one-element array, which gives it the bits it has inside any array.
 
 Phases of the Hankel expansion are evaluated as cos(x - pi/4) =
 (cos x + sin x)/sqrt(2) etc., so no accuracy is lost subtracting pi/4 from a
@@ -48,7 +55,7 @@ EULER_GAMMA = 0.5772156649015329
 _EPS = 2.220446049250313e-16
 _INV_SQRT2 = 0.7071067811865476
 
-_J_SERIES_MAX = 6.0
+_JY_SERIES_MAX = 4.0
 _JY_ASYMP_MIN = 16.0
 _K_SERIES_MAX = 2.0
 _K_ASYMP_MIN = 16.0
@@ -63,155 +70,25 @@ class SpecFunResult:
     est_abs_error: float
 
 
-def _j_series(order, x):
-    q = 0.25 * x * x
-    term = 1.0 if order == 0 else 0.5 * x
-    total = term
-    peak = abs(term)
-    k = 0
-    while True:
-        k += 1
-        term *= -q / (k * (k + order))
-        total += term
-        peak = max(peak, abs(total))
-        if abs(term) <= _EPS * (abs(total) + 1e-300):
-            break
-        if k > 200:
-            break
-    return total, 4.0 * _EPS * peak
-
-
-def _y_series(order, x):
-    lg = math.log(0.5 * x) + EULER_GAMMA
-    q = 0.25 * x * x
-    j_val, j_err = _j_series(order, x)
-    if order == 0:
-        total = 0.0
-        term = 1.0
-        harmonic = 0.0
-        k = 0
-        sign = 1.0
-        while True:
-            k += 1
-            term *= q / (k * k)
-            harmonic += 1.0 / k
-            total += sign * harmonic * term
-            sign = -sign
-            if harmonic * term <= _EPS * (abs(total) + 1.0) or k > 200:
-                break
-        val = (2.0 / math.pi) * (lg * j_val + total)
-        est = (2.0 / math.pi) * (abs(lg) * j_err + 4.0 * _EPS * (abs(total) + 1.0))
-        return val, est
-    # order 1
-    total = 0.0
-    term = 0.5 * x  # (x/2)^(2k+1)/(k!(k+1)!) at k = 0
-    h_k = 0.0
-    h_k1 = 1.0
-    k = 0
-    sign = 1.0
-    while True:
-        total += sign * (h_k + h_k1) * term
-        if (h_k + h_k1) * term <= _EPS * (abs(total) + 1.0) and k > 2:
-            break
-        k += 1
-        if k > 200:
-            break
-        term *= q / (k * (k + 1))
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-        sign = -sign
-    val = (2.0 / math.pi) * lg * j_val - 2.0 / (math.pi * x) - total / math.pi
-    est = (abs(lg) * j_err + 4.0 * _EPS * (abs(total) + 2.0 / x + 1.0)) / math.pi
-    return val, est
-
-
-@functools.cache
-def _jy_rule():
-    # 64-node Gauss-Legendre rule mapped to theta in [0, pi] and to t in
-    # [0, T] with x sinh T >= 40 for every x >= 6, beyond which the Y tail
-    # integral is below e^-40.  Built on first use, so that runs which never
-    # reach the band do not load numpy.polynomial and LAPACK (about 2 MB).
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    theta = 0.5 * math.pi * (nodes + 1.0)
-    t_max = math.asinh(40.0 / _J_SERIES_MAX)
-    sinh_t = np.sinh(0.5 * t_max * (nodes + 1.0))
-    tail_weights = (t_max * weights, t_max * weights * sinh_t)  # times e^nt + (-1)^n e^-nt
-    return theta, np.sin(theta), 0.5 * math.pi * weights, sinh_t, tail_weights
-
-
-def _jy_quadrature(order, x):
-    # DLMF 10.9.1 and 10.9.7 by Gauss-Legendre quadrature, for 6 < x < 16:
-    # pi J_n = int_0^pi cos(x sin th - n th) dth,
-    # pi Y_n = int_0^pi sin(x sin th - n th) dth
-    #          - int_0^inf (e^{nt} + (-1)^n e^{-nt}) e^{-x sinh t} dt.
-    # Both integrands are entire, so the rules converge geometrically; the
-    # error is rounding, bounded by the sum of the magnitudes of the terms.
-    theta, sin_theta, w_theta, sinh_t, tail_weights = _jy_rule()
-    phase = x * sin_theta - order * theta
-    j_terms = w_theta * np.cos(phase)
-    y_terms = w_theta * np.sin(phase)
-    tail = tail_weights[order] * np.exp(-x * sinh_t)
-    j_val = j_terms.sum() / math.pi
-    y_val = (y_terms.sum() - tail.sum()) / math.pi
-    scale = np.abs(j_terms).sum() + np.abs(y_terms).sum() + tail.sum()
-    return float(j_val), float(y_val), 8.0 * _EPS * float(scale) / math.pi
-
-
-def _hankel_pq(order, x):
-    # DLMF 10.17: P = sum (-1)^j a_{2j}(nu)/x^{2j}, Q = sum (-1)^j a_{2j+1}/x^{2j+1}
-    mu = 4.0 * order * order
-    a = 1.0
-    p_total = 1.0
-    q_total = 0.0
-    k = 0
-    prev = math.inf
-    while True:
-        a *= (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x)
-        k += 1
-        if abs(a) >= prev:  # asymptotic terms started growing: stop
-            break
-        if k % 2:
-            q_total += ((-1) ** ((k - 1) // 2)) * a
-        else:
-            p_total += ((-1) ** (k // 2)) * a
-        prev = abs(a)
-        if prev <= _EPS * (abs(p_total) + abs(q_total)):
-            break
-    return p_total, q_total, prev
-
-
-def _jy_asymp(order, x):
-    p, q, trunc = _hankel_pq(order, x)
-    amp = math.sqrt(2.0 / (math.pi * x))
-    c, s = math.cos(x), math.sin(x)
-    if order == 0:
-        cosw = (c + s) * _INV_SQRT2  # cos(x - pi/4)
-        sinw = (s - c) * _INV_SQRT2
-    else:
-        cosw = (s - c) * _INV_SQRT2  # cos(x - 3*pi/4)
-        sinw = -(s + c) * _INV_SQRT2
-    j_val = amp * (p * cosw - q * sinw)
-    y_val = amp * (p * sinw + q * cosw)
-    est = amp * (trunc + 8.0 * _EPS)
-    return j_val, y_val, est
-
-
-def _k01_series_table():
+def _series_table():
     # Rows: the power series of I0, of I1/(x/2), of the K0 sum and of the K1
-    # sum over (x/2), as coefficients of q^k = (x^2/4)^k, k = 0..15:
+    # sum over (x/2), as coefficients of q^k = (x^2/4)^k, k = 0..19:
     # 1/k!^2, 1/(k!(k+1)!), H_k/k!^2 and (H_k + H_{k+1})/(k!(k+1)!), with H_k
-    # the harmonic numbers.  At q <= 1 (x <= 2) the first term left out,
-    # q^16/16!^2, is below 1e-26.
-    table = np.empty((4, 16))
-    h = [math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(17)]
-    for k in range(16):
+    # the harmonic numbers.  K reads the first 16 columns: at q <= 1 (x <= 2)
+    # the first term left out, q^16/16!^2, is below 1e-26.  J/Y read all 20:
+    # at q <= 4 (x <= 4) the first term left out is below 1e-24.
+    table = np.empty((4, 20))
+    h = [math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(21)]
+    for k in range(20):
         f0 = math.factorial(k) ** 2
         f1 = math.factorial(k) * math.factorial(k + 1)
         table[:, k] = 1.0 / f0, 1.0 / f1, h[k] / f0, (h[k] + h[k + 1]) / f1
     return table
 
 
-_K_SERIES_TABLE = _k01_series_table()
+_K_SERIES_TABLE = _series_table()
+#: the columns that both K loops read
+_K_SERIES = _K_SERIES_TABLE[:, :16]
 #: the trapezoidal rule's nodes t_j = j h as tabulated for both K loops:
 #: -(cosh t_j - 1) and cosh t_j.  24 nodes reach x (cosh t - 1) > 60 for
 #: every x > _K_SERIES_MAX, so the rule's tail is below e^-60 there.
@@ -228,10 +105,13 @@ _K_ASYMP_RATIOS = np.array([(mu - (2.0 * _K_ASYMP_K - 1.0) ** 2) / (8.0 * _K_ASY
 #: The same tables as Python floats, for the one-argument loop of
 #: ``_k01_float``: the series' columns in Horner order, the rule's
 #: (cosh t_j - 1) and its node pairs, and the asymptotic ratios per order.
-_K_SERIES_COLS = tuple(map(tuple, _K_SERIES_TABLE[:, ::-1].T.tolist()))
+_K_SERIES_COLS = tuple(map(tuple, _K_SERIES[:, ::-1].T.tolist()))
 _K_TRAP_W = (-_K_TRAP_NEG_W).tolist()
 _K_TRAP_NODES = tuple(zip(_K_TRAP_NEG_W.tolist(), _K_TRAP_COSH.tolist()))
 _K_ASYMP_ROWS = tuple(map(tuple, _K_ASYMP_RATIOS[:, :, 0].tolist()))
+#: signs of the Hankel terms k = 1..34: P takes the even k, Q the odd k, and
+#: each alternates, which makes + + - - from k = 0 (the 1 of P) on.
+_HANKEL_SIGNS = np.resize([1.0, -1.0, -1.0, 1.0], _K_ASYMP_K.size)
 
 
 def _k01_float(x):
@@ -283,11 +163,11 @@ def _k01_float(x):
 
 def _k01_series(x):
     # DLMF 10.31.2 for orders 0 and 1 over an array: one Horner pass in q
-    # over the four stacked series of _K_SERIES_TABLE.
+    # over the four stacked series of _K_SERIES.
     q = 0.25 * x * x
     p = np.empty((4, x.size))
-    p[:] = _K_SERIES_TABLE[:, -1:]
-    for c in _K_SERIES_TABLE[:, -2::-1].T:
+    p[:] = _K_SERIES[:, -1:]
+    for c in _K_SERIES[:, -2::-1].T:
         p *= q
         p += c[:, None]
     half = 0.5 * x
@@ -344,58 +224,163 @@ def bessel_k01(x):
     return k0.reshape(x.shape), k1.reshape(x.shape)
 
 
+# The J/Y kernels below take an order and a 1-d array and return
+# (J, its absolute-error estimate, Y, its estimate) as arrays.  Each element
+# is reduced on its own (a row's sum over axis 1), so its bits do not depend
+# on the other elements of the array.
+
+def _jy_series(order, x):
+    # DLMF 10.8.1-2: J_n's series and Y_n's sum are rows `order` and
+    # `order + 2` of _K_SERIES_TABLE taken at -q instead of q.  One Horner
+    # pass evaluates both at -q and, for the error estimates, at q, where
+    # each term counts with its magnitude.
+    q = 0.25 * x * x
+    qs = np.stack((-q, q, -q, q))
+    cols = np.repeat(_K_SERIES_TABLE[order::2, ::-1].T, 2, axis=1)[:, :, None]
+    p = np.empty((4, x.size))
+    p[:] = cols[0]
+    for c in cols[1:]:
+        p *= qs
+        p += c
+    a, a_abs, b, b_abs = p  # each series at -q and at q
+    half = 0.5 * x
+    if order:
+        a, a_abs, b, b_abs = half * a, half * a_abs, 0.5 * half * b, 0.5 * half * b_abs
+    # at x = 0, where only J is asked for, Y comes out -inf or NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.log(half) + EULER_GAMMA
+        pole = order / x
+        y = (2.0 / math.pi) * (lg * a - pole - b)
+        y_est = (8.0 / math.pi) * _EPS * (np.abs(lg) * a_abs + pole + b_abs)
+    return a, 4.0 * _EPS * a_abs, y, y_est
+
+
+@functools.cache
+def _jy_rule():
+    # 64-node Gauss-Legendre rule mapped to theta in [0, pi] and to t in
+    # [0, T] with x sinh T >= 40 for every x >= 4, beyond which the Y tail
+    # integral is below e^-40.  Built on first use, so that runs which never
+    # reach the band do not load numpy.polynomial and LAPACK (about 2 MB).
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.5 * math.pi * (nodes + 1.0)
+    t_max = math.asinh(40.0 / _JY_SERIES_MAX)
+    sinh_t = np.sinh(0.5 * t_max * (nodes + 1.0))
+    tail_weights = (t_max * weights, t_max * weights * sinh_t)  # times e^nt + (-1)^n e^-nt
+    return theta, np.sin(theta), 0.5 * math.pi * weights, sinh_t, tail_weights
+
+
+def _jy_quadrature(order, x):
+    # DLMF 10.9.1 and 10.9.7 by Gauss-Legendre quadrature, for 4 < x < 16:
+    # pi J_n = int_0^pi cos(x sin th - n th) dth,
+    # pi Y_n = int_0^pi sin(x sin th - n th) dth
+    #          - int_0^inf (e^{nt} + (-1)^n e^{-nt}) e^{-x sinh t} dt.
+    # Both integrands are entire, so the rules converge geometrically; the
+    # error is rounding, bounded by the sum of the magnitudes of the terms.
+    theta, sin_theta, w_theta, sinh_t, tail_weights = _jy_rule()
+    phase = np.multiply.outer(x, sin_theta) - order * theta
+    j_terms = w_theta * np.cos(phase)
+    y_terms = w_theta * np.sin(phase)
+    tail = tail_weights[order] * np.exp(-np.multiply.outer(x, sinh_t))
+    j_val = j_terms.sum(axis=1) / math.pi
+    y_val = (y_terms.sum(axis=1) - tail.sum(axis=1)) / math.pi
+    scale = np.abs(j_terms).sum(axis=1) + np.abs(y_terms).sum(axis=1) + tail.sum(axis=1)
+    est = 8.0 * _EPS * scale / math.pi
+    return j_val, est, y_val, est
+
+
+def _jy_asymp(order, x):
+    # DLMF 10.17.3-4: P and Q sum the terms of K's asymptotic series with
+    # _HANKEL_SIGNS, each element stopped where its terms start to grow, as
+    # in _k01_asymp; the remainder is of the order of the last term kept.
+    ratios = _K_ASYMP_RATIOS[order, :, 0]
+    terms = np.cumprod(ratios / x[:, None], axis=1)
+    cut = np.abs(ratios) >= x[:, None]
+    terms[cut] = 0.0
+    last = np.where(cut, np.inf, np.abs(terms)).min(axis=1)  # the kept terms fall
+    terms *= _HANKEL_SIGNS
+    p = 1.0 + terms[:, 1::2].sum(axis=1)
+    q = terms[:, 0::2].sum(axis=1)
+    amp = np.sqrt(2.0 / (math.pi * x))
+    c, s = np.cos(x), np.sin(x)
+    if order == 0:
+        cosw = (c + s) * _INV_SQRT2  # cos(x - pi/4)
+        sinw = (s - c) * _INV_SQRT2
+    else:
+        cosw = (s - c) * _INV_SQRT2  # cos(x - 3*pi/4)
+        sinw = -(s + c) * _INV_SQRT2
+    est = amp * (last + 8.0 * _EPS)
+    return amp * (p * cosw - q * sinw), est, amp * (p * sinw + q * cosw), est
+
+
 def _check_order(order, allowed, name):
     if order not in allowed:
         raise DomainError(f"{name}: order must be in {sorted(allowed)}, got {order}")
 
 
-def bessel_j_result(order: int, x: float) -> SpecFunResult:
-    _check_order(order, (0, 1), "bessel_j")
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"bessel_j: x must be finite and >= 0, got {x}")
-    if x <= _J_SERIES_MAX:
-        val, est = _j_series(order, x)
-    elif x < _JY_ASYMP_MIN:
-        val, _, est = _jy_quadrature(order, x)
-    else:
-        val, _, est = _jy_asymp(order, x)
-    return SpecFunResult(val, est)
+def _jy(order, x, y):
+    # (value, estimate) of J_order (y false) or Y_order (y true) at a float
+    # or an array x: floats for a float, arrays of x's shape for an array.
+    name = "bessel_y" if y else "bessel_j"
+    _check_order(order, (0, 1), name)
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs > 0.0 if y else xs >= 0.0) & (xs < math.inf)):  # also rejects NaN
+        raise DomainError(f"{name}: x must be finite and {'>' if y else '>='} 0, got {x}")
+    flat = xs.ravel()
+    out = np.empty((2, flat.size))
+    small = flat <= _JY_SERIES_MAX
+    large = flat >= _JY_ASYMP_MIN
+    pick = slice(2, 4) if y else slice(0, 2)  # of the kernels' (J, est, Y, est)
+    for where, kernel in ((small, _jy_series), (~(small | large), _jy_quadrature),
+                          (large, _jy_asymp)):
+        if where.any():
+            out[:, where] = kernel(order, flat[where])[pick]
+    if xs.ndim == 0:
+        return float(out[0, 0]), float(out[1, 0])
+    return out[0].reshape(xs.shape), out[1].reshape(xs.shape)
 
 
-def bessel_y_result(order: int, x: float) -> SpecFunResult:
-    _check_order(order, (0, 1), "bessel_y")
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"bessel_y: x must be finite and > 0, got {x}")
-    if x <= _J_SERIES_MAX:
-        val, est = _y_series(order, x)
-    elif x < _JY_ASYMP_MIN:
-        _, val, est = _jy_quadrature(order, x)
-    else:
-        _, val, est = _jy_asymp(order, x)
-    return SpecFunResult(val, est)
-
-
-def bessel_k_result(order: int, x: float) -> SpecFunResult:
+def _k(order, x):
+    # (value, estimate) of K_order at one float x
     _check_order(order, (0, 1, 2), "bessel_k")
     if not x > 0.0:  # also rejects NaN; +inf underflows to 0.0 below
         raise DomainError(f"bessel_k: x must be > 0, got {x}")
     k0, e0, k1, e1 = _k01_float(x)
     if order == 0:
-        return SpecFunResult(k0, e0)
+        return k0, e0
     if order == 1:
-        return SpecFunResult(k1, e1)
+        return k1, e1
     val = k0 + 2.0 * k1 / x
-    return SpecFunResult(val, e0 + 2.0 * e1 / x + 2.0 * _EPS * val)
+    return val, e0 + 2.0 * e1 / x + 2.0 * _EPS * val
 
 
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind, order 0 or 1, finite x >= 0."""
-    return bessel_j_result(order, x).value
+def bessel_j_result(order: int, x) -> SpecFunResult:
+    return SpecFunResult(*_jy(order, x, False))
 
 
-def bessel_y(order: int, x: float) -> float:
-    """Bessel function of the second kind, order 0 or 1, finite x > 0."""
-    return bessel_y_result(order, x).value
+def bessel_y_result(order: int, x) -> SpecFunResult:
+    return SpecFunResult(*_jy(order, x, True))
+
+
+def bessel_k_result(order: int, x: float) -> SpecFunResult:
+    return SpecFunResult(*_k(order, x))
+
+
+def bessel_j(order: int, x):
+    """Bessel function of the first kind, order 0 or 1, finite x >= 0.
+
+    x is a float (giving a float) or an array (giving an array of its
+    shape); each element gets the bits of its own float call.
+    """
+    return _jy(order, x, False)[0]
+
+
+def bessel_y(order: int, x):
+    """Bessel function of the second kind, order 0 or 1, finite x > 0.
+
+    x is a float (giving a float) or an array (giving an array of its
+    shape); each element gets the bits of its own float call.
+    """
+    return _jy(order, x, True)[0]
 
 
 def bessel_k(order: int, x: float) -> float:
@@ -403,4 +388,4 @@ def bessel_k(order: int, x: float) -> float:
 
     Underflows smoothly to 0.0 once exp(-x) leaves the double range.
     """
-    return bessel_k_result(order, x).value
+    return _k(order, x)[0]

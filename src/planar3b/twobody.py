@@ -142,6 +142,8 @@ def pwave_pole(a1_inv: float) -> float:
     Bracketed bisection/Brent between kappa -> 0+ (where the centrifugal term
     dominates) and the minimum of the pole function at kappa = sqrt(2 a1_inv).
     """
+    if not 0.0 <= a1_inv < math.inf:  # NaN fails too
+        raise DomainError("a1_inv must be finite and >= 0")
     if a1_inv == 0.0:
         raise NoPoleError("exact resonance: T1 pole sits at kappa = 0")
     k_star = math.sqrt(2.0 * a1_inv)

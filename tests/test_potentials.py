@@ -439,6 +439,19 @@ def test_psi_rejects_nan_points():
         P.light_wavefunction("I", +1, 0.1, 10.0, np.array([[0.0, 1.0], [math.nan, 0.0]]))
 
 
+@pytest.mark.parametrize("kappa, R", [(math.inf, 10.0), (0.1, math.inf),
+                                      (math.nan, 10.0), (0.1, math.nan)])
+def test_psi_and_determinant_reject_non_finite(kappa, R):
+    # infinite kappa or R gave all-zero wavefunctions and a determinant of 1.0
+    pts = np.array([[0.0, 1.0], [2.0, -1.0]])
+    for branch in ("I", "II"):
+        with pytest.raises(DomainError):
+            P.light_wavefunction(branch, +1, kappa, R, pts, PARAMS_100)
+    if math.isfinite(kappa):
+        with pytest.raises(DomainError):
+            P.determinant_residual(kappa, R, PARAMS_100, "zero")
+
+
 def test_psi_II_needs_params():
     with pytest.raises(DomainError):
         P.light_wavefunction("II", +1, 0.1, 10.0, np.array([[0.0, 1.0]]))

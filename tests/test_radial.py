@@ -54,6 +54,21 @@ def test_zero_energy_matches_specfun_value():
     assert s.values[0] == pytest.approx(bessel_j(1, 4.0), rel=1e-12)
 
 
+def test_zero_energy_one_bessel_call_each(monkeypatch):
+    # z = 2 sqrt(nu0 x) on this grid spans all three J/Y regimes
+    x = np.geomspace(1e-3, 20.0, 50)
+    want = radial.zero_energy_exact(x, NU0, 0.7, 0.3).values
+    calls = []
+    for name in ("bessel_j", "bessel_y"):
+        fn = getattr(radial, name)
+        monkeypatch.setattr(radial, name, lambda n, z, fn=fn, name=name: calls.append(name) or fn(n, z))
+    got = radial.zero_energy_exact(x, NU0, 0.7, 0.3).values
+    assert sorted(calls) == ["bessel_j", "bessel_y"]
+    assert got.tobytes() == want.tobytes()
+    z = 2.0 * np.sqrt(NU0 * x)
+    assert z.min() < 4.0 and z.max() > 16.0
+
+
 def test_zero_energy_domain():
     with pytest.raises(DomainError):
         radial.zero_energy_exact(np.array([-1.0, 1.0]), NU0, 1.0, 0.0)

@@ -24,17 +24,18 @@ def _loggrid(lo, hi, n):
     return [10 ** (math.log10(lo) + (math.log10(hi) - math.log10(lo)) * i / (n - 1)) for i in range(n)]
 
 
-# The J/Y quadrature band 6 < x < 16 on a fine grid, with its outermost
-# doubles on both seams.
-_JY_BAND = [6.0 + 10.0 * i / 400 for i in range(401)]
-_JY_SEAMS = [math.nextafter(6.0, 0.0), math.nextafter(6.0, 16.0),
-             math.nextafter(16.0, 6.0), math.nextafter(16.0, 17.0)]
+# 1 <= x <= 16 on a fine grid: the top of the J/Y power series (x <= 4),
+# where its cancellation is worst, and the quadrature band 4 < x < 16; with
+# the doubles on both sides of the seams at 4 and 16, and of 6, the seam of
+# an earlier series.
+_JY_BAND = [1.0 + 5.0 * i / 200 for i in range(200)] + [6.0 + 10.0 * i / 400 for i in range(401)]
+_JY_SEAMS = [math.nextafter(seam, seam + side) for seam in (4.0, 6.0, 16.0) for side in (-1.0, 1.0)]
 _JY_POINTS = _loggrid(1e-6, 1e4, 50) + _JY_BAND + _JY_SEAMS
 
 
 def _check_jy(got, want, x):
     assert _rel(got, want) <= 1e-10
-    if 6.0 <= x <= 16.0:
+    if 1.0 <= x <= 16.0:
         with mp.workdps(40):
             assert abs(mp.mpf(got) - want) <= 5e-15
 
@@ -97,6 +98,39 @@ def test_bessel_k01_matches_scalar(xs):
     for i, x in enumerate(xs):
         for order, got in ((0, k0[i]), (1, k1[i])):
             assert _ulps(got, specfun.bessel_k(order, x)) <= 8
+
+
+# One draw per J/Y regime: the power series (log-uniform, and 0), the
+# quadrature band and the Hankel expansion, and the doubles on both sides of
+# the seams.
+_JY_REGIME_X = st.one_of(
+    st.floats(min_value=-6.0, max_value=math.log10(4.0)).map(lambda e: 10.0 ** e),
+    st.floats(min_value=4.0, max_value=16.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=16.0, max_value=1e4),
+    st.sampled_from([0.0] + [math.nextafter(seam, seam + side) for seam in (4.0, 16.0)
+                             for side in (-1.0, 0.0, 1.0)]))
+
+
+@given(st.lists(_JY_REGIME_X, min_size=1, max_size=8), st.sampled_from([0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_bessel_jy_array_matches_float(xs, order):
+    for fn, args in ((specfun.bessel_j, xs), (specfun.bessel_y, [x for x in xs if x > 0.0])):
+        if not args:
+            continue
+        want = [fn(order, x) for x in args]
+        assert all(type(w) is float for w in want)
+        want = np.array(want)
+        got = fn(order, np.array(args))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = fn(order, np.array(args).reshape(1, -1, 1))
+        assert got.shape == (1, len(args), 1) and got.tobytes() == want.tobytes()
+        assert fn(order, np.array(args[-1])) == want[-1]
+        for bad in (math.nan, math.inf, -math.inf, -args[0] or -1.0):
+            with pytest.raises(DomainError):
+                fn(order, np.array(args + [bad]))
+    # J0(0) = 1 and J1(0) = 0 exactly, also inside an array
+    assert all(j == 1.0 - order for j, x in zip(specfun.bessel_j(order, np.array(xs)), xs)
+               if x == 0.0)
 
 
 def test_bessel_k01_underflow_shape_and_domain():
@@ -187,6 +221,7 @@ def test_k_positive_and_decreasing(log10x):
 
 
 @given(st.one_of(st.floats(min_value=1e-5, max_value=600.0),
+                 st.floats(min_value=1.0, max_value=6.0),
                  st.floats(min_value=6.0, max_value=16.0)))
 @settings(max_examples=80, deadline=None)
 def test_error_estimate_bounds_true_error(x):
@@ -219,7 +254,7 @@ def test_domain_errors():
         specfun.bessel_k(3, 1.0)
     with pytest.raises(DomainError):
         specfun.bessel_j(2, 1.0)
-    # non-finite arguments; NaN would keep the asymptotic-series loops running
+    # non-finite arguments, which no regime's range contains
     for fn, order, x in ((specfun.bessel_j, 0, math.nan), (specfun.bessel_k, 0, math.nan),
                          (specfun.bessel_y, 0, math.nan), (specfun.bessel_y, 1, math.nan),
                          (specfun.bessel_j, 0, math.inf), (specfun.bessel_y, 1, math.inf)):

@@ -193,6 +193,9 @@ PARAMS = twobody.TwoBodyParams.from_a1(a0=10.0, a1=100.0)
     lambda: twobody.t_matrix(0, math.nan, PARAMS),
     lambda: twobody.t_matrix(1, math.nan, PARAMS),
     lambda: twobody.t_matrix(1, math.inf, PARAMS),
+    lambda: twobody.pwave_pole(math.nan),
+    lambda: twobody.pwave_pole(-1.0),
+    lambda: twobody.pwave_pole(math.inf),
 ])
 def test_twobody_rejects_non_finite(call):
     with pytest.raises(DomainError):
