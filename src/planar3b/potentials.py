@@ -16,12 +16,12 @@ Each p-wave solve scans xi on a 200-point log grid with
 root (``_kept_brackets``).  A single point (``solve_swave``,
 ``solve_pwave_I``, ``solve_pwave_II``) scans one row and refines its bracket
 with scalar Brent.  A sweep (``sweep_branches``) solves all the branches
-asked for on one grid as one array problem: the p-wave branches share one
-R x xi sign map (K0 and K1 are evaluated once per scan window) and one array
-regula falsi that refines every branch's bracket at every R together; the
-s-wave branches grow their brackets for all R at once and go through the
-same regula falsi.  Both refinements close a bracket at adjacent doubles.
-Only rows that miss the residual bound fall back to the scalar solvers.
+asked for on one grid as one bracket table: the p-wave branches add the
+brackets they keep from one shared R x xi sign map (K0 and K1 are evaluated
+once per scan window), the s-wave branches the brackets they grow for all R
+at once, and one array regula falsi (``refine_brackets``) closes every row
+of the table at adjacent doubles, one K0/K1 evaluation per step.  A row
+that misses the residual bound stays unconverged.
 
 The same zeros are reachable through the block determinants of the
 six-coefficient linear system (``determinant_residual``), which is the
@@ -42,10 +42,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NoRealRootError, NotABracketError
+from .errors import DomainError, NoRealRootError, NotABracketError
 from .numerics import brent, expand_bracket_up, refine_brackets, scan_sign_changes
 from .specfun import EULER_GAMMA, bessel_k, bessel_k01
-from .twobody import TwoBodyParams, dimer_energies, pwave_pole, t_matrix
+from .twobody import TwoBodyParams, dimer_energies, pole_minimum, t_matrix
 
 log = logging.getLogger(__name__)
 
@@ -245,11 +245,11 @@ def _pwave_point(family, R, params, sign):
     scan = _scan_pwave([residual], np.array([R]), hi)
     (count,), kept = _kept_brackets(scan, 1)
     if not count:
-        lo = float(_scan_window(R, hi)[0])
+        lo, hi = (float(end) for end in _scan_window(R, hi))
         min_abs = float(np.abs(scan.fx[np.isfinite(scan.fx)]).min(initial=math.inf))
-        raise NoRealRootError(f"{label}: no sign change for xi in [{lo:.3g}, 1) at R = {R:g} "
-                              f"(min |F| = {min_abs:.3g})",
-                              window=(lo, 1.0), min_abs_residual=min_abs)
+        raise NoRealRootError(f"{label}: no sign change for xi in [{lo:.3g}, {hi:.3g}] at "
+                              f"R = {R:g} (min |F| = {min_abs:.3g})",
+                              window=(lo, hi), min_abs_residual=min_abs)
     if count > 1:
         others = ", ".join(f"[{a:.3g}, {b:.3g}]" for a, b in zip(scan.a[1:], scan.b[1:]))
         log.debug("%s: %d roots at R=%g; keeping smallest, others in %s",
@@ -260,20 +260,18 @@ def _pwave_point(family, R, params, sign):
                       converged=abs(res) <= 1e-10, n_roots=int(count))
 
 
-def _pwave_sweep(equations, R):
-    """``_pwave_point`` of several p-wave equations at every separation of
-    the array R at once.
+def _pwave_brackets(equations, R):
+    """The scans of ``_pwave_point`` for several p-wave equations at every
+    separation of the array R at once.
 
-    equations holds (residual, hi, needs_k0) per branch.  The scans form one
-    sign map on R x xi, one ``_scan_pwave`` per chunk of _SWEEP_CHUNK rows
-    and distinct cap hi.  One ``refine_brackets`` call, one ``bessel_k01``
-    call per step, narrows every kept bracket; rows that miss |F| <= 1e-10
-    take a point solve's scalar ``_polish`` on the same bracket.  Returns per
-    equation the root xi and residual at each row (NaN without a bracket)
-    and the number of brackets.
+    equations holds (residual, hi) per branch.  The scans form one sign map
+    on R x xi, one ``_scan_pwave`` per chunk of _SWEEP_CHUNK rows and
+    distinct cap hi.  Returns the number of brackets of each equation at
+    each R, as an (equations, R) array, and the kept brackets as arrays
+    (equation, R index, a, b, fa, fb).
     """
     caps = {}
-    for j, (_, hi, _) in enumerate(equations):
+    for j, (_, hi) in enumerate(equations):
         caps.setdefault(hi, []).append(j)
     # id j * len(R) + i stands for equation j at separation R[i]
     count = np.zeros(len(equations) * len(R), dtype=int)
@@ -286,31 +284,8 @@ def _pwave_sweep(equations, R):
             count[where], kept = _kept_brackets(scan, where.size)
             ids.append(where[scan.row[kept]])
             brackets.append(np.stack(scan[1:5])[:, kept])
-    ids = np.concatenate(ids)
-    a, b, fa, fb = np.concatenate(brackets, axis=1)
-    owner, at = np.divmod(ids, len(R))
-    Rb = R[at]
-
-    def f(x, rows):
-        z = x * Rb[rows]
-        args = (x, z, np.log(x), *bessel_k01(z))
-        who = owner[rows]
-        out = np.empty(len(rows))
-        for j, (residual, _, _) in enumerate(equations):
-            mine = who == j
-            if mine.any():
-                out[mine] = residual(*(v[mine] for v in args))
-        return out
-
-    xi, res = refine_brackets(f, a, b, fa, fb)
-    for k in np.flatnonzero(~(np.abs(res) <= 1e-10)):
-        residual, _, needs_k0 = equations[owner[k]]
-        xi[k], res[k] = _polish(_scalar_residual(residual, float(Rb[k]), needs_k0),
-                                float(a[k]), float(b[k]))
-    shape = (len(equations), len(R))
-    xi_all, res_all = np.full(shape, math.nan), np.full(shape, math.nan)
-    xi_all.flat[ids], res_all.flat[ids] = xi, res
-    return list(zip(xi_all, res_all, count.reshape(shape)))
+    owner, at = np.divmod(np.concatenate(ids), len(R))
+    return count.reshape(len(equations), len(R)), (owner, at, *np.concatenate(brackets, axis=1))
 
 
 def pole_function(xi: float, a1_inv: float) -> float:
@@ -332,9 +307,10 @@ def _pwave_equation(family, params, sign):
         def residual(xi, z, log_xi, k0, k1):
             return -2.0 * k1 / z - sign * (a1_inv / (xi * xi) + log_xi)
 
-        hi = None
-        if sign == -1 and a1_inv > 0.0:
-            hi = pwave_pole(a1_inv) * (1.0 - 1e-9)
+        # the '-' roots lie below the pole kappa1; from kappa1 up to the
+        # unphysical second zero of the pole function the residual is
+        # negative, so the scan ends at the minimum between the two
+        hi = pole_minimum(a1_inv) if sign == -1 and a1_inv > 0.0 else None
         return residual, hi, False, label
     log_ga0 = EULER_GAMMA + math.log(0.5 * params.a0)
 
@@ -356,8 +332,10 @@ def solve_pwave_I(R: float, params: TwoBodyParams, sign: int) -> RootResult:
 
     The effective-range form has a second, unphysical zero of its inverse-T
     combination near xi ~ 1 (kappa r1 of order one, outside the low-energy
-    regime); the '-' branch scan is therefore capped at the physical pole
-    kappa1, below which its genuine roots live.
+    regime).  The '-' branch's genuine roots lie below the physical pole
+    kappa1, and its residual is negative between the two zeros, so its scan
+    ends at the combination's minimum sqrt(2 a1_inv): that end closes the
+    bracket of a root however near kappa1, and the unphysical zero stays out.
     """
     return _pwave_point("I", R, params, sign)
 
@@ -568,36 +546,53 @@ def resonance_params(params: TwoBodyParams) -> TwoBodyParams:
     return TwoBodyParams(a0=params.a0, a1_inv=0.0, r1=params.r1, r0=params.r0)
 
 
-def _swave_sweep(sign, R):
-    """``solve_swave`` at every R/a0 of the array R at once: per row the root
-    xi, its residual and whether it converged (NaN, NaN, False without a
-    root).
+def _swave_residual(sign):
+    """The s-wave equation in the form of the p-wave residuals, with
+    z = (2 e^-gamma R/a0) xi."""
+    def residual(xi, z, log_xi, k0, k1):
+        return k0 - sign * log_xi
 
-    The brackets grow for all rows together (s+ doubling up from 2 as
-    ``expand_bracket_up`` does, s- on (1e-280, 1 - ulp)), and one
-    ``refine_brackets`` call narrows them, one ``bessel_k01`` call per step.
-    The point solver's special cases are kept, and rows that miss
-    |F| <= 1e-10 fall back to it.
-    """
-    xi = np.full(len(R), math.nan)
-    res = np.full(len(R), math.nan)
-    ok = np.zeros(len(R), dtype=bool)
-    c = _TWO_EXP_NEG_GAMMA * R
+    return residual
 
+
+def _table_function(residuals, job, scale):
+    """f(x, rows) of a bracket table (see ``refine_brackets``): row k is the
+    residual of job job[k] at z = x * scale[k], and one ``bessel_k01`` call
+    evaluates K0 and K1 for all rows."""
     def f(x, rows):
-        with np.errstate(over="ignore"):  # K1, unused here, overflows at subnormal x
-            return bessel_k01(c[rows] * x)[0] - sign * np.log(x)
+        with np.errstate(over="ignore"):  # K1 overflows at the subnormal z of s rows
+            z = x * scale[rows]
+            args = (x, z, np.log(x), *bessel_k01(z))
+        who = job[rows]
+        out = np.empty(len(rows))
+        for j, residual in residuals.items():
+            mine = who == j
+            if mine.any():
+                out[mine] = residual(*(v[mine] for v in args))
+        return out
 
+    return f
+
+
+def _swave_brackets(sign, R):
+    """The brackets of ``solve_swave`` at every R/a0 of the array R at once:
+    the rows with a root and their brackets (rows, a, b, fa, fb).
+
+    The brackets grow for all rows together, s+ doubling up from 2 as
+    ``expand_bracket_up`` does and s- on (1e-280, 1 - ulp).  The point
+    solver's closed-form roots, s+ pinned at 1 and s- within an ulp of 1,
+    are closed brackets [xi, xi] that carry the point solver's residual.
+    """
+    c = _TWO_EXP_NEG_GAMMA * R
+    f = _table_function({0: _swave_residual(sign)}, np.zeros(len(R), dtype=int), c)
     if sign == +1:
         rows = np.flatnonzero(R > 0.0)
         lo = np.full(rows.size, 1.0 + 1e-15)
         flo = f(lo, rows)
+        hi, fhi = np.full(rows.size, 2.0), flo.copy()
         pinned = flo <= 0.0  # K0 underflowed; root is pinned to xi = 1
-        xi[rows[pinned]], res[rows[pinned]], ok[rows[pinned]] = 1.0, flo[pinned], True
-        rows, lo, flo = rows[~pinned], lo[~pinned], flo[~pinned]
-        hi = np.full(rows.size, 2.0)
-        fhi = np.full(rows.size, math.nan)
-        grow = np.arange(rows.size)
+        lo[pinned] = hi[pinned] = 1.0
+        grow = np.flatnonzero(~pinned)
         for _ in range(_SPLUS_DOUBLINGS):
             if grow.size == 0:
                 break
@@ -612,25 +607,15 @@ def _swave_sweep(sign, R):
         rows = np.flatnonzero(R > 1.0)
         hi = np.full(rows.size, math.nextafter(1.0, 0.0))
         fhi = f(hi, rows)
-        near = rows[fhi < 0.0]
+        near = fhi < 0.0
         # root within an ulp of 1: asymptotically xi = 1 - K0(c)
-        xi[near] = 1.0 - bessel_k01(c[near])[0]
-        res[near], ok[near] = f(xi[near], near), True
-        rows, hi, fhi = rows[fhi >= 0.0], hi[fhi >= 0.0], fhi[fhi >= 0.0]
         lo = np.full(rows.size, 1e-280)
-        flo = f(lo, rows)
-        keep = ~(flo > 0.0)
-    rows, lo, hi, flo, fhi = (v[keep] for v in (rows, lo, hi, flo, fhi))
-    xi[rows], res[rows] = refine_brackets(lambda x, k: f(x, rows[k]), lo, hi, flo, fhi)
-    ok[rows] = np.abs(res[rows]) <= 1e-10
-    for i in rows[~ok[rows]]:
-        try:
-            point = solve_swave(float(R[i]), sign)
-        except (NoRealRootError, ConvergenceError):
-            xi[i] = res[i] = math.nan
-            continue
-        xi[i], res[i], ok[i] = point.xi, point.residual, point.converged
-    return xi, res, ok
+        lo[near] = hi[near] = 1.0 - bessel_k01(c[rows[near]])[0]
+        fhi[near] = f(hi[near], rows[near])
+        flo = fhi.copy()
+        flo[~near] = f(lo[~near], rows[~near])
+        keep = near | ~(flo > 0.0)
+    return tuple(v[keep] for v in (rows, lo, hi, flo, fhi))
 
 
 def sweep_branches(jobs, R_grid) -> dict:
@@ -638,12 +623,14 @@ def sweep_branches(jobs, R_grid) -> dict:
     the (branch, params) pairs of `jobs`.
 
     The grid is in units of a0 for the s-wave branches and r1 otherwise.
-    All branches of one call are one array solve: the p-wave branches share
-    one R x xi sign map and one refinement (``_pwave_sweep``) and keep, like
-    ``solve_pwave_I``/``solve_pwave_II`` at each point, the smallest-xi
-    root; each s-wave branch grows and refines all its brackets at once
-    (``_swave_sweep``); the asymptote is one array expression.  Failed
-    points carry V = NaN and converged = False.
+    All branches of one call are one bracket table: each p-wave branch adds,
+    like ``solve_pwave_I``/``solve_pwave_II`` at each point, its
+    smallest-xi bracket from one shared R x xi sign map
+    (``_pwave_brackets``), each s-wave branch the brackets it grows for all
+    R at once (``_swave_brackets``), and one ``refine_brackets`` call closes
+    every row; the asymptote is one array expression.  Points without a
+    root, or whose residual misses 1e-10, carry converged = False, and
+    those without a root V = NaN.
     """
     jobs = list(jobs)
     grid = np.asarray(R_grid, dtype=float)
@@ -653,37 +640,47 @@ def sweep_branches(jobs, R_grid) -> dict:
         if not np.all(np.isfinite(grid)):
             raise DomainError(f"{branch.value}: every R of the sweep must be finite")
     inside = grid > 1.0  # R > r1 (natural units), as the point solvers require
-    equations = []
-    for branch, params in jobs:
+    residuals, caps = {}, {}  # job -> residual, and the p-wave jobs' scan caps
+    for j, (branch, params) in enumerate(jobs):
         if branch in PWAVE_BRANCHES:
             family, sign = PWAVE_BRANCHES[branch]
-            equations.append(_pwave_equation(family, params, sign)[:3])
-    # one solution per p-wave job, taken in job order below
-    pwave = iter(_pwave_sweep(equations, grid[inside]) if equations and inside.any() else ())
+            residuals[j], caps[j] = _pwave_equation(family, params, sign)[:2]
+    # the bracket table: row k solves residuals[job[k]] at R = grid[at[k]]
+    # with z = xi * scale[k], on [a[k], b[k]] with f values fa[k], fb[k]
+    table = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 5]
+    n_roots = np.ones((len(jobs), grid.size), dtype=int)
+    if caps and inside.any():
+        counts, (owner, at, *bracket) = _pwave_brackets(
+            [(residuals[j], hi) for j, hi in caps.items()], grid[inside])
+        n_roots[np.ix_(list(caps), inside)] = np.maximum(counts, 1)
+        at = np.flatnonzero(inside)[at]
+        table.append((np.array(list(caps))[owner], at, grid[at], *bracket))
+    for j, (branch, _) in enumerate(jobs):
+        if branch in S_BRANCHES:
+            sign = +1 if branch is Branch.SWAVE_PLUS else -1
+            residuals[j] = _swave_residual(sign)
+            at, *bracket = _swave_brackets(sign, grid)
+            table.append((np.full(at.size, j), at, _TWO_EXP_NEG_GAMMA * grid[at], *bracket))
+    job, at, scale, *bracket = (np.concatenate(column) for column in zip(*table))
+    xi, res = np.full((2, len(jobs), grid.size), math.nan)
+    xi[job, at], res[job, at] = refine_brackets(_table_function(residuals, job, scale), *bracket)
     curves = {}
-    for branch, params in jobs:
-        v = np.full(grid.shape, math.nan)
-        res = np.full(grid.shape, math.nan)
-        n_roots = np.ones(grid.shape, dtype=int)
+    for j, (branch, params) in enumerate(jobs):
+        ok = np.abs(res[j]) <= 1e-10
         if branch in PWAVE_BRANCHES:
-            if inside.any():
-                xi, res[inside], count = next(pwave)
-                v[inside] = -0.5 * xi * xi
-                n_roots[inside] = np.maximum(count, 1)
-            ok = np.abs(res) <= 1e-10
+            v = -0.5 * xi[j] * xi[j]
         elif branch in S_BRANCHES:
-            xi, res, ok = _swave_sweep(+1 if branch is Branch.SWAVE_PLUS else -1, grid)
             with np.errstate(over="ignore"):
-                v = -xi * xi
+                v = -xi[j] * xi[j]
             overflow = np.isinf(v)  # for R/a0 below about 1e-308
             v[overflow], ok[overflow] = math.nan, False
         else:  # the asymptote v_unified, on 1 < R
-            g = grid[inside]
+            v, g = xi[j], grid[inside]
             with np.errstate(over="ignore"):  # R^2 = inf gives V = -0.0, as in v_unified
                 v[inside] = -1.0 / (g * g * np.log(g))
-            res[inside] = 0.0
+            res[j, inside] = 0.0
             ok = inside.copy()
-        multi = int((n_roots > 1).sum())
+        multi = int((n_roots[j] > 1).sum())
         if multi:
             log.warning("%s: %d of %d sweep points had extra roots; kept the "
                         "smallest xi at each", branch.value, multi, len(grid))
@@ -693,8 +690,8 @@ def sweep_branches(jobs, R_grid) -> dict:
             V=v,
             validity=branch_validity(branch, params),
             converged=ok,
-            residual=res,
-            n_roots=n_roots,
+            residual=res[j],
+            n_roots=n_roots[j],
         )
     return curves
 

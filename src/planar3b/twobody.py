@@ -136,11 +136,13 @@ def t_matrix(order: int, kappa: float, params: TwoBodyParams) -> float:
     return -1.0 / (math.pi * cot)
 
 
-def pwave_pole(a1_inv: float) -> float:
-    """Smallest positive kappa with a1_inv/kappa^2 + ln kappa = 0 (pole of T1).
+def pole_minimum(a1_inv: float) -> float:
+    """kappa* = sqrt(2 a1_inv), where the pole function a1_inv/kappa^2 +
+    ln kappa takes its minimum.
 
-    Bracketed bisection/Brent between kappa -> 0+ (where the centrifugal term
-    dominates) and the minimum of the pole function at kappa = sqrt(2 a1_inv).
+    T1 has its pole kappa1 below kappa* and the function's second zero above
+    it only where the minimum is negative, that is for a1 > 2e; otherwise
+    (and at exact resonance) NoPoleError.
     """
     if not 0.0 <= a1_inv < math.inf:  # NaN fails too
         raise DomainError("a1_inv must be finite and >= 0")
@@ -152,6 +154,16 @@ def pwave_pole(a1_inv: float) -> float:
         raise NoPoleError(
             f"no p-wave bound state for a1 = {1.0 / a1_inv:g} (need a1 > 2e)"
         )
+    return k_star
+
+
+def pwave_pole(a1_inv: float) -> float:
+    """Smallest positive kappa with a1_inv/kappa^2 + ln kappa = 0 (pole of T1).
+
+    Bracketed bisection/Brent between kappa -> 0+ (where the centrifugal term
+    dominates) and the minimum of the pole function (``pole_minimum``).
+    """
+    k_star = pole_minimum(a1_inv)
 
     def f(kappa):
         return a1_inv / (kappa * kappa) + math.log(kappa)

@@ -147,6 +147,18 @@ def test_cli_exit_codes_and_env(tmp_path):
     assert r.returncode == 0 and "planar3b" in r.stdout
 
 
+def test_default_potentials_loads_no_optional_numpy_modules(tmp_path):
+    # numpy.ma and numpy.polynomial are loaded lazily and cost about 1-2 MB
+    # of resident memory; the default sweep needs neither
+    code = ("import sys\n"
+            "from planar3b import cli\n"
+            f"assert cli.main(['potentials', '--output', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in ('numpy.ma', 'numpy.polynomial') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_cli_byte_identical_outputs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, jobs in ((a, "1"), (b, "2")):

@@ -132,6 +132,59 @@ def test_pwave_I_approach_dimer_energy():
     assert devs[1] < devs[0] / 2 and devs[2] < devs[1] / 2
 
 
+def _mp_pwave_I_minus_root(R, a1_inv):
+    """The I- root below the pole kappa1 in 40-digit mpmath, and kappa1."""
+    with mp.workdps(40):
+        a1i, Rm = mp.mpf(a1_inv), mp.mpf(R)
+        k_star = mp.sqrt(2 * a1i)  # the pole function's minimum; kappa1 lies below
+        kappa1 = mp.findroot(lambda k: a1i / k**2 + mp.log(k), (k_star / 8, k_star),
+                             solver="anderson")
+
+        def f(xi):
+            return -2 * mp.besselk(1, xi * Rm) / (xi * Rm) + a1i / xi**2 + mp.log(xi)
+
+        # the root lies about e^-(kappa1 R) relative below kappa1 (beyond
+        # 40 digits for kappa1 R > 92)
+        root = mp.findroot(f, (kappa1, kappa1 * (1 - mp.mpf("1e-6"))))
+        assert abs(root - kappa1) < mp.mpf("1e-6") * kappa1
+        return root, kappa1
+
+
+def _check_pwave_I_minus_next_to_pole(R, params):
+    r = P.solve_pwave_I(R, params, -1)
+    root, kappa1 = _mp_pwave_I_minus_root(R, params.a1_inv)
+    assert r.converged
+    assert abs(r.xi - root) <= 1e-15 * root
+    assert r.xi <= kappa1 * (1.0 + 1e-15)  # not the unphysical zero above kappa1
+
+
+@pytest.mark.parametrize("a0, a1, R", [(13.36, 34.0, 141.1), (10.0, 100.0, 300.0),
+                                       (8.0, 1000.0, 1100.0), (20.0, 20.0, 100.0)])
+def test_pwave_I_minus_root_next_to_pole(a0, a1, R):
+    # kappa1 R = 16-19: the root lies within 1e-9 relative of kappa1
+    _check_pwave_I_minus_next_to_pole(R, TwoBodyParams.from_a1(a0=a0, a1=a1))
+
+
+@given(log10_a1=st.floats(math.log10(6.0), 8.0), kappa1_R=st.floats(14.0, 300.0))
+@settings(max_examples=12, deadline=None)  # mpmath K1 takes up to 0.1 s at kappa1 R < 50
+def test_pwave_I_minus_roots_up_to_the_pole(log10_a1, kappa1_R):
+    params = TwoBodyParams.from_a1(a0=10.0, a1=10.0 ** log10_a1)
+    R = kappa1_R / dimer_energies(params).kappa1
+    _check_pwave_I_minus_next_to_pole(R, params)
+
+
+def test_no_root_error_reports_the_scanned_window():
+    R = 0.9 * math.sqrt(2.0 * PARAMS_100.a1)  # I- detaches at sqrt(2 a1)
+    with pytest.raises(NoRealRootError) as err:
+        P.solve_pwave_I(R, PARAMS_100, -1)
+    cap = math.sqrt(2.0 * PARAMS_100.a1_inv)  # the I- scan ends at this minimum
+    assert err.value.window == (1e-7 / R, cap)
+    assert f"{cap:.3g}] at R" in str(err.value)
+    with pytest.raises(NoRealRootError) as err:
+        P.solve_pwave_I(100.0, PARAMS_RES, -1)
+    assert err.value.window == (1e-7 / 100.0, 1.0 - 1e-12)
+
+
 def test_pwave_I_minus_vanishes_at_sqrt_2a1():
     thr = math.sqrt(2.0 * PARAMS_100.a1)
     with pytest.raises(NoRealRootError):
@@ -541,13 +594,14 @@ def test_sweep_matches_point_solves(branch, a0, log10_a1, bounds, n):
 _PWAVE_JOBS = [(b, PARAMS_100) for b in (P.Branch.PWAVE_I_PLUS, P.Branch.PWAVE_I_MINUS,
                                          P.Branch.PWAVE_II_PLUS, P.Branch.PWAVE_II_MINUS)]
 _PWAVE_JOBS += [(b, P.resonance_params(PARAMS_100)) for b in P.ZERO_BRANCHES]
+_ALL_JOBS = _PWAVE_JOBS + [(b, PARAMS_100) for b in (*P.S_BRANCHES, P.Branch.ASYMPTOTIC_UNIFIED)]
 
 
 def test_sweep_branches_matches_single_branch_sweeps():
     grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
-    curves = P.sweep_branches(_PWAVE_JOBS, grid)
-    assert list(curves) == [b for b, _ in _PWAVE_JOBS]
-    for branch, params in _PWAVE_JOBS:
+    curves = P.sweep_branches(_ALL_JOBS, grid)
+    assert list(curves) == [b for b, _ in _ALL_JOBS]
+    for branch, params in _ALL_JOBS:
         one = P.sweep_branch(branch, params, grid)
         for field in ("V", "residual"):
             assert np.array_equal(getattr(curves[branch], field), getattr(one, field),
@@ -595,6 +649,29 @@ def test_sweep_branches_scan_once_per_chunk_and_cap():
     assert len(shapes) == 14  # 7 chunks x 2 caps (I- has its own)
     assert sorted({m for m, _, _ in shapes}) == [1, 5]
     assert sum(rows for m, rows, _ in shapes if m == 5) == 100
+    assert all(curve.converged.any() for curve in curves.values())
+
+
+def test_sweep_branches_is_one_refinement():
+    # every branch's brackets form one table that one refine_brackets call
+    # closes; no sweep row reaches a scalar solver
+    refinements = []
+    refine = P.refine_brackets
+
+    def count_refine(f, a, *args):
+        refinements.append(a.size)
+        return refine(f, a, *args)
+
+    def scalar(*args):
+        raise AssertionError("a sweep reached a scalar solver")
+
+    grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(P, "refine_brackets", count_refine)
+        for name in ("brent", "solve_swave", "expand_bracket_up", "bessel_k"):
+            mp_ctx.setattr(P, name, scalar)
+        curves = P.sweep_branches(_ALL_JOBS, grid)
+    assert len(refinements) == 1
     assert all(curve.converged.any() for curve in curves.values())
 
 
