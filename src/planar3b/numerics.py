@@ -245,7 +245,14 @@ def adaptive_simpson(f, a, b, tol, *, max_depth=48):
 
 
 def ridders(f, a, b, *, xtol=0.0, rtol=1e-12, maxiter=80):
-    """Root of f on a sign-change interval [a, b] by Ridders' method."""
+    """Root of f on a sign-change interval [a, b] by Ridders' method.
+
+    Stops when the bracket is narrower than xtol + rtol |x|, or, as
+    Numerical Recipes' zriddr does, when a new estimate lies that close to
+    the previous one; that estimate is returned without evaluating f there.
+    Where f near the root is rounding noise, the estimates settle while the
+    bracket's far end only halves, so the second rule ends the search.
+    """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -253,6 +260,7 @@ def ridders(f, a, b, *, xtol=0.0, rtol=1e-12, maxiter=80):
         return b
     if fa * fb > 0.0:
         raise NotABracketError("ridders: not a bracket")
+    x_prev = math.inf
     for _ in range(maxiter):
         m = 0.5 * (a + b)
         fm = f(m)
@@ -260,6 +268,9 @@ def ridders(f, a, b, *, xtol=0.0, rtol=1e-12, maxiter=80):
         if s == 0.0:
             return m
         x = m + (m - a) * (1 if fa > fb else -1) * fm / s
+        if abs(x - x_prev) <= xtol + rtol * abs(x):
+            return x
+        x_prev = x
         fx = f(x)
         if fx == 0.0:
             return x

@@ -8,12 +8,23 @@ the radial equation takes the form chi'' + Q(x) chi = 0 with
 
 W(x) = -e^{2x} V(e^x) (equal to 1/x for the shared asymptotic potential) and
 no first-derivative term, so the fourth-order Numerov recurrence applies
-directly.  Eigenvalues come from hard-wall shooting with node-count
-bisection and Ridders refinement; the outward integration is truncated once
-the solution has grown by e^35 inside the classically forbidden region,
-which shifts eigenvalues by ~e^-70 and keeps the recurrence inside double
-range (this also makes the levels independent of the outer wall position
-once the wall clears the turning point).
+directly.  Eigenvalues come from hard-wall shooting: a node-count bracket
+per level, then Ridders refinement of the wall value.  The outward
+integration is truncated once the solution has grown by e^35 inside the
+classically forbidden region, which shifts eigenvalues by ~e^-70 and keeps
+the recurrence inside double range (this also makes the levels independent
+of the outer wall position once the wall clears the turning point).
+
+``bound_states_numerov`` brackets level k (k nodes) at its full-phase WKB
+energy, level n = k + 1 of ``quantize_spectrum`` with the inner wall at the
+window's start: one full-grid shot there fixes the truncation point, and
+truncated shots step out from it, 1e-3 of the seed first and doubling, until
+their node counts read k and k + 1.  On a window from r1 the seed is within
+0.1% of the level for nu0 >= 30, and a 2-level solve at the benchmark's
+(nu0, a1) takes 15-17 shots (43-47 by bisection alone).  Where WKB fails
+or the step-out does not find the counts (the seeds are 20-40% off on a
+window from R = e), a level falls back to the search for an energy below
+every level and node-count bisection, the only path of ``bound_states_1d``.
 
 A window that starts at R = r1 puts the hard wall on the 1/x singularity of
 Q at x = 0.  There the shot starts from the regular series
@@ -38,17 +49,19 @@ numpy, so the values are bit for bit those of a step-by-step array loop.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StepSizeError
+from .errors import ConvergenceError, DomainError, StepSizeError
 from .numerics import ridders
 from .specfun import bessel_j, bessel_y
-from .wkb import langer_w
+from .wkb import WkbConfig, langer_w, quantize_spectrum
 
 _FORBIDDEN_ACTION_CAP = 35.0
 _RENORM_LIMIT = 1e250
+_STEP_OUT_LIMIT = 40
 
 
 @dataclass
@@ -183,7 +196,8 @@ class _ShootingProblem:
     """Hard-wall shooting on a fixed x grid for Q(x; eps) families.
 
     wall is the strength g of a g/x singularity of Q at x[0], or None for a
-    regular start.
+    regular start.  Shots are memoized by (eps, end), so a capped shot at
+    the energy and cap index of an earlier shot costs nothing.
     """
 
     def __init__(self, x, q_of_eps, wall=None):
@@ -191,6 +205,7 @@ class _ShootingProblem:
         self.h = x[1] - x[0]
         self.q_of_eps = q_of_eps
         self.wall = wall
+        self.shots = {}
 
     def _cap_index(self, q):
         """First index past which the forbidden-region action exceeds the cap.
@@ -209,6 +224,10 @@ class _ShootingProblem:
         return len(q) - 1
 
     def shoot(self, eps, end=None):
+        """(nodes, wall value, end) of the shot at eps capped at end, or at
+        the cap index of its own forbidden action when end is None."""
+        if (eps, end) in self.shots:
+            return self.shots[eps, end]
         q = self.q_of_eps(eps)
         if end is None:
             end = self._cap_index(q)
@@ -218,16 +237,95 @@ class _ShootingProblem:
         # interior sign changes only: a zero at the wall is a boundary, not a node
         interior = y[:-1]
         nodes = int(np.count_nonzero(interior[:-1] * interior[1:] < 0.0))
-        return nodes, y[end], end
+        shot = self.shots[eps, end] = nodes, y[end], end
+        return shot
 
 
-def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e-10):
-    """Node-count bisection plus Ridders refinement on the wall value.
+def _step_out(problem, shoot, k, seed, eps_hi):
+    """Bracket of level k stepped out from a seed energy below eps_hi.
+
+    One full-grid shot at the seed fixes the cap index; capped shots then
+    step away from the seed toward level k, the first step 1e-3 |seed| and
+    each next one twice the last, until the node count changes side of k.
+    Returns (lo, hi, end) when the two last counts are k and k + 1, and
+    None when they are not or the steps reach eps_hi.
+    """
+    if not seed < eps_hi:  # NaN fails too
+        return None
+    nodes, _, end = shoot(seed)
+
+    def count(eps):
+        return problem.shoot(eps, end)[0]
+
+    up = nodes <= k
+    near, step = seed, 1e-3 * abs(seed)
+    for _ in range(_STEP_OUT_LIMIT):
+        eps = near + step if up else near - step
+        if eps >= eps_hi:
+            return None
+        if (count(eps) <= k) != up:
+            lo, hi = (near, eps) if up else (eps, near)
+            if (count(lo), count(hi)) != (k, k + 1):
+                return None
+            return lo, hi, end
+        near, step = eps, 2.0 * step
+    return None
+
+
+def _lower_bound(shoot, eps_hi):
+    """An energy below every level, by quadrupling the distance to eps_hi."""
+    eps_lo = min(-1.0, eps_hi - 1.0)
+    for _ in range(300):
+        if shoot(eps_lo)[0] == 0:
+            return eps_lo
+        eps_lo = eps_hi - 4.0 * (eps_hi - eps_lo)
+    raise ConvergenceError("no energy without nodes in 300 quadruplings below eps_hi")
+
+
+def _bisect_counts(shoot, counted, k, eps_lo, eps_hi):
+    """Bracket of level k by node-count bisection on full-grid shots.
+
+    The bisection starts from the tightest bracket the counted shots give
+    and stops at a width of 1e-3 relative; a shot at its midpoint fixes the
+    cap index.
+    """
+    lo = max((e for e, n in counted.items() if n <= k), default=eps_lo)
+    hi = min((e for e, n in counted.items() if n > k), default=eps_hi)
+    if lo >= hi:  # counts not monotone in eps: start from the full range
+        lo, hi = eps_lo, eps_hi
+    for _ in range(200):
+        if (hi - lo) <= 1e-3 * max(abs(lo), abs(hi), 1e-12):
+            break
+        mid = 0.5 * (lo + hi)
+        if shoot(mid)[0] <= k:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, shoot(0.5 * (lo + hi))[2]
+
+
+def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e-10,
+                seeds=()):
+    """Hard-wall levels below eps_hi by shooting: a node-count bracket per
+    level, then Ridders refinement of the wall value.
 
     Only eigenvalues below eps_hi are reported (eps_hi = 0 restricts to
-    bound states of the radial problem).  The node count of every full-grid
-    shot is kept, so each level's bisection starts from the tightest
-    bracket the earlier shots give.
+    bound states of the radial problem).  Level k (k nodes) is bracketed
+    from seeds[k] when there is one (``_step_out``); without a seed, or
+    when the step-out fails, from an energy below every level
+    (``_lower_bound``) by node-count bisection (``_bisect_counts``).  The
+    node count of every full-grid shot is kept, so each bisection starts
+    from the tightest bracket the earlier shots give.  All shots of a level
+    after its bracket are capped at the bracket's cap index, and the
+    problem memoizes shots, so Ridders' bracket ends cost nothing.  A seed
+    close to its level (as full-phase WKB is on a window from r1) needs one
+    full-grid shot and one or two capped step shots per level; the
+    lower-bound search and the bisection take 31-33 full-grid shots for two
+    levels at the benchmark's (nu0, a1).
+
+    Raises ConvergenceError when no energy below every level is found, when
+    the wall value keeps one sign across a level's bracket, or when the
+    converged level breaks the node theorem.
     """
     counted = {}
 
@@ -236,52 +334,39 @@ def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e
         counted[eps] = shot[0]
         return shot
 
-    # lower all-levels-excluded bound by doubling
-    eps_lo = min(-1.0, eps_hi - 1.0)
-    for _ in range(300):
-        if shoot(eps_lo)[0] == 0:
-            break
-        eps_lo = eps_hi - 4.0 * (eps_hi - eps_lo)
     total = shoot(eps_hi)[0]
+    eps_lo = None
     energies, nodes_out = [], []
     for k in range(k_levels):
         if k + 1 > total:
             return BoundStates(energies=energies, nodes=nodes_out, complete=False)
-        lo = max((e for e, n in counted.items() if n <= k), default=eps_lo)
-        hi = min((e for e, n in counted.items() if n > k), default=eps_hi)
-        if lo >= hi:  # counts not monotone in eps: start from the full range
-            lo, hi = eps_lo, eps_hi
-        # shrink until node counts bracket k -> k+1 tightly
-        for _ in range(200):
-            if (hi - lo) <= 1e-3 * max(abs(lo), abs(hi), 1e-12):
-                break
-            mid = 0.5 * (lo + hi)
-            if shoot(mid)[0] <= k:
-                lo = mid
-            else:
-                hi = mid
-        end = shoot(0.5 * (lo + hi))[2]  # freeze the grid cap
+        bracket = _step_out(problem, shoot, k, seeds[k], eps_hi) if k < len(seeds) else None
+        if bracket is None:
+            if eps_lo is None:
+                eps_lo = _lower_bound(shoot, eps_hi)
+            bracket = _bisect_counts(shoot, counted, k, eps_lo, eps_hi)
+        lo, hi, end = bracket
 
         def wall(eps):
-            return problem.shoot(eps, end=end)[1]
+            return problem.shoot(eps, end)[1]
 
         w_lo, w_hi = wall(lo), wall(hi)
         if w_lo * w_hi > 0.0:
             # widen minimally within the counted bracket
-            lo2, hi2 = lo, hi
+            lo2 = lo
             for _ in range(60):
                 lo2 -= (hi - lo)
                 if wall(lo2) * w_hi <= 0.0:
                     lo = lo2
                     break
             else:
-                raise RuntimeError("eigenvalue refinement lost its bracket")
+                raise ConvergenceError("eigenvalue refinement lost its bracket")
         eps_k = ridders(wall, lo, hi, rtol=rtol)
         # node theorem: the count steps k -> k+1 exactly at the eigenvalue,
         # so the converged shot must sit on that transition
-        n_k = problem.shoot(eps_k, end=end)[0]
+        n_k = problem.shoot(eps_k, end)[0]
         if n_k not in (k, k + 1):
-            raise RuntimeError(
+            raise ConvergenceError(
                 f"node theorem violated: level {k} converged with {n_k} nodes"
             )
         energies.append(eps_k)
@@ -323,22 +408,47 @@ def _langer_setup(potential, nu0, window, h):
     return x, nu0 * wx, wall
 
 
-def bound_states_numerov(potential, nu0: float, window, k_levels: int,
-                         *, h: float | None = None) -> BoundStates:
-    """Hard-wall eigenvalues of the heavy-pair problem on an R window.
-
-    Returns up to k_levels energies in units hbar^2/(mu r1^2), ascending.
-    If the window supports fewer negative-energy levels the result carries
-    complete=False.
-    """
+def _numerov_problem(potential, nu0, window, h):
+    """The shooting problem of ``bound_states_numerov`` in eps = nu0 E."""
     x, vx, wall = _langer_setup(potential, nu0, window, h)
     e2x = np.exp(2.0 * x)
 
     def q_of_eps(eps):
         return eps * e2x + vx
 
-    problem = _ShootingProblem(x, q_of_eps, wall)
-    res = _eigensolve(problem, k_levels)
+    return _ShootingProblem(x, q_of_eps, wall)
+
+
+def _check_levels(k_levels):
+    if isinstance(k_levels, bool) or not isinstance(k_levels, numbers.Integral) or k_levels < 1:
+        raise DomainError(f"k_levels must be an integer >= 1, got {k_levels!r}")
+
+
+def _wkb_seeds(potential, nu0, window, k_levels):
+    """eps = nu0 E of the full-phase WKB levels n = 1..k_levels with the
+    inner wall at window[0] (level n seeds node count n - 1); the levels WKB
+    drops are missing, and none are given when it fails."""
+    cfg = WkbConfig(phase_mode="full", R_inner=window[0])
+    try:
+        spec = quantize_spectrum((1, k_levels), nu0, cfg, potential)
+    except (DomainError, ConvergenceError):
+        return []
+    return [nu0 * e for _, _, e in spec.levels]
+
+
+def bound_states_numerov(potential, nu0: float, window, k_levels: int,
+                         *, h: float | None = None) -> BoundStates:
+    """Hard-wall eigenvalues of the heavy-pair problem on an R window.
+
+    Returns up to k_levels energies in units hbar^2/(mu r1^2), ascending.
+    If the window supports fewer negative-energy levels the result carries
+    complete=False.  Each level is bracketed from its full-phase WKB energy
+    (``_wkb_seeds``), falling back to node-count bisection (``_eigensolve``).
+    Raises DomainError unless k_levels is an integer >= 1.
+    """
+    _check_levels(k_levels)
+    problem = _numerov_problem(potential, nu0, window, h)
+    res = _eigensolve(problem, k_levels, seeds=_wkb_seeds(potential, nu0, window, k_levels))
     return BoundStates(
         energies=[e / nu0 for e in res.energies], nodes=res.nodes, complete=res.complete
     )
@@ -354,7 +464,9 @@ def count_negative_levels(potential, nu0: float, window, *, h: float | None = No
 
 
 def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundStates:
-    """Plain 1D hard-wall problem chi'' + (E - U(x)) chi = 0 (solver self-test)."""
+    """Plain 1D hard-wall problem chi'' + (E - U(x)) chi = 0 (solver self-test),
+    solved by node-count bisection without seeds."""
+    _check_levels(k_levels)
     _check_finite("window[0]", window[0])
     _check_finite("window[1]", window[1])
     x = _uniform_grid(window[0], window[1], h)

@@ -1,6 +1,6 @@
 """Bracket scan: one array evaluation over the grid, brackets by numpy;
 array refinement of many brackets at once; Brent's method to adjacent
-doubles, by the same closing rule; adaptive Simpson."""
+doubles, by the same closing rule; Ridders' method; adaptive Simpson."""
 
 import math
 
@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planar3b import potentials as P
-from planar3b.errors import NoRealRootError, NotABracketError
-from planar3b.numerics import adaptive_simpson, brent, refine_brackets, scan_sign_changes
+from planar3b.errors import ConvergenceError, NoRealRootError, NotABracketError
+from planar3b.numerics import (adaptive_simpson, brent, refine_brackets, ridders,
+                               scan_sign_changes)
 from planar3b.specfun import bessel_k
 from planar3b.twobody import TwoBodyParams
 
@@ -206,6 +207,46 @@ def test_brent_closes_sminus_bracket(R_over_a0):
     x, fx = brent(f, 1e-280, math.nextafter(1.0, 0.0))
     assert len(calls) <= 2 + 120
     assert _closed(f, x, fx)
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_ridders_stops_once_its_estimate_settles():
+    # a steep line whose f at the root is rounding noise of one sign: every
+    # estimate lands on the same double while the far end of the bracket
+    # only halves, which took 24 evaluations on the bracket-width rule alone
+    root = 1.0 / 3.0 + 1e-13
+    f, calls = _counted(lambda x: 1e10 * (1.0 / 3.0 - x) + 1e-3)
+    x = ridders(f, 0.0, 1.0, rtol=1e-10)
+    assert abs(x - root) <= 2e-16
+    assert len(calls) <= 6
+
+
+def test_ridders_exact_zero_at_an_end():
+    for a, b in ((1.0, 2.0), (0.0, 1.0)):
+        f, calls = _counted(lambda x: x - 1.0)
+        assert ridders(f, a, b) == 1.0
+        assert calls == [a, b]
+
+
+def test_ridders_rejects_a_non_bracket():
+    with pytest.raises(NotABracketError):
+        ridders(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_ridders_raises_at_maxiter():
+    with pytest.raises(ConvergenceError):
+        ridders(lambda x: math.exp(x) - 2.0, 0.0, 5.0, maxiter=1)
+    # the same root within the default maxiter
+    assert ridders(lambda x: math.exp(x) - 2.0, 0.0, 5.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_simpson_distrusts_coincident_estimates():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planar3b import radial, wkb
-from planar3b.errors import DomainError, StepSizeError
+from planar3b import radial, scattering, wkb
+from planar3b.errors import ConvergenceError, DomainError, StepSizeError
 from planar3b.potentials import UnifiedPotential
 from planar3b.specfun import bessel_j
 
@@ -226,6 +226,112 @@ def test_default_step_at_large_nu0():
                 == radial.bound_states_numerov(U, nu0, (1.0, 30.0), 1, h=8e-4).energies)
         assert (radial.count_negative_levels(U, nu0, (1.0, 30.0))
                 == radial.count_negative_levels(U, nu0, (1.0, 30.0), h=8e-4))
+
+
+# ------------------------------------------------------------- WKB-seeded brackets
+
+def _count_shots(monkeypatch):
+    shots = []
+    sweep = radial._numerov_sweep
+    monkeypatch.setattr(radial, "_numerov_sweep",
+                        lambda q, *args, **kw: shots.append(len(q)) or sweep(q, *args, **kw))
+    return shots
+
+
+@pytest.mark.parametrize("nu0, a1", [(50.0, 100.0), (100.0, 320.0), (200.0, 1000.0)])
+def test_two_level_shots_bounded(monkeypatch, nu0, a1):
+    # around each (nu0, a1) of the benchmark's spectra workload, where
+    # node-count bisection took 49-95 shots and jumped under 3% changes
+    shots = _count_shots(monkeypatch)
+    for f_nu0 in (0.97, 1.0, 1.03):
+        for f_a1 in (0.97, 1.0, 1.03):
+            shots.clear()
+            res = radial.bound_states_numerov(U, nu0 * f_nu0, (1.0, scattering.r1_range(a1 * f_a1)), 2)
+            assert res.complete and res.nodes == [0, 1]
+            assert len(shots) <= 25, (nu0 * f_nu0, a1 * f_a1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(nu0=st.floats(5.0, 300.0), a1=st.floats(30.0, 3000.0), k=st.integers(1, 3),
+       start=st.sampled_from([1.0, math.e]))
+def test_seeded_levels_match_bisection(nu0, a1, k, start):
+    # from R = e the WKB seeds are 8-70% off, so the step-out walks far and
+    # sometimes falls back to bisection
+    window = (start, scattering.r1_range(a1))
+    seeded = radial.bound_states_numerov(U, nu0, window, k)
+    plain = radial._eigensolve(radial._numerov_problem(U, nu0, window, None), k)
+    assert seeded.nodes == plain.nodes
+    assert seeded.complete == plain.complete
+    np.testing.assert_allclose(seeded.energies, [e / nu0 for e in plain.energies], rtol=1e-9)
+
+
+def test_bad_seeds_fall_back_to_bisection():
+    problem = radial._numerov_problem(U, 30.0, (1.0, 300.0), None)
+    plain = radial._eigensolve(problem, 2)
+    # no seed for level 1, a NaN seed, seeds far below, above eps = 0
+    for seeds in ([plain.energies[0]], [math.nan, math.nan], [10.0 * e for e in plain.energies],
+                  [1.0, 1.0]):
+        res = radial._eigensolve(problem, 2, seeds=seeds)
+        assert res.nodes == [0, 1]
+        np.testing.assert_allclose(res.energies, plain.energies, rtol=1e-9)
+
+
+def test_wkb_failure_falls_back_to_bisection(monkeypatch):
+    want = radial.bound_states_numerov(U, 30.0, (1.0, 300.0), 2)
+
+    def fail(*args):
+        raise ConvergenceError("full WKB phase is not finite at a bracket end")
+
+    monkeypatch.setattr(radial, "quantize_spectrum", fail)
+    got = radial.bound_states_numerov(U, 30.0, (1.0, 300.0), 2)
+    assert got.nodes == want.nodes == [0, 1]
+    np.testing.assert_allclose(got.energies, want.energies, rtol=1e-9)
+
+
+@pytest.mark.parametrize("k_levels", [0, -1, 2.5, True, "2", None])
+def test_bad_level_count_rejected(k_levels):
+    with pytest.raises(DomainError):
+        radial.bound_states_numerov(U, 20.0, (1.0, 3.0), k_levels)
+    with pytest.raises(DomainError):
+        radial.bound_states_1d(lambda x: x * x, (-6.0, 6.0), k_levels)
+
+
+class _StubProblem:
+    """Shots from given functions of eps: the node count of a full-grid shot,
+    that of a capped shot, and the wall value."""
+
+    def __init__(self, nodes, wall, capped_nodes=None):
+        self.nodes = nodes
+        self.wall = wall
+        self.capped_nodes = capped_nodes or nodes
+
+    def shoot(self, eps, end=None):
+        nodes = self.nodes(eps) if end is None else self.capped_nodes(eps)
+        return nodes, self.wall(eps), 10
+
+
+def _one_level_at(e0):
+    return lambda eps: int(eps > e0)
+
+
+def test_stub_problem_level():
+    res = radial._eigensolve(_StubProblem(_one_level_at(-1.0), lambda eps: eps + 1.0), 1)
+    assert res.complete and res.nodes == [0]
+    assert res.energies[0] == pytest.approx(-1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("problem, message", [
+    # every energy has a node: no lower bound in 300 quadruplings
+    (_StubProblem(lambda eps: 1, lambda eps: eps + 1.0), "without nodes"),
+    # the wall value keeps its sign across the counted bracket
+    (_StubProblem(_one_level_at(-1.0), lambda eps: 1.0), "lost its bracket"),
+    # the converged capped shot has three nodes
+    (_StubProblem(_one_level_at(-1.0), lambda eps: eps + 1.0, lambda eps: 3),
+     "node theorem"),
+])
+def test_eigensolve_failures_are_convergence_errors(problem, message):
+    with pytest.raises(ConvergenceError, match=message):
+        radial._eigensolve(problem, 1)
 
 
 # ------------------------------------------------------------- sweep kernel
