@@ -40,7 +40,7 @@ from .scattering import (
     cross_section,
     resonance_positions,
 )
-from .specfun import EULER_GAMMA, SpecFunResult, bessel_j, bessel_k, bessel_y
+from .specfun import EULER_GAMMA, bessel_j, bessel_k, bessel_y
 from .twobody import (
     MassConfig,
     TwoBodyDerived,
@@ -70,7 +70,6 @@ __all__ = [
     "PotentialCurve",
     "ResonanceTable",
     "RootResult",
-    "SpecFunResult",
     "SpectrumResult",
     "TwoBodyDerived",
     "TwoBodyParams",

@@ -223,9 +223,11 @@ def cmd_potentials(cfg: RunConfig, branches):
 
 def cmd_spectrum(cfg: RunConfig, n_max: int, mass_ratio: float | None = None):
     """Spectrum CSV with the neighbor-ratio column plus a fit summary."""
+    if n_max < 3:
+        raise ConfigError(f"--n-max must be at least 3, the levels the fit needs, got {n_max}")
     if mass_ratio is not None:
         if not 0 < mass_ratio < math.inf:
-            raise ConfigError(f"mass ratio must be finite and positive, got {mass_ratio!r}")
+            raise ConfigError(f"--mass-ratio must be finite and positive, got {mass_ratio!r}")
         nu0 = (1.0 + 2.0 / mass_ratio) / 2.0  # nu0 = (m + 2M)/(2m)
     else:
         nu0 = cfg.nu0_value
@@ -255,9 +257,11 @@ def cmd_spectrum(cfg: RunConfig, n_max: int, mass_ratio: float | None = None):
 # ----------------------------------------------------------------- resonances
 
 def cmd_resonances(cfg: RunConfig, n_max: int, k: float | None = None):
+    if n_max < 1:
+        raise ConfigError(f"--n-max must be at least 1, got {n_max}")
     if k is not None and not 0 < k < math.inf:
         # checked here too: rows whose A0 overflows never reach cross_section
-        raise ConfigError(f"k must be finite and positive, got {k!r}")
+        raise ConfigError(f"--k must be finite and positive, got {k!r}")
     nu0 = cfg.nu0_value
     table = scattering.resonance_positions((1, n_max), nu0)
     columns = ["n", "a1_n_exact", "a1_n_asymptotic", "A0_midpoint"]
@@ -296,7 +300,9 @@ def cmd_resonances(cfg: RunConfig, n_max: int, k: float | None = None):
 def cmd_wavefunction(cfg: RunConfig, branch: str, sign: int, separation: float,
                      extent: float, grid_size: int):
     if grid_size < 2:
-        raise ConfigError("wavefunction needs a grid size of at least 2")
+        raise ConfigError(f"--grid-size must be at least 2, got {grid_size}")
+    if not 0 < extent < math.inf:
+        raise ConfigError(f"--extent must be finite and positive, got {extent!r}")
     params = cfg.twobody
     if branch == "I":
         root = potentials.solve_pwave_I(separation, params, sign)

@@ -13,18 +13,24 @@ per level, then Ridders refinement of the wall value.  The outward
 integration is truncated once the solution has grown by e^35 inside the
 classically forbidden region, which shifts eigenvalues by ~e^-70 and keeps
 the recurrence inside double range (this also makes the levels independent
-of the outer wall position once the wall clears the turning point).
+of the outer wall position once the wall clears the turning point).  Every
+shot runs to its own truncation point, and its node count includes the
+cell there, so the count steps from k to k + 1 where the last value
+changes sign (node counting as in Johnson, J. Chem. Phys. 67 (1977) 4086).
 
-``bound_states_numerov`` brackets level k (k nodes) at its full-phase WKB
-energy, level n = k + 1 of ``quantize_spectrum`` with the inner wall at the
-window's start: one full-grid shot there fixes the truncation point, and
-truncated shots step out from it, 1e-3 of the seed first and doubling, until
-their node counts read k and k + 1.  On a window from r1 the seed is within
-0.1% of the level for nu0 >= 30, and a 2-level solve at the benchmark's
-(nu0, a1) takes 15-17 shots (43-47 by bisection alone).  Where WKB fails
-or the step-out does not find the counts (the seeds are 20-40% off on a
-window from R = e), a level falls back to the search for an energy below
-every level and node-count bisection, the only path of ``bound_states_1d``.
+Each level has one bracket search.  It starts at the level's full-phase
+WKB energy, level n = k + 1 of ``quantize_spectrum`` with the inner wall at
+the window's start, or, without a usable seed (WKB fails or drops the
+level, and always in ``bound_states_1d``), at the top of the energy range.
+Shots step toward level k, 1e-3 of the seed first (1 from the top) and
+doubling, until the count changes side of k, and bisection on counts
+narrows the bracket until its ends read k and k + 1 and it is at most 1e-3
+wide relative to its ends.  Ridders then refines the value at the lower
+end's truncation point, which every shot inside the bracket reaches, so
+each evaluation is one memoized shot.  On a window from r1 the seed is
+within 0.1% of the level for nu0 >= 30, and a 2-level solve at the
+benchmark's (nu0, a1) takes 15-17 shots.  From R = e the seeds are 8-70%
+off and the same search takes more steps.
 
 A window that starts at R = r1 puts the hard wall on the 1/x singularity of
 Q at x = 0.  There the shot starts from the regular series
@@ -61,7 +67,8 @@ from .wkb import WkbConfig, langer_w, quantize_spectrum
 
 _FORBIDDEN_ACTION_CAP = 35.0
 _RENORM_LIMIT = 1e250
-_STEP_OUT_LIMIT = 40
+_STEP_LIMIT = 60
+_BISECT_LIMIT = 200
 
 
 @dataclass
@@ -196,8 +203,8 @@ class _ShootingProblem:
     """Hard-wall shooting on a fixed x grid for Q(x; eps) families.
 
     wall is the strength g of a g/x singularity of Q at x[0], or None for a
-    regular start.  Shots are memoized by (eps, end), so a capped shot at
-    the energy and cap index of an earlier shot costs nothing.
+    regular start.  Every shot runs to the cap index of its own forbidden
+    action and is memoized by eps.
     """
 
     def __init__(self, x, q_of_eps, wall=None):
@@ -223,85 +230,51 @@ class _ShootingProblem:
                     return lo + k
         return len(q) - 1
 
-    def shoot(self, eps, end=None):
-        """(nodes, wall value, end) of the shot at eps capped at end, or at
-        the cap index of its own forbidden action when end is None."""
-        if (eps, end) in self.shots:
-            return self.shots[eps, end]
-        q = self.q_of_eps(eps)
-        if end is None:
-            end = self._cap_index(q)
-        end = max(end, 3)
-        y1, qy0 = _start(self.wall, eps, self.h)
-        y, _, _ = _numerov_sweep(q[: end + 1], self.h, 0.0, y1, qy0=qy0)
-        # interior sign changes only: a zero at the wall is a boundary, not a node
-        interior = y[:-1]
-        nodes = int(np.count_nonzero(interior[:-1] * interior[1:] < 0.0))
-        shot = self.shots[eps, end] = nodes, y[end], end
+    def shoot(self, eps):
+        """(nodes, values) of the shot at eps up to its cap index.
+
+        The node count is ``_numerov_sweep``'s, the cell at the cap
+        included.  Q rises with eps, so the cap index does too: a shot's
+        values reach the cap index of every lower energy.
+        """
+        shot = self.shots.get(eps)
+        if shot is None:
+            q = self.q_of_eps(eps)
+            end = max(self._cap_index(q), 3)
+            y1, qy0 = _start(self.wall, eps, self.h)
+            y, nodes, _ = _numerov_sweep(q[: end + 1], self.h, 0.0, y1, qy0=qy0)
+            shot = self.shots[eps] = nodes, y
         return shot
 
 
-def _step_out(problem, shoot, k, seed, eps_hi):
-    """Bracket of level k stepped out from a seed energy below eps_hi.
+def _bracket(shoot, k, start, step, eps_hi):
+    """Bracket (lo, hi) of level k whose counts read k at lo and k + 1 at hi,
+    at most 1e-3 wide relative to its ends.
 
-    One full-grid shot at the seed fixes the cap index; capped shots then
-    step away from the seed toward level k, the first step 1e-3 |seed| and
-    each next one twice the last, until the node count changes side of k.
-    Returns (lo, hi, end) when the two last counts are k and k + 1, and
-    None when they are not or the steps reach eps_hi.
+    Steps from start toward level k, by step first and each next step twice
+    the last, until the count changes side of k (a step up stops at eps_hi,
+    above level k); then bisects on counts.
     """
-    if not seed < eps_hi:  # NaN fails too
-        return None
-    nodes, _, end = shoot(seed)
-
-    def count(eps):
-        return problem.shoot(eps, end)[0]
-
-    up = nodes <= k
-    near, step = seed, 1e-3 * abs(seed)
-    for _ in range(_STEP_OUT_LIMIT):
-        eps = near + step if up else near - step
-        if eps >= eps_hi:
-            return None
-        if (count(eps) <= k) != up:
-            lo, hi = (near, eps) if up else (eps, near)
-            if (count(lo), count(hi)) != (k, k + 1):
-                return None
-            return lo, hi, end
-        near, step = eps, 2.0 * step
-    return None
-
-
-def _lower_bound(shoot, eps_hi):
-    """An energy below every level, by quadrupling the distance to eps_hi."""
-    eps_lo = min(-1.0, eps_hi - 1.0)
-    for _ in range(300):
-        if shoot(eps_lo)[0] == 0:
-            return eps_lo
-        eps_lo = eps_hi - 4.0 * (eps_hi - eps_lo)
-    raise ConvergenceError("no energy without nodes in 300 quadruplings below eps_hi")
-
-
-def _bisect_counts(shoot, counted, k, eps_lo, eps_hi):
-    """Bracket of level k by node-count bisection on full-grid shots.
-
-    The bisection starts from the tightest bracket the counted shots give
-    and stops at a width of 1e-3 relative; a shot at its midpoint fixes the
-    cap index.
-    """
-    lo = max((e for e, n in counted.items() if n <= k), default=eps_lo)
-    hi = min((e for e, n in counted.items() if n > k), default=eps_hi)
-    if lo >= hi:  # counts not monotone in eps: start from the full range
-        lo, hi = eps_lo, eps_hi
-    for _ in range(200):
-        if (hi - lo) <= 1e-3 * max(abs(lo), abs(hi), 1e-12):
+    up = shoot(start)[0] <= k
+    near = start
+    for _ in range(_STEP_LIMIT):
+        far = min(near + step, eps_hi) if up else near - step
+        if (shoot(far)[0] <= k) != up:
             break
+        near, step = far, 2.0 * step
+    else:
+        raise ConvergenceError(f"level {k} not bracketed in {_STEP_LIMIT} steps from {start:g}")
+    lo, hi = (near, far) if up else (far, near)
+    for _ in range(_BISECT_LIMIT):
+        if ((shoot(lo)[0], shoot(hi)[0]) == (k, k + 1)
+                and hi - lo <= 1e-3 * max(abs(lo), abs(hi))):
+            return lo, hi
         mid = 0.5 * (lo + hi)
         if shoot(mid)[0] <= k:
             lo = mid
         else:
             hi = mid
-    return lo, hi, shoot(0.5 * (lo + hi))[2]
+    raise ConvergenceError(f"level {k} not isolated in {_BISECT_LIMIT} bisections")
 
 
 def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e-10,
@@ -310,68 +283,41 @@ def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e
     level, then Ridders refinement of the wall value.
 
     Only eigenvalues below eps_hi are reported (eps_hi = 0 restricts to
-    bound states of the radial problem).  Level k (k nodes) is bracketed
-    from seeds[k] when there is one (``_step_out``); without a seed, or
-    when the step-out fails, from an energy below every level
-    (``_lower_bound``) by node-count bisection (``_bisect_counts``).  The
-    node count of every full-grid shot is kept, so each bisection starts
-    from the tightest bracket the earlier shots give.  All shots of a level
-    after its bracket are capped at the bracket's cap index, and the
-    problem memoizes shots, so Ridders' bracket ends cost nothing.  A seed
-    close to its level (as full-phase WKB is on a window from r1) needs one
-    full-grid shot and one or two capped step shots per level; the
-    lower-bound search and the bisection take 31-33 full-grid shots for two
-    levels at the benchmark's (nu0, a1).
+    bound states of the radial problem).  Level k (k nodes) is bracketed by
+    ``_bracket`` from seeds[k], first step 1e-3 |seeds[k]|, or from eps_hi,
+    first step 1, when there is no usable seed (none, NaN, or not below
+    eps_hi).  Ridders then runs on the wall value at the cap index of the
+    bracket's lower end, read from the memoized shots.  A seed close to its
+    level (as full-phase WKB is on a window from r1) needs one shot and one
+    or two step shots per level before the bisection.
 
-    Raises ConvergenceError when no energy below every level is found, when
-    the wall value keeps one sign across a level's bracket, or when the
-    converged level breaks the node theorem.
+    Raises ConvergenceError when a level is not bracketed or the converged
+    level breaks the node theorem.
     """
-    counted = {}
-
-    def shoot(eps):
-        shot = problem.shoot(eps)
-        counted[eps] = shot[0]
-        return shot
-
-    total = shoot(eps_hi)[0]
-    eps_lo = None
-    energies, nodes_out = [], []
-    for k in range(k_levels):
-        if k + 1 > total:
-            return BoundStates(energies=energies, nodes=nodes_out, complete=False)
-        bracket = _step_out(problem, shoot, k, seeds[k], eps_hi) if k < len(seeds) else None
-        if bracket is None:
-            if eps_lo is None:
-                eps_lo = _lower_bound(shoot, eps_hi)
-            bracket = _bisect_counts(shoot, counted, k, eps_lo, eps_hi)
-        lo, hi, end = bracket
+    total = problem.shoot(eps_hi)[0]
+    energies = []
+    for k in range(min(k_levels, total)):
+        start = seeds[k] if k < len(seeds) else math.nan
+        step = 1e-3 * abs(start)
+        if not start < eps_hi:  # NaN fails too
+            start, step = eps_hi, 1.0
+        lo, hi = _bracket(problem.shoot, k, start, step, eps_hi)
+        end = len(problem.shoot(lo)[1]) - 1
 
         def wall(eps):
-            return problem.shoot(eps, end)[1]
+            return problem.shoot(eps)[1][end]
 
-        w_lo, w_hi = wall(lo), wall(hi)
-        if w_lo * w_hi > 0.0:
-            # widen minimally within the counted bracket
-            lo2 = lo
-            for _ in range(60):
-                lo2 -= (hi - lo)
-                if wall(lo2) * w_hi <= 0.0:
-                    lo = lo2
-                    break
-            else:
-                raise ConvergenceError("eigenvalue refinement lost its bracket")
         eps_k = ridders(wall, lo, hi, rtol=rtol)
-        # node theorem: the count steps k -> k+1 exactly at the eigenvalue,
-        # so the converged shot must sit on that transition
-        n_k = problem.shoot(eps_k, end)[0]
+        # node theorem: the count steps k -> k+1 at the eigenvalue, so the
+        # converged shot must sit on that transition
+        n_k = problem.shoot(eps_k)[0]
         if n_k not in (k, k + 1):
             raise ConvergenceError(
                 f"node theorem violated: level {k} converged with {n_k} nodes"
             )
         energies.append(eps_k)
-        nodes_out.append(k)
-    return BoundStates(energies=energies, nodes=nodes_out, complete=True)
+    return BoundStates(energies=energies, nodes=list(range(len(energies))),
+                       complete=k_levels <= total)
 
 
 def _uniform_grid(x_lo, x_hi, h):
@@ -443,7 +389,7 @@ def bound_states_numerov(potential, nu0: float, window, k_levels: int,
     Returns up to k_levels energies in units hbar^2/(mu r1^2), ascending.
     If the window supports fewer negative-energy levels the result carries
     complete=False.  Each level is bracketed from its full-phase WKB energy
-    (``_wkb_seeds``), falling back to node-count bisection (``_eigensolve``).
+    (``_wkb_seeds``) by ``_eigensolve``.
     Raises DomainError unless k_levels is an integer >= 1.
     """
     _check_levels(k_levels)
@@ -456,16 +402,12 @@ def bound_states_numerov(potential, nu0: float, window, k_levels: int,
 
 def count_negative_levels(potential, nu0: float, window, *, h: float | None = None) -> int:
     """Number of E < 0 hard-wall levels: node count of the zero-energy shot."""
-    x, q, wall = _langer_setup(potential, nu0, window, h)
-    h = x[1] - x[0]
-    y1, qy0 = _start(wall, 0.0, h)
-    _, nodes, _ = _numerov_sweep(q, h, 0.0, y1, qy0=qy0)
-    return nodes
+    return _numerov_problem(potential, nu0, window, h).shoot(0.0)[0]
 
 
 def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundStates:
     """Plain 1D hard-wall problem chi'' + (E - U(x)) chi = 0 (solver self-test),
-    solved by node-count bisection without seeds."""
+    solved by ``_eigensolve`` without seeds."""
     _check_levels(k_levels)
     _check_finite("window[0]", window[0])
     _check_finite("window[1]", window[1])

@@ -43,7 +43,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .errors import DomainError
 #: Euler-Mascheroni constant to full double precision.
 EULER_GAMMA = 0.5772156649015329
 
-_EPS = 2.220446049250313e-16
 _INV_SQRT2 = 0.7071067811865476
 
 _JY_SERIES_MAX = 4.0
@@ -60,14 +58,6 @@ _JY_ASYMP_MIN = 16.0
 _K_SERIES_MAX = 2.0
 _K_ASYMP_MIN = 16.0
 _K_TRAP_STEP = 0.18
-
-
-@dataclass(frozen=True)
-class SpecFunResult:
-    """Function value together with a conservative absolute-error estimate."""
-
-    value: float
-    est_abs_error: float
 
 
 def _series_table():
@@ -115,9 +105,8 @@ _HANKEL_SIGNS = np.resize([1.0, -1.0, -1.0, 1.0], _K_ASYMP_K.size)
 
 
 def _k01_float(x):
-    # (K0, its absolute-error estimate, K1, its estimate) at one float x > 0:
-    # the scheme of bessel_k01's three kernels below, on the same tables,
-    # one float at a time.
+    # (K0, K1) at one float x > 0: the scheme of bessel_k01's three kernels
+    # below, on the same tables, one float at a time.
     if x <= _K_SERIES_MAX:
         q = 0.25 * x * x
         p0 = p1 = p2 = p3 = 0.0
@@ -128,10 +117,7 @@ def _k01_float(x):
             p3 = p3 * q + c3
         half = 0.5 * x
         lg = math.log(half) + EULER_GAMMA
-        k0 = p2 - lg * p0
-        k1 = lg * half * p1 + 1.0 / x - 0.5 * half * p3
-        return (k0, 4.0 * _EPS * (abs(lg) * p0 + p2),
-                k1, 4.0 * _EPS * (abs(lg) * half * p1 + 1.0 / x + 0.5 * half * p3))
+        return p2 - lg * p0, lg * half * p1 + 1.0 / x - 0.5 * half * p3
     if x < _K_ASYMP_MIN:
         s0 = s1 = 0.0
         for neg_w, cosh_t in _K_TRAP_NODES[:bisect.bisect_left(_K_TRAP_W, 60.0 / x) + 1]:
@@ -139,9 +125,7 @@ def _k01_float(x):
             s0 += e
             s1 += e * cosh_t
         scale = _K_TRAP_STEP * math.exp(-x)
-        k0 = scale * (0.5 + s0)
-        k1 = scale * (0.5 + s1)
-        return k0, 8.0 * _EPS * k0, k1, 8.0 * _EPS * k1
+        return scale * (0.5 + s0), scale * (0.5 + s1)
     amp = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
     out = []
     for ratios in _K_ASYMP_ROWS:
@@ -156,8 +140,7 @@ def _k01_float(x):
                 # the terms left before the cut, at most 34 and each one
                 # smaller, add up to less than 2 ulp of 1 + total
                 break
-        # the remainder is of the order of the last term kept
-        out += amp * (1.0 + total), amp * (abs(term) + 8.0 * _EPS)
+        out.append(amp * (1.0 + total))
     return tuple(out)
 
 
@@ -224,35 +207,29 @@ def bessel_k01(x):
     return k0.reshape(x.shape), k1.reshape(x.shape)
 
 
-# The J/Y kernels below take an order and a 1-d array and return
-# (J, its absolute-error estimate, Y, its estimate) as arrays.  Each element
-# is reduced on its own (a row's sum over axis 1), so its bits do not depend
-# on the other elements of the array.
+# The J/Y kernels below take an order and a 1-d array and return (J, Y) as
+# arrays.  Each element is reduced on its own (a row's sum over axis 1), so
+# its bits do not depend on the other elements of the array.
 
 def _jy_series(order, x):
     # DLMF 10.8.1-2: J_n's series and Y_n's sum are rows `order` and
-    # `order + 2` of _K_SERIES_TABLE taken at -q instead of q.  One Horner
-    # pass evaluates both at -q and, for the error estimates, at q, where
-    # each term counts with its magnitude.
-    q = 0.25 * x * x
-    qs = np.stack((-q, q, -q, q))
-    cols = np.repeat(_K_SERIES_TABLE[order::2, ::-1].T, 2, axis=1)[:, :, None]
-    p = np.empty((4, x.size))
+    # `order + 2` of _K_SERIES_TABLE taken at -q instead of q, evaluated
+    # together by one Horner pass.
+    neg_q = -0.25 * x * x
+    cols = _K_SERIES_TABLE[order::2, ::-1].T[:, :, None]
+    p = np.empty((2, x.size))
     p[:] = cols[0]
     for c in cols[1:]:
-        p *= qs
+        p *= neg_q
         p += c
-    a, a_abs, b, b_abs = p  # each series at -q and at q
+    a, b = p
     half = 0.5 * x
     if order:
-        a, a_abs, b, b_abs = half * a, half * a_abs, 0.5 * half * b, 0.5 * half * b_abs
+        a, b = half * a, 0.5 * half * b
     # at x = 0, where only J is asked for, Y comes out -inf or NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.log(half) + EULER_GAMMA
-        pole = order / x
-        y = (2.0 / math.pi) * (lg * a - pole - b)
-        y_est = (8.0 / math.pi) * _EPS * (np.abs(lg) * a_abs + pole + b_abs)
-    return a, 4.0 * _EPS * a_abs, y, y_est
+        y = (2.0 / math.pi) * ((np.log(half) + EULER_GAMMA) * a - order / x - b)
+    return a, y
 
 
 @functools.cache
@@ -274,29 +251,22 @@ def _jy_quadrature(order, x):
     # pi J_n = int_0^pi cos(x sin th - n th) dth,
     # pi Y_n = int_0^pi sin(x sin th - n th) dth
     #          - int_0^inf (e^{nt} + (-1)^n e^{-nt}) e^{-x sinh t} dt.
-    # Both integrands are entire, so the rules converge geometrically; the
-    # error is rounding, bounded by the sum of the magnitudes of the terms.
+    # Both integrands are entire, so the rules converge geometrically.
     theta, sin_theta, w_theta, sinh_t, tail_weights = _jy_rule()
     phase = np.multiply.outer(x, sin_theta) - order * theta
-    j_terms = w_theta * np.cos(phase)
-    y_terms = w_theta * np.sin(phase)
     tail = tail_weights[order] * np.exp(-np.multiply.outer(x, sinh_t))
-    j_val = j_terms.sum(axis=1) / math.pi
-    y_val = (y_terms.sum(axis=1) - tail.sum(axis=1)) / math.pi
-    scale = np.abs(j_terms).sum(axis=1) + np.abs(y_terms).sum(axis=1) + tail.sum(axis=1)
-    est = 8.0 * _EPS * scale / math.pi
-    return j_val, est, y_val, est
+    j_val = (w_theta * np.cos(phase)).sum(axis=1) / math.pi
+    y_val = ((w_theta * np.sin(phase)).sum(axis=1) - tail.sum(axis=1)) / math.pi
+    return j_val, y_val
 
 
 def _jy_asymp(order, x):
     # DLMF 10.17.3-4: P and Q sum the terms of K's asymptotic series with
     # _HANKEL_SIGNS, each element stopped where its terms start to grow, as
-    # in _k01_asymp; the remainder is of the order of the last term kept.
+    # in _k01_asymp.
     ratios = _K_ASYMP_RATIOS[order, :, 0]
     terms = np.cumprod(ratios / x[:, None], axis=1)
-    cut = np.abs(ratios) >= x[:, None]
-    terms[cut] = 0.0
-    last = np.where(cut, np.inf, np.abs(terms)).min(axis=1)  # the kept terms fall
+    terms[np.abs(ratios) >= x[:, None]] = 0.0
     terms *= _HANKEL_SIGNS
     p = 1.0 + terms[:, 1::2].sum(axis=1)
     q = terms[:, 0::2].sum(axis=1)
@@ -308,8 +278,7 @@ def _jy_asymp(order, x):
     else:
         cosw = (s - c) * _INV_SQRT2  # cos(x - 3*pi/4)
         sinw = -(s + c) * _INV_SQRT2
-    est = amp * (last + 8.0 * _EPS)
-    return amp * (p * cosw - q * sinw), est, amp * (p * sinw + q * cosw), est
+    return amp * (p * cosw - q * sinw), amp * (p * sinw + q * cosw)
 
 
 def _check_order(order, allowed, name):
@@ -318,51 +287,24 @@ def _check_order(order, allowed, name):
 
 
 def _jy(order, x, y):
-    # (value, estimate) of J_order (y false) or Y_order (y true) at a float
-    # or an array x: floats for a float, arrays of x's shape for an array.
+    # J_order (y false) or Y_order (y true) at a float or an array x: a
+    # float for a float, an array of x's shape for an array.
     name = "bessel_y" if y else "bessel_j"
     _check_order(order, (0, 1), name)
     xs = np.asarray(x, dtype=float)
     if not np.all((xs > 0.0 if y else xs >= 0.0) & (xs < math.inf)):  # also rejects NaN
         raise DomainError(f"{name}: x must be finite and {'>' if y else '>='} 0, got {x}")
     flat = xs.ravel()
-    out = np.empty((2, flat.size))
+    out = np.empty(flat.size)
     small = flat <= _JY_SERIES_MAX
     large = flat >= _JY_ASYMP_MIN
-    pick = slice(2, 4) if y else slice(0, 2)  # of the kernels' (J, est, Y, est)
     for where, kernel in ((small, _jy_series), (~(small | large), _jy_quadrature),
                           (large, _jy_asymp)):
         if where.any():
-            out[:, where] = kernel(order, flat[where])[pick]
+            out[where] = kernel(order, flat[where])[y]
     if xs.ndim == 0:
-        return float(out[0, 0]), float(out[1, 0])
-    return out[0].reshape(xs.shape), out[1].reshape(xs.shape)
-
-
-def _k(order, x):
-    # (value, estimate) of K_order at one float x
-    _check_order(order, (0, 1, 2), "bessel_k")
-    if not x > 0.0:  # also rejects NaN; +inf underflows to 0.0 below
-        raise DomainError(f"bessel_k: x must be > 0, got {x}")
-    k0, e0, k1, e1 = _k01_float(x)
-    if order == 0:
-        return k0, e0
-    if order == 1:
-        return k1, e1
-    val = k0 + 2.0 * k1 / x
-    return val, e0 + 2.0 * e1 / x + 2.0 * _EPS * val
-
-
-def bessel_j_result(order: int, x) -> SpecFunResult:
-    return SpecFunResult(*_jy(order, x, False))
-
-
-def bessel_y_result(order: int, x) -> SpecFunResult:
-    return SpecFunResult(*_jy(order, x, True))
-
-
-def bessel_k_result(order: int, x: float) -> SpecFunResult:
-    return SpecFunResult(*_k(order, x))
+        return float(out[0])
+    return out.reshape(xs.shape)
 
 
 def bessel_j(order: int, x):
@@ -371,7 +313,7 @@ def bessel_j(order: int, x):
     x is a float (giving a float) or an array (giving an array of its
     shape); each element gets the bits of its own float call.
     """
-    return _jy(order, x, False)[0]
+    return _jy(order, x, False)
 
 
 def bessel_y(order: int, x):
@@ -380,7 +322,7 @@ def bessel_y(order: int, x):
     x is a float (giving a float) or an array (giving an array of its
     shape); each element gets the bits of its own float call.
     """
-    return _jy(order, x, True)[0]
+    return _jy(order, x, True)
 
 
 def bessel_k(order: int, x: float) -> float:
@@ -388,4 +330,12 @@ def bessel_k(order: int, x: float) -> float:
 
     Underflows smoothly to 0.0 once exp(-x) leaves the double range.
     """
-    return _k(order, x)[0]
+    _check_order(order, (0, 1, 2), "bessel_k")
+    if not x > 0.0:  # also rejects NaN; +inf underflows to 0.0 below
+        raise DomainError(f"bessel_k: x must be > 0, got {x}")
+    k0, k1 = _k01_float(x)
+    if order == 0:
+        return k0
+    if order == 1:
+        return k1
+    return k0 + 2.0 * k1 / x

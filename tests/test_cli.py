@@ -208,13 +208,22 @@ def test_cli_nan_config_values_exit_2(tmp_path):
     ["wavefunction", "--grid-size", "-2"],
     ["wavefunction", "--grid-size", "0"],
     ["wavefunction", "--grid-size", "1"],
+    # too few levels for the spectrum fit, an empty resonance table, a grid
+    # without width
+    ["spectrum", "--n-max", "2"],
+    ["resonances", "--n-max", "0"],
+    ["wavefunction", "--extent", "nan"],
+    ["wavefunction", "--extent", "inf"],
+    ["wavefunction", "--extent", "0"],
+    ["wavefunction", "--extent", "-15"],
 ])
 def test_cli_bad_flag_values_exit_2(tmp_path, capsys, args):
     # out-of-domain flag values are configuration errors: exit 2, a one-line
-    # message and no traceback, never a crash or a silent run
+    # message that names the flag and no traceback, never a crash or a
+    # silent run
     assert cli.main([*args, "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    assert "config error" in err and args[1] in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 

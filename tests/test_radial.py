@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planar3b import radial, scattering, wkb
@@ -255,8 +255,8 @@ def test_two_level_shots_bounded(monkeypatch, nu0, a1):
 @given(nu0=st.floats(5.0, 300.0), a1=st.floats(30.0, 3000.0), k=st.integers(1, 3),
        start=st.sampled_from([1.0, math.e]))
 def test_seeded_levels_match_bisection(nu0, a1, k, start):
-    # from R = e the WKB seeds are 8-70% off, so the step-out walks far and
-    # sometimes falls back to bisection
+    # the search from the WKB seeds and the one from eps = 0 find the same
+    # levels; from R = e the seeds are 8-70% off, so the steps walk far
     window = (start, scattering.r1_range(a1))
     seeded = radial.bound_states_numerov(U, nu0, window, k)
     plain = radial._eigensolve(radial._numerov_problem(U, nu0, window, None), k)
@@ -268,7 +268,8 @@ def test_seeded_levels_match_bisection(nu0, a1, k, start):
 def test_bad_seeds_fall_back_to_bisection():
     problem = radial._numerov_problem(U, 30.0, (1.0, 300.0), None)
     plain = radial._eigensolve(problem, 2)
-    # no seed for level 1, a NaN seed, seeds far below, above eps = 0
+    # no seed for level 1 and NaN seeds (the search starts at eps = 0),
+    # seeds far below, seeds above eps = 0 (ignored)
     for seeds in ([plain.energies[0]], [math.nan, math.nan], [10.0 * e for e in plain.energies],
                   [1.0, 1.0]):
         res = radial._eigensolve(problem, 2, seeds=seeds)
@@ -288,6 +289,35 @@ def test_wkb_failure_falls_back_to_bisection(monkeypatch):
     np.testing.assert_allclose(got.energies, want.energies, rtol=1e-9)
 
 
+@pytest.mark.parametrize("nu0, a1, start, k", [
+    (20.0, 30.0, math.e, 1), (20.0, 30.0, math.e, 2), (20.0, 30.0, math.e, 3),
+    (134.57, 13.74, math.e, 2), (6.71, 29.56, 1.0, 2),
+])
+def test_levels_whose_count_bracket_sat_above_them(nu0, a1, start, k):
+    # node counts without the cell at the cap put a level's count bracket
+    # above the level, and the refinement raised "lost its bracket"
+    window = (start, scattering.r1_range(a1))
+    res = radial.bound_states_numerov(U, nu0, window, k)
+    fine = radial.bound_states_numerov(U, nu0, window, k, h=1e-4)
+    count = radial.count_negative_levels(U, nu0, window)
+    assert res.complete == (k <= count)
+    assert res.nodes == fine.nodes == list(range(min(k, count)))
+    np.testing.assert_allclose(res.energies, fine.energies, rtol=1e-8)
+
+
+@settings(max_examples=15, deadline=None)
+@given(nu0=st.floats(5.0, 300.0), a1=st.floats(10.0, 3000.0), k=st.integers(1, 4),
+       start=st.sampled_from([1.0, math.e]))
+@example(nu0=20.0, a1=30.0, k=1, start=math.e)
+def test_level_count_is_min_of_request_and_count(nu0, a1, k, start):
+    window = (start, scattering.r1_range(a1))
+    res = radial.bound_states_numerov(U, nu0, window, k)
+    count = radial.count_negative_levels(U, nu0, window)
+    assert len(res.energies) == min(k, count)
+    assert res.complete == (k <= count)
+    assert res.nodes == list(range(len(res.energies)))
+
+
 @pytest.mark.parametrize("k_levels", [0, -1, 2.5, True, "2", None])
 def test_bad_level_count_rejected(k_levels):
     with pytest.raises(DomainError):
@@ -297,17 +327,15 @@ def test_bad_level_count_rejected(k_levels):
 
 
 class _StubProblem:
-    """Shots from given functions of eps: the node count of a full-grid shot,
-    that of a capped shot, and the wall value."""
+    """Shots from given functions of eps: the node count, and the wall value
+    as a one-point shot."""
 
-    def __init__(self, nodes, wall, capped_nodes=None):
+    def __init__(self, nodes, wall):
         self.nodes = nodes
         self.wall = wall
-        self.capped_nodes = capped_nodes or nodes
 
-    def shoot(self, eps, end=None):
-        nodes = self.nodes(eps) if end is None else self.capped_nodes(eps)
-        return nodes, self.wall(eps), 10
+    def shoot(self, eps):
+        return self.nodes(eps), [self.wall(eps)]
 
 
 def _one_level_at(e0):
@@ -320,17 +348,12 @@ def test_stub_problem_level():
     assert res.energies[0] == pytest.approx(-1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("problem, message", [
-    # every energy has a node: no lower bound in 300 quadruplings
-    (_StubProblem(lambda eps: 1, lambda eps: eps + 1.0), "without nodes"),
-    # the wall value keeps its sign across the counted bracket
-    (_StubProblem(_one_level_at(-1.0), lambda eps: 1.0), "lost its bracket"),
-    # the converged capped shot has three nodes
-    (_StubProblem(_one_level_at(-1.0), lambda eps: eps + 1.0, lambda eps: 3),
-     "node theorem"),
-])
-def test_eigensolve_failures_are_convergence_errors(problem, message):
-    with pytest.raises(ConvergenceError, match=message):
+def test_node_theorem_violation_is_convergence_error():
+    # the counts bracket a level at -0.7, but the shot at the converged
+    # energy has three nodes
+    problem = _StubProblem(lambda eps: 3 if abs(eps + 0.7) < 1e-12 else int(eps > -0.7),
+                           lambda eps: eps + 0.7)
+    with pytest.raises(ConvergenceError, match="node theorem"):
         radial._eigensolve(problem, 1)
 
 

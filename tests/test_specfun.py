@@ -220,25 +220,6 @@ def test_k_positive_and_decreasing(log10x):
         assert b < a
 
 
-@given(st.one_of(st.floats(min_value=1e-5, max_value=600.0),
-                 st.floats(min_value=1.0, max_value=6.0),
-                 st.floats(min_value=6.0, max_value=16.0)))
-@settings(max_examples=80, deadline=None)
-def test_error_estimate_bounds_true_error(x):
-    cases = [(specfun.bessel_k_result, oracles.bessel_k, order) for order in (0, 1, 2)]
-    cases += [(result, oracle, order)
-              for result, oracle in ((specfun.bessel_j_result, oracles.bessel_j),
-                                     (specfun.bessel_y_result, oracles.bessel_y))
-              for order in (0, 1)]
-    for result, oracle, order in cases:
-        res = result(order, x)
-        assert res.est_abs_error >= 0.0
-        true = oracle(order, x)
-        with mp.workdps(40):
-            err = float(abs(mp.mpf(res.value) - true))
-        assert err <= 10.0 * res.est_abs_error + 1e-300
-
-
 # ---------------------------------------------------------------- domain errors
 
 def test_domain_errors():
