@@ -46,10 +46,16 @@ criterion 0.25.  A start at a regular point (an inner wall
 above r1, `numerov_integrate`, `bound_states_1d`) keeps the plain
 recurrence.
 
-The recurrence runs over plain Python float lists (numpy scalar arithmetic
-costs several times more per step); the rare renormalisations against
-overflow are replayed on the array afterwards and nodes are counted with
-numpy, so the values are bit for bit those of a step-by-step array loop.
+The recurrence runs over plain Python float lists: ``_numerov_sweep``
+converts h and its start values (y0, y1 and the first step's qy0) with
+float() before the loop, since a numpy scalar there (a grid step, a wall
+strength or a WKB-seeded energy) would carry numpy scalar arithmetic into
+every step.  On the benchmark's spectra shots that took a step from
+0.5-0.8 us to 0.25-0.3 us (2-CPU VM, Python 3.11, numpy 2.4).  The rare
+renormalisations against overflow are replayed on the array afterwards and
+nodes are counted with numpy, so the values are bit for bit those of a
+step-by-step array loop.  The truncation point is found by summing the
+forbidden action only as far as the cap (``_ShootingProblem._cap_index``).
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from .specfun import bessel_j, bessel_y
 from .wkb import WkbConfig, langer_w, quantize_spectrum
 
 _FORBIDDEN_ACTION_CAP = 35.0
+_CAP_PIECE = 1024
 _RENORM_LIMIT = 1e250
 _STEP_LIMIT = 60
 _BISECT_LIMIT = 200
@@ -103,19 +110,25 @@ def _numerov_sweep(q, h, y0, y1, *, qy0=None):
     in the first step.  Returns (values, node_count, scale_log) where values
     may have been rescaled by exp(-scale_log) along the way to avoid
     overflow (sign structure, and therefore nodes, are unaffected).
+
+    h, y0, y1 and qy0 go through float() here, whatever the caller passes,
+    so every step is Python float arithmetic.  The shrink factors
+    are stored doubled, 2 (1 - 5t): doubling is exact, so ya * (2 s) rounds
+    the same real number as (2 ya) * s and the step needs one multiply less.
     """
+    h, y0, y1 = float(h), float(y0), float(y1)
     t = (h * h / 12.0) * np.asarray(q, dtype=float)
-    shrink = (1.0 - 5.0 * t).tolist()
+    shrink2 = (2.0 * (1.0 - 5.0 * t)).tolist()
     grow = (1.0 + t).tolist()
     yb = y0
     if qy0 is not None:  # the first step's yb * grow[0] is then (h^2/12) qy0
-        yb, grow[0] = 1.0, (h * h / 12.0) * qy0
+        yb, grow[0] = 1.0, (h * h / 12.0) * float(qy0)
     ys = [y0, y1]
     append = ys.append
     renorms = []
     ya = y1
-    for sa, gb, gc in zip(shrink[1:-1], grow[:-2], grow[2:]):
-        yc = (2.0 * ya * sa - yb * gb) / gc
+    for s2, gb, gc in zip(shrink2[1:-1], grow[:-2], grow[2:]):
+        yc = (ya * s2 - yb * gb) / gc
         yb, ya = ya, yc
         if yc > _RENORM_LIMIT or yc < -_RENORM_LIMIT:
             f = abs(yc)
@@ -209,7 +222,7 @@ class _ShootingProblem:
 
     def __init__(self, x, q_of_eps, wall=None):
         self.x = x
-        self.h = x[1] - x[0]
+        self.h = float(x[1] - x[0])
         self.q_of_eps = q_of_eps
         self.wall = wall
         self.shots = {}
@@ -218,16 +231,26 @@ class _ShootingProblem:
         """First index past which the forbidden-region action exceeds the cap.
 
         The action sums sqrt(-q) h over a run of negative q and starts again
-        from zero on the next run.
+        from zero on the next run.  A run is summed in pieces of _CAP_PIECE
+        points, each starting from the running total carried into its first
+        element, and the sum stops at the piece that crosses the cap.
+        np.cumsum adds in order, so the sums and the index are bit for bit
+        those of one cumsum over the whole run, which is often several times
+        longer than the stretch before the cap.
         """
         neg = q < 0.0
         bounds = [0, *(np.flatnonzero(neg[1:] != neg[:-1]) + 1).tolist(), len(q)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if neg[lo]:
-                action = np.cumsum(np.sqrt(-q[lo:hi]) * self.h)
-                k = int(np.searchsorted(action, _FORBIDDEN_ACTION_CAP, side="right"))
-                if k < hi - lo:
-                    return lo + k
+            if not neg[lo]:
+                continue
+            total = 0.0
+            for a in range(lo, hi, _CAP_PIECE):
+                action = np.sqrt(-q[a:min(a + _CAP_PIECE, hi)]) * self.h
+                action[0] += total
+                np.cumsum(action, out=action)
+                total = float(action[-1])
+                if total > _FORBIDDEN_ACTION_CAP:
+                    return a + int(np.searchsorted(action, _FORBIDDEN_ACTION_CAP, side="right"))
         return len(q) - 1
 
     def shoot(self, eps):
@@ -350,7 +373,7 @@ def _langer_setup(potential, nu0, window, h):
     wx = np.zeros_like(x)
     inside = x > 0.0
     wx[inside] = w(x[inside])
-    wall = nu0 * x[1] * wx[1] if x[0] == 0.0 else None  # x W(x) -> residue
+    wall = float(nu0 * x[1] * wx[1]) if x[0] == 0.0 else None  # x W(x) -> residue
     return x, nu0 * wx, wall
 
 

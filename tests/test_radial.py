@@ -413,6 +413,66 @@ def test_sweep_matches_reference_bit_for_bit(seed, case):
         assert got[2] > 0.0
 
 
+class _NoArithmetic(np.float64):
+    """A numpy scalar that refuses arithmetic and comparison."""
+
+    def _refuse(self, *args):
+        raise AssertionError("numpy scalar arithmetic inside the Numerov loop")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __neg__ = __abs__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+@pytest.mark.parametrize("case", ["regular", "wall"])
+def test_sweep_converts_numpy_scalars_first(case):
+    # the loop runs on Python floats only if the sweep converts its start
+    # values before the first step
+    h = 0.01
+    q = np.random.default_rng(5).uniform(-3e3, 3e3, 500)
+    y1, qy0 = 0.37, (120.0 if case == "wall" else None)
+    got = radial._numerov_sweep(q, h, 0.0, _NoArithmetic(y1),
+                                qy0=None if qy0 is None else _NoArithmetic(qy0))
+    want = radial._numerov_sweep(q, h, 0.0, y1, qy0=qy0)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("case", ["regular", "wall"])
+def test_sweep_same_bits_for_numpy_and_python_floats(case):
+    # numpy-scalar h, y0, y1 and qy0 (a grid step, a numpy energy) and Python
+    # floats give the same sweep, renormalised
+    rng = np.random.default_rng(11)
+    q = -4e4 * rng.uniform(0.5, 1.5, 2000)
+    q[rng.integers(0, 2000, 40)] *= -1.0
+    h, y1 = np.float64(0.01), np.float64(0.0099)
+    y0 = np.float64(0.0) if case == "wall" else np.float64(rng.normal())
+    qy0 = np.float64(rng.uniform(1.0, 300.0)) if case == "wall" else None
+    got = radial._numerov_sweep(q, h, y0, y1, qy0=qy0)
+    want = radial._numerov_sweep(q, float(h), float(y0), float(y1),
+                                 qy0=None if qy0 is None else float(qy0))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    assert got[2] > 0.0
+
+
+def test_shooting_problem_step_and_wall_are_python_floats(monkeypatch):
+    # the grid step and the wall strength come from numpy arrays; the shot
+    # energy may be a numpy scalar too, which the sweep converts itself
+    seen = []
+    sweep = radial._numerov_sweep
+
+    def spy(q, h, y0, y1, *, qy0=None):
+        seen.append((h, y0, y1, qy0))
+        return sweep(q, h, y0, y1, qy0=qy0)
+
+    monkeypatch.setattr(radial, "_numerov_sweep", spy)
+    problem = radial._numerov_problem(U, 50.0, (1.0, scattering.r1_range(100.0)), None)
+    problem.shoot(np.float64(-40.0))
+    h, _, _, qy0 = seen[0]
+    assert type(h) is float and type(qy0) is float
+
+
 def _reference_cap_index(q, h, cap=35.0):
     action = 0.0
     neg = np.flatnonzero(q < 0.0)
@@ -428,6 +488,10 @@ def _reference_cap_index(q, h, cap=35.0):
     return len(q) - 1
 
 
+def _cap_index(q, h):
+    return radial._ShootingProblem(h * np.arange(len(q) + 1), lambda eps: q)._cap_index(q)
+
+
 _q_runs = st.lists(
     st.tuples(st.booleans(), st.integers(1, 60), st.floats(1.0, 4e4)), min_size=1, max_size=6,
 )
@@ -441,8 +505,78 @@ def test_cap_index_matches_loop(runs, h, seed):
     rng = np.random.default_rng(seed)
     q = np.concatenate([(1.0 if allowed else -1.0) * scale * rng.uniform(0.1, 1.0, n)
                         for allowed, n, scale in runs])
-    problem = radial._ShootingProblem(h * np.arange(len(q) + 1), lambda eps: q)
-    assert problem._cap_index(q) == _reference_cap_index(q, h)
+    assert _cap_index(q, h) == _reference_cap_index(q, h)
+
+
+def _whole_run_cap_index(q, h, cap=35.0):
+    """The cap index from one cumsum over each whole negative run."""
+    neg = q < 0.0
+    bounds = [0, *(np.flatnonzero(neg[1:] != neg[:-1]) + 1).tolist(), len(q)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if neg[lo]:
+            action = np.cumsum(np.sqrt(-q[lo:hi]) * h)
+            k = int(np.searchsorted(action, cap, side="right"))
+            if k < hi - lo:
+                return lo + k
+    return len(q) - 1
+
+
+_PIECE = radial._CAP_PIECE
+_long_q_runs = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 3 * _PIECE), st.floats(1e-4, 4e4)),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=_long_q_runs, h=st.sampled_from([0.001, 0.01, 0.05]),
+       seed=st.integers(0, 2**32 - 1))
+@example(runs=[(False, 3, 1.0), (True, 2 * _PIECE, 1e-4), (False, 5, 1.0),
+               (True, 3 * _PIECE, 4e4)], h=0.01, seed=0)  # reached in a later run
+@example(runs=[(True, 3 * _PIECE, 1e-4), (False, 10, 1.0), (True, _PIECE, 1e-3)],
+         h=0.001, seed=1)  # never reached
+def test_cap_index_matches_whole_run_cumsum(runs, h, seed):
+    # runs up to three pieces long, so the cap falls in any piece of any run
+    rng = np.random.default_rng(seed)
+    q = np.concatenate([(1.0 if allowed else -1.0) * scale * rng.uniform(0.1, 1.0, n)
+                        for allowed, n, scale in runs])
+    assert _cap_index(q, h) == _whole_run_cap_index(q, h)
+
+
+@pytest.mark.parametrize("cross", [
+    _PIECE - 2, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE - 1, 2 * _PIECE, 2 * _PIECE + 1,
+])
+@pytest.mark.parametrize("lead", [0, 7])
+def test_cap_index_at_piece_boundaries(cross, lead):
+    # a run of constant action a = 35/(cross + 1/2) per point crosses the cap
+    # at index cross of the run; lead allowed points shift the run
+    h = 0.01
+    a = 35.0 / (cross + 0.5)
+    q = np.concatenate([np.ones(lead), np.full(3 * _PIECE, -(a / h) ** 2)])
+    assert _cap_index(q, h) == _whole_run_cap_index(q, h) == lead + cross
+
+
+@pytest.mark.parametrize("n", [_PIECE // 2, _PIECE, 2 * _PIECE])
+def test_cap_index_sum_equal_to_cap(n):
+    # the action is exact in binary and reaches 35 exactly at point n - 1 of
+    # the run (mid-piece, or the last point of a piece); the cap needs more
+    # than 35, so point n is returned
+    h = 2.0**-6
+    a = 35.0 / n
+    q = np.concatenate([np.ones(3), np.full(3 * _PIECE, -(a / h) ** 2)])
+    action = np.cumsum(np.sqrt(-q[3:]) * h)
+    assert action[n - 1] == 35.0
+    assert _cap_index(q, h) == _whole_run_cap_index(q, h) == 3 + n
+
+
+def test_cap_index_in_a_later_run():
+    # the first run stops just short of the cap; the second starts from zero
+    h = 0.01
+    first = np.full(2 * _PIECE, -(34.9 / (2 * _PIECE) / h) ** 2)
+    second = np.full(_PIECE + 300, -(35.0 / (_PIECE + 100.5) / h) ** 2)
+    q = np.concatenate([np.ones(4), first, np.ones(50), second])
+    assert _cap_index(q, h) == _whole_run_cap_index(q, h) == 4 + 2 * _PIECE + 50 + _PIECE + 100
+    assert _cap_index(q[:-200], h) == _whole_run_cap_index(q[:-200], h) == len(q) - 201
 
 
 # ------------------------------------------------------------- domain errors
