@@ -142,23 +142,32 @@ def load_config(path: str | None) -> RunConfig:
 
 # ----------------------------------------------------------------- CSV output
 
+def _cells(values) -> list:
+    """The CSV text of one column: "" for None and NaN, true/false for
+    booleans, floats with 17 significant digits, anything else by str().
+    A numpy array is converted once with .tolist(), so its elements arrive
+    as Python floats, ints and bools."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return ["" if v is None or v != v
+            else ("true" if v else "false") if isinstance(v, bool)
+            else format(v, ".17g") if isinstance(v, float)
+            else str(v)
+            for v in values]
+
+
 def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    """One value as _cells writes it, for the header lines."""
+    return _cells((value,))[0]
 
 
-def _write_csv(path, header_comment, columns, rows):
+def _write_csv(path, header_comment, columns):
+    """Write the {name: values} columns (all of one length) under the
+    header comment, with one join over the formatted columns."""
+    rows = map(",".join, zip(*map(_cells, columns.values())))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(header_comment + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join([header_comment, ",".join(columns), *rows, ""]))
 
 
 def _header(cfg, command):
@@ -204,15 +213,13 @@ def cmd_potentials(cfg: RunConfig, branches):
         total += int(np.sum(expected))
         failures += int(np.sum(expected & ~curve.converged))
         tag = branch.value.replace("+", "_plus").replace("-", "_minus")
-        rows = [
-            (r, (v if ok else None), branch.value, bool(ok), (res if ok else None))
-            for r, v, ok, res in zip(curve.R_grid, curve.V, curve.converged, curve.residual)
-        ]
+        ok = curve.converged
         _write_csv(
             os.path.join(cfg.output_dir, f"potential_{tag}.csv"),
             _header(cfg, "potentials"),
-            ("R", "V", "branch", "converged", "residual"),
-            rows,
+            {"R": curve.R_grid, "V": np.where(ok, curve.V, math.nan),
+             "branch": [branch.value] * ok.size, "converged": ok,
+             "residual": np.where(ok, curve.residual, math.nan)},
         )
     if total and failures / total > 0.5:
         raise RuntimeError(f"solver failure rate {failures}/{total} exceeds 50%")
@@ -234,10 +241,7 @@ def cmd_spectrum(cfg: RunConfig, n_max: int, mass_ratio: float | None = None):
     spec = wkb.quantize_spectrum((1, n_max), nu0, cfg.wkb)
     if len(spec.levels) < 3:
         raise RuntimeError(f"only {len(spec.levels)} levels found below the cap")
-    rows = []
-    for i, (n, rho, e) in enumerate(spec.levels):
-        ratio = spec.levels[i + 1][2] / e if i + 1 < len(spec.levels) else None
-        rows.append((n, rho, e, ratio))
+    n, rho, e = zip(*spec.levels)
     rel_err = abs(spec.slope_fit / spec.slope_theory - 1.0)
     header = (
         _header(cfg, "spectrum")
@@ -248,8 +252,8 @@ def cmd_spectrum(cfg: RunConfig, n_max: int, mass_ratio: float | None = None):
     _write_csv(
         os.path.join(cfg.output_dir, "spectrum.csv"),
         header,
-        ("n", "rho_n", "E_n", "ratio_next"),
-        rows,
+        {"n": n, "rho_n": rho, "E_n": e,
+         "ratio_next": [e1 / e0 for e0, e1 in zip(e, e[1:])] + [None]},
     )
     return spec
 
@@ -264,19 +268,19 @@ def cmd_resonances(cfg: RunConfig, n_max: int, k: float | None = None):
         raise ConfigError(f"--k must be finite and positive, got {k!r}")
     nu0 = cfg.nu0_value
     table = scattering.resonance_positions((1, n_max), nu0)
-    columns = ["n", "a1_n_exact", "a1_n_asymptotic", "A0_midpoint"]
+    rows = table.rows
+    columns = {"n": [row.n for row in rows],
+               "a1_n_exact": [row.a1_exact for row in rows],
+               "a1_n_asymptotic": [row.a1_asymptotic for row in rows],
+               "A0_midpoint": [row.A0_midpoint for row in rows]}
     if k is not None:
-        columns.append("sigma0_at_k")
-    rows = []
-    for row in table.rows:
-        out = [row.n, row.a1_exact, row.a1_asymptotic, row.A0_midpoint]
-        if k is not None:
-            sigma = (
+        sigma = []
+        for row in rows:
+            sigma.append(
                 scattering.cross_section(k, row.A0_midpoint)
                 if math.isfinite(row.A0_midpoint)
                 else None
             )
-            out.append(sigma)
             if math.isfinite(row.a1_exact):
                 r1 = scattering.r1_range(row.a1_exact)
                 if k * r1 >= 0.1:
@@ -285,12 +289,11 @@ def cmd_resonances(cfg: RunConfig, n_max: int, k: float | None = None):
                         "the low-energy cross-section form is unreliable there",
                         file=sys.stderr,
                     )
-        rows.append(tuple(out))
+        columns["sigma0_at_k"] = sigma
     _write_csv(
         os.path.join(cfg.output_dir, "resonances.csv"),
         _header(cfg, "resonances"),
-        tuple(columns),
-        rows,
+        columns,
     )
     return table
 
@@ -312,13 +315,11 @@ def cmd_wavefunction(cfg: RunConfig, branch: str, sign: int, separation: float,
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     vals = potentials.light_wavefunction(branch, sign, root.xi, separation, pts, params)
-    rows = [(p[0], p[1], v if not math.isnan(v) else None) for p, v in zip(pts, vals)]
     name = f"wavefunction_{branch}{'_plus' if sign > 0 else '_minus'}.csv"
     _write_csv(
         os.path.join(cfg.output_dir, name),
         _header(cfg, "wavefunction") + f"\n# kappa = {_fmt(root.xi)} at R = {_fmt(separation)}",
-        ("x", "y", "psi"),
-        rows,
+        {"x": pts[:, 0], "y": pts[:, 1], "psi": vals},
     )
     return root
 

@@ -3,10 +3,12 @@
 Brent, Ridders and adaptive Simpson work on scalar functions and need only
 the standard library.  The bracket scan ``scan_sign_changes`` evaluates its
 function once over a whole stack of grids as a numpy array (several
-functions may share one grid) and returns every bracket of every row, and
-``refine_brackets`` narrows many brackets at once, one array evaluation per
-step.  ``brent`` and ``refine_brackets`` close a bracket by one rule: at
-adjacent doubles or an exact zero, keeping the end with the smaller |f|.
+functions may share one grid) and returns every bracket of every row; its
+grids (``scan_grid``) are numpy expressions, built with np.log and np.exp
+over the whole stack at once.  ``refine_brackets`` narrows many brackets at
+once, one array evaluation per step.  ``brent`` and ``refine_brackets``
+close a bracket by one rule: at adjacent doubles or an exact zero, keeping
+the end with the smaller |f|.
 """
 
 from __future__ import annotations
@@ -92,20 +94,19 @@ def scan_grid(lo, hi, n=200, *, log=True):
     """The (rows, n) array of scan grids over [lo, hi], one row per element
     of lo and hi broadcast together (scalars give one row).
 
-    Log grid points are exp(ln lo + (ln hi - ln lo) i/(n - 1)) as math.exp
-    and math.log give them (numpy's exp can differ in the last bit).
+    Log grid points are np.exp(ln lo + (ln hi - ln lo) i/(n - 1)), with
+    np.log for the logarithms.  Each element is computed from its own row's
+    ends only, so a row's points do not depend on the other rows: a point
+    solve and the sweep row at the same ends scan the same grid.
     """
-    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
-                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    lo = np.asarray(lo, dtype=float).reshape(-1, 1)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 1)
     if not log:
-        return lo[:, None] + (hi - lo)[:, None] * np.arange(n) / (n - 1)
+        return lo + (hi - lo) * np.arange(n) / (n - 1)
     if not np.all(lo > 0):
         raise ValueError("log-spaced scan needs lo > 0")
-    llo = np.array([math.log(v) for v in lo.tolist()])[:, None]
-    lhi = np.array([math.log(v) for v in hi.tolist()])[:, None]
-    exponent = llo + (lhi - llo) * np.arange(n) / (n - 1)
-    return np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
-                       exponent.size).reshape(exponent.shape)
+    llo, lhi = np.log(lo), np.log(hi)
+    return np.exp(llo + (lhi - llo) * np.arange(n) / (n - 1))
 
 
 def scan_sign_changes(f, lo, hi, n=200, *, log=True) -> Brackets:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from planar3b import cli
@@ -65,6 +66,43 @@ def test_config_hash_stable():
     other = cli.default_config()
     other.nu0 = 77.0
     assert other.config_hash() != cli.default_config().config_hash()
+
+
+# ------------------------------------------------------------- CSV writer
+
+# the text that the row-wise writer of earlier versions produced for these
+# columns (value by value; the commands passed numpy bools through bool())
+_GOLDEN_CSV = """# golden
+list_float,array_float,bool,numpy_bool,int,int_array,branch
+,,true,false,0,-3,s+
+,-0,false,true,-7,-2,II-
+-0,4.9406564584124654e-324,true,false,9223372036854775808,-1,I0
+4.9406564584124654e-324,-inf,true,false,42,0,asym
+inf,1e+308,false,true,1,1,s-
+1e+308,0.10000000000000001,false,true,100000000000000000000,2,II+
+0.10000000000000001,0.10000000000000001,true,false,-1,3,I-
+0.10000000000000001,0.33333333333333331,false,true,3,4,II0
+"""
+
+
+def test_write_csv_golden_text(tmp_path):
+    path = tmp_path / "new" / "golden.csv"
+    cli._write_csv(str(path), "# golden", {
+        "list_float": [None, math.nan, -0.0, 5e-324, math.inf, 1e308, 0.1, np.float64(0.1)],
+        "array_float": np.array([np.nan, -0.0, 5e-324, -np.inf, 1e308, 0.1, 0.1, 1 / 3]),
+        "bool": [True, False, True, True, False, False, True, False],
+        "numpy_bool": np.array([False, True, False, False, True, True, False, True]),
+        "int": [0, -7, 2 ** 63, np.int64(42), 1, 10 ** 20, -1, 3],
+        "int_array": np.arange(-3, 5),
+        "branch": ["s+", "II-", "I0", "asym", "s-", "II+", "I-", "II0"],
+    })
+    assert path.read_bytes() == _GOLDEN_CSV.encode()
+
+
+def test_write_csv_without_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    cli._write_csv(str(path), "# empty", {"R": np.array([]), "V": []})
+    assert path.read_bytes() == b"# empty\nR,V\n"
 
 
 # ------------------------------------------------------------- commands

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from planar3b import potentials as P
 from planar3b.errors import ConvergenceError, NoRealRootError, NotABracketError
 from planar3b.numerics import (adaptive_simpson, brent, refine_brackets, ridders,
-                               scan_sign_changes)
+                               scan_grid, scan_sign_changes)
 from planar3b.specfun import bessel_k
 from planar3b.twobody import TwoBodyParams
 
@@ -90,11 +90,29 @@ def test_scan_log_grid_matches_expression():
         return x - 0.3
 
     scan = scan_sign_changes(f, 1e-3, 1.0, n=50)
-    llo, lhi = math.log(1e-3), math.log(1.0)
-    grid = [math.exp(llo + (lhi - llo) * i / 49) for i in range(50)]
+    # the numpy expression, bit for bit: np.log of the ends, np.exp of the
+    # exponents (math.exp differs from np.exp in the last bit at some points)
+    llo, lhi = np.log([1e-3]), np.log([1.0])
+    grid = np.exp(llo + (lhi - llo) * np.arange(50) / 49).tolist()
     assert len(seen) == 1 and seen[0].tolist() == [grid]
     [(a, b)] = _pairs(scan)
     assert a < 0.3 < b and grid.index(a) + 1 == grid.index(b)
+
+
+_ENDS = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@given(ends=st.lists(st.tuples(_ENDS, _ENDS), min_size=1, max_size=40),
+       n=st.integers(2, 300), log=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_scan_grid_rows_do_not_depend_on_neighbours(ends, n, log):
+    # every row of a stacked grid equals, bit for bit, the grid of its own
+    # ends alone: a point solve scans what the sweep row at its R scans
+    lo, hi = np.array(ends).T
+    grid = scan_grid(lo, hi, n, log=log)
+    assert grid.shape == (len(ends), n)
+    for row, (a, b) in zip(grid.tolist(), ends):
+        assert row == scan_grid(a, b, n, log=log)[0].tolist()
 
 
 def test_scan_stack_brackets_match_single_scans():

@@ -295,11 +295,12 @@ def test_scan_and_brent_disagreement_does_not_abort(monkeypatch):
 
 
 def _scalar_scan_reference(f, lo, hi, n):
-    """The scan as a scalar loop, one f(x) per grid point."""
-    llo, lhi = math.log(lo), math.log(hi)
+    """The scan as a scalar loop, one f(x) per point of the numpy log grid
+    np.exp(ln lo + (ln hi - ln lo) i/(n - 1))."""
+    llo, lhi = np.log([lo]), np.log([hi])
+    grid = np.exp(llo + (lhi - llo) * np.arange(n) / (n - 1)).tolist()
     brackets, x_prev, f_prev = [], None, None
-    for i in range(n):
-        x = math.exp(llo + (lhi - llo) * i / (n - 1))
+    for x in grid:
         fx = f(x)
         if not math.isfinite(fx):
             x_prev = f_prev = None
@@ -352,6 +353,37 @@ def test_vectorized_scan_matches_scalar_loop(family, sign, a0, log10_a1, log10_R
     [(lo, hi, n, brackets)] = scans
     f = _scalar_pwave_residual(family, sign, R, params)
     assert brackets == _scalar_scan_reference(f, lo, hi, n)
+
+
+@given(family=st.sampled_from(["I", "II"]), sign=st.sampled_from([+1, -1]),
+       log10_R=st.lists(st.floats(0.05, 2.5), min_size=1, max_size=40), pick=st.integers(0))
+@settings(max_examples=25, deadline=None)
+def test_point_solve_scans_its_sweep_row(family, sign, log10_R, pick):
+    # the point solve at R scans, bit for bit, the grid of the sweep row at R
+    grid = 10.0 ** np.array(log10_R)
+    R = float(grid[pick % grid.size])
+    scans = []
+
+    def spy(f, lo, hi, n=200, *, log=True):
+        def record(x):
+            lows = np.broadcast_to(lo, x.shape[:1])
+            scans.extend((low, row) for low, row in zip(lows.tolist(), x.tolist()))
+            return f(x)
+        return scan(record, lo, hi, n, log=log)
+
+    scan = P.scan_sign_changes
+    solve = P.solve_pwave_I if family == "I" else P.solve_pwave_II
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(P, "scan_sign_changes", spy)
+        P.sweep_branch(P.Branch(family + "+-"[sign < 0]), PARAMS_100, grid)
+        sweep_rows = dict(scans)
+        scans.clear()
+        try:
+            solve(R, PARAMS_100, sign)
+        except NoRealRootError:
+            pass
+    [(low, row)] = scans
+    assert sweep_rows[low] == row
 
 
 # ------------------------------------------------------------------ unified
