@@ -8,8 +8,7 @@ the radial equation takes the form chi'' + Q(x) chi = 0 with
 
 W(x) = -e^{2x} V(e^x) (equal to 1/x for the shared asymptotic potential) and
 no first-derivative term, so the fourth-order Numerov recurrence applies
-directly.  Eigenvalues come from hard-wall shooting: a node-count bracket
-per level, then Ridders refinement of the wall value.  The outward
+directly.  Eigenvalues come from hard-wall shooting.  The outward
 integration is truncated once the solution has grown by e^35 inside the
 classically forbidden region, which shifts eigenvalues by ~e^-70 and keeps
 the recurrence inside double range (this also makes the levels independent
@@ -18,19 +17,32 @@ shot runs to its own truncation point, and its node count includes the
 cell there, so the count steps from k to k + 1 where the last value
 changes sign (node counting as in Johnson, J. Chem. Phys. 67 (1977) 4086).
 
-Each level has one bracket search.  It starts at the level's full-phase
-WKB energy, level n = k + 1 of ``quantize_spectrum`` with the inner wall at
-the window's start, or, without a usable seed (WKB fails or drops the
-level, and always in ``bound_states_1d``), at the top of the energy range.
-Shots step toward level k, 1e-3 of the seed first (1 from the top) and
+Each level is found by Cooley's energy correction (Math. Comp. 15 (1961)
+363).  A correction shot sweeps outward from the wall to the outer turning
+point m and inward from the truncation point (where chi = 0) back to m,
+scales the inward part to meet the outward one, and turns the Numerov
+residual of the matched function at m into a first-order energy step.  The
+steps converge quadratically, and the level is eps plus the first step of
+at most 1e-10 |eps|.  The matched function's node count labels every step:
+it must read k for level k.  The corrections start at the level's
+full-phase WKB energy, level n = k + 1 of ``quantize_spectrum`` with the
+inner wall at the window's start, which on a window from r1 lies within
+1e-5 to 1e-3 of the level; a level then takes about 3 correction shots,
+and a 2-level solve at the benchmark's (nu0, a1) 6 of them.  A level
+without a usable seed (WKB fails or drops the level, and always in
+``bound_states_1d``), or whose steps read another count or leave the
+energy range, falls back to a node-count bracket: shots step toward level
+k from the seed (1e-3 of it first, 1 from the top of the range) and
 doubling, until the count changes side of k, and bisection on counts
-narrows the bracket until its ends read k and k + 1 and it is at most 1e-3
-wide relative to its ends.  Ridders then refines the value at the lower
-end's truncation point, which every shot inside the bracket reaches, so
-each evaluation is one memoized shot.  On a window from r1 the seed is
-within 0.1% of the level for nu0 >= 30, and a 2-level solve at the
-benchmark's (nu0, a1) takes 15-17 shots.  From R = e the seeds are 8-70%
-off and the same search takes more steps.
+narrows the bracket to 1e-3 relative.  The corrections then restart from
+its midpoint and stay inside it; a step that would leave it, or reads
+another count, narrows it by Johnson's count (the matched node count, plus
+one where the correction is negative, is the number of levels below eps)
+and the next shot is its midpoint.  The zero-energy shot that counts the
+levels of the window runs over the whole grid; it is taken only for such
+a fallback, since levels 0..k-1 found with their own counts below the top
+are all there by Sturm's theorem.  From R = e the seeds are 15-320% off,
+and levels there go through the bracket.
 
 A window that starts at R = r1 puts the hard wall on the 1/x singularity of
 Q at x = 0.  There the shot starts from the regular series
@@ -55,7 +67,8 @@ every step.  On the benchmark's spectra shots that took a step from
 renormalisations against overflow are replayed on the array afterwards and
 nodes are counted with numpy, so the values are bit for bit those of a
 step-by-step array loop.  The truncation point is found by summing the
-forbidden action only as far as the cap (``_ShootingProblem._cap_index``).
+forbidden action only as far as the cap, and the matching point is where
+that forbidden run begins (``_ShootingProblem._cap_index``).
 """
 
 from __future__ import annotations
@@ -67,7 +80,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StepSizeError
-from .numerics import ridders
+# perfbench/layers.py traces radial.ridders (numerics.ridders_* metrics);
+# the name stays bound until the counters module of ROADMAP item 2 lands
+from .numerics import ridders  # noqa: F401
 from .specfun import bessel_j, bessel_y
 from .wkb import WkbConfig, langer_w, quantize_spectrum
 
@@ -76,6 +91,7 @@ _CAP_PIECE = 1024
 _RENORM_LIMIT = 1e250
 _STEP_LIMIT = 60
 _BISECT_LIMIT = 200
+_CORRECTION_LIMIT = 60
 
 
 @dataclass
@@ -213,22 +229,26 @@ def _start(wall, eps, h):
 
 
 class _ShootingProblem:
-    """Hard-wall shooting on a fixed x grid for Q(x; eps) families.
+    """Hard-wall shooting on a fixed x grid for Q(x; eps) = eps w(x) + v(x).
 
-    wall is the strength g of a g/x singularity of Q at x[0], or None for a
-    regular start.  Every shot runs to the cap index of its own forbidden
-    action and is memoized by eps.
+    w = dQ/deps is e^{2x} for the Langer problem and 1 for
+    ``bound_states_1d``.  wall is the strength g of a g/x singularity of Q
+    at x[0], or None for a regular start.  Every plain shot (``shoot``)
+    runs to the cap index of its own forbidden action and is memoized by
+    eps; correction shots (``correct``) are not memoized.
     """
 
-    def __init__(self, x, q_of_eps, wall=None):
+    def __init__(self, x, w, v, wall=None):
         self.x = x
         self.h = float(x[1] - x[0])
-        self.q_of_eps = q_of_eps
+        self.w = w
+        self.v = v
         self.wall = wall
         self.shots = {}
 
     def _cap_index(self, q):
-        """First index past which the forbidden-region action exceeds the cap.
+        """(m, cap): the outer turning point m and the first index past which
+        the forbidden-region action exceeds the cap.
 
         The action sums sqrt(-q) h over a run of negative q and starts again
         from zero on the next run.  A run is summed in pieces of _CAP_PIECE
@@ -236,7 +256,9 @@ class _ShootingProblem:
         element, and the sum stops at the piece that crosses the cap.
         np.cumsum adds in order, so the sums and the index are bit for bit
         those of one cumsum over the whole run, which is often several times
-        longer than the stretch before the cap.
+        longer than the stretch before the cap.  m is the first index of
+        the run that holds the cap (the last index of the grid when no run
+        reaches it), or cap - 1 when q is not negative there.
         """
         neg = q < 0.0
         bounds = [0, *(np.flatnonzero(neg[1:] != neg[:-1]) + 1).tolist(), len(q)]
@@ -250,8 +272,10 @@ class _ShootingProblem:
                 np.cumsum(action, out=action)
                 total = float(action[-1])
                 if total > _FORBIDDEN_ACTION_CAP:
-                    return a + int(np.searchsorted(action, _FORBIDDEN_ACTION_CAP, side="right"))
-        return len(q) - 1
+                    cap = a + int(np.searchsorted(action, _FORBIDDEN_ACTION_CAP, side="right"))
+                    return lo, cap
+        cap = len(q) - 1
+        return (bounds[-2] if neg[cap] else cap - 1), cap
 
     def shoot(self, eps):
         """(nodes, values) of the shot at eps up to its cap index.
@@ -262,12 +286,37 @@ class _ShootingProblem:
         """
         shot = self.shots.get(eps)
         if shot is None:
-            q = self.q_of_eps(eps)
-            end = max(self._cap_index(q), 3)
+            q = eps * self.w + self.v
+            end = max(self._cap_index(q)[1], 3)
             y1, qy0 = _start(self.wall, eps, self.h)
             y, nodes, _ = _numerov_sweep(q[: end + 1], self.h, 0.0, y1, qy0=qy0)
             shot = self.shots[eps] = nodes, y
         return shot
+
+    def correct(self, eps):
+        """(nodes, delta) of Cooley's matched shot at eps.
+
+        An outward sweep from the wall to the turning point m and an inward
+        one from the cap index (y = 0 there) back to m, scaled to meet at m,
+        give the matched function y and its node count.  With
+        Y = (1 + h^2 Q/12) y, the Numerov residual at m,
+        R_m = Y_{m+1} - 2 Y_m + Y_{m-1} + h^2 Q_m y_m, vanishes at a level,
+        and delta = -y_m R_m / (h^2 sum w y^2) is the first-order energy
+        correction (Cooley, Math. Comp. 15 (1961) 363).
+        """
+        q = eps * self.w + self.v
+        m, end = self._cap_index(q)
+        end = max(end, 3)
+        m = min(max(m, 2), end - 1)
+        y1, qy0 = _start(self.wall, eps, self.h)
+        out, n_out, _ = _numerov_sweep(q[: m + 1], self.h, 0.0, y1, qy0=qy0)
+        inw, n_in, _ = _numerov_sweep(q[end:m - 1:-1], self.h, 0.0, self.h)
+        y = np.concatenate((out, (out[-1] / inw[-1]) * inw[-2::-1]))
+        t = (self.h * self.h / 12.0) * q[m - 1:m + 2]
+        ym = y[m]
+        r = (1.0 + t[2]) * y[m + 1] + (1.0 + t[0]) * y[m - 1] - (2.0 - 10.0 * t[1]) * ym
+        norm = float(np.dot(self.w[: end + 1], y * y))
+        return n_out + n_in, -float(ym * r) / (self.h * self.h * norm)
 
 
 def _bracket(shoot, k, start, step, eps_hi):
@@ -300,47 +349,83 @@ def _bracket(shoot, k, start, step, eps_hi):
     raise ConvergenceError(f"level {k} not isolated in {_BISECT_LIMIT} bisections")
 
 
+def _settle(correct, k, eps, rtol, lo, hi, bracketed):
+    """Level k by Cooley corrections from eps, stopping once a correction
+    is at most rtol |eps| and returning eps plus that correction.
+
+    Every step must read k nodes and stay inside (lo, hi).  From a seed
+    (bracketed False, hi = eps_hi) a step that does not returns None, and
+    so does the iteration cap.  Inside a count bracket such a step narrows
+    the bracket by Johnson's count (nodes, plus one where the correction is
+    negative, is the number of levels below eps) and the next shot is its
+    midpoint; a settled step with another count breaks the node theorem.
+    """
+    for _ in range(_CORRECTION_LIMIT):
+        nodes, delta = correct(eps)
+        settled = abs(delta) <= rtol * abs(eps)  # NaN is not
+        if nodes == k and settled:
+            return eps + delta
+        if nodes == k and lo < eps + delta < hi:
+            eps += delta
+        elif not bracketed:
+            return None
+        elif settled:
+            raise ConvergenceError(f"node theorem violated: level {k} converged with {nodes} nodes")
+        else:
+            if nodes + (delta < 0.0) <= k:
+                lo = eps
+            else:
+                hi = eps
+            eps = 0.5 * (lo + hi)
+    if bracketed:
+        raise ConvergenceError(f"level {k} not settled in {_CORRECTION_LIMIT} corrections")
+    return None
+
+
 def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e-10,
                 seeds=()):
-    """Hard-wall levels below eps_hi by shooting: a node-count bracket per
-    level, then Ridders refinement of the wall value.
+    """Hard-wall levels below eps_hi by Cooley's matched-shot correction
+    (``_ShootingProblem.correct``), with the node-count bracket as its
+    safeguard.
 
     Only eigenvalues below eps_hi are reported (eps_hi = 0 restricts to
-    bound states of the radial problem).  Level k (k nodes) is bracketed by
-    ``_bracket`` from seeds[k], first step 1e-3 |seeds[k]|, or from eps_hi,
-    first step 1, when there is no usable seed (none, NaN, or not below
-    eps_hi).  Ridders then runs on the wall value at the cap index of the
-    bracket's lower end, read from the memoized shots.  A seed close to its
-    level (as full-phase WKB is on a window from r1) needs one shot and one
-    or two step shots per level before the bisection.
+    bound states of the radial problem).  Level k (k nodes) is corrected
+    from seeds[k] until a correction is at most rtol |eps| (``_settle``);
+    on a window from r1 full-phase WKB seeds take about 3 correction shots
+    per level.  A level with no usable seed (none, NaN, or not below
+    eps_hi), or whose corrections read a count other than k, leave eps_hi
+    or settle at or above it, is bracketed by ``_bracket`` from its seed,
+    first step 1e-3 |seed|, or from eps_hi, first step 1, and corrected
+    again from the bracket's midpoint inside it.  The shot at eps_hi, which
+    counts the levels below it, is taken only then; when every requested
+    level settles below eps_hi with its own count, Sturm's theorem already
+    says they are all there.
 
-    Raises ConvergenceError when a level is not bracketed or the converged
-    level breaks the node theorem.
+    Raises ConvergenceError when a level is not bracketed, does not settle
+    or breaks the node theorem.
     """
-    total = problem.shoot(eps_hi)[0]
+    total = None
     energies = []
-    for k in range(min(k_levels, total)):
+    for k in range(k_levels):
         start = seeds[k] if k < len(seeds) else math.nan
         step = 1e-3 * abs(start)
-        if not start < eps_hi:  # NaN fails too
+        eps_k = None
+        if start < eps_hi:  # NaN fails
+            eps_k = _settle(problem.correct, k, start, rtol, -math.inf, eps_hi, False)
+            if eps_k is not None and not eps_k < eps_hi:
+                eps_k = None
+        else:
             start, step = eps_hi, 1.0
-        lo, hi = _bracket(problem.shoot, k, start, step, eps_hi)
-        end = len(problem.shoot(lo)[1]) - 1
-
-        def wall(eps):
-            return problem.shoot(eps)[1][end]
-
-        eps_k = ridders(wall, lo, hi, rtol=rtol)
-        # node theorem: the count steps k -> k+1 at the eigenvalue, so the
-        # converged shot must sit on that transition
-        n_k = problem.shoot(eps_k)[0]
-        if n_k not in (k, k + 1):
-            raise ConvergenceError(
-                f"node theorem violated: level {k} converged with {n_k} nodes"
-            )
+        if eps_k is None:
+            if total is None:
+                total = problem.shoot(eps_hi)[0]
+            if k >= total:
+                break
+            lo, hi = _bracket(problem.shoot, k, start, step, eps_hi)
+            eps_k = _settle(problem.correct, k, 0.5 * (lo + hi), rtol, lo, hi, True)
         energies.append(eps_k)
     return BoundStates(energies=energies, nodes=list(range(len(energies))),
-                       complete=k_levels <= total)
+                       complete=len(energies) == k_levels)
 
 
 def _uniform_grid(x_lo, x_hi, h):
@@ -380,12 +465,7 @@ def _langer_setup(potential, nu0, window, h):
 def _numerov_problem(potential, nu0, window, h):
     """The shooting problem of ``bound_states_numerov`` in eps = nu0 E."""
     x, vx, wall = _langer_setup(potential, nu0, window, h)
-    e2x = np.exp(2.0 * x)
-
-    def q_of_eps(eps):
-        return eps * e2x + vx
-
-    return _ShootingProblem(x, q_of_eps, wall)
+    return _ShootingProblem(x, np.exp(2.0 * x), vx, wall)
 
 
 def _check_levels(k_levels):
@@ -436,11 +516,7 @@ def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundS
     _check_finite("window[1]", window[1])
     x = _uniform_grid(window[0], window[1], h)
     u = np.array([u_of_x(xi) for xi in x])
-
-    def q_of_eps(eps):
-        return eps - u
-
-    problem = _ShootingProblem(x, q_of_eps)
+    problem = _ShootingProblem(x, np.ones_like(x), -u)
     eps_hi = 1.0
     for _ in range(200):
         if problem.shoot(eps_hi)[0] >= k_levels:

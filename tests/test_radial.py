@@ -238,6 +238,11 @@ def _count_shots(monkeypatch):
     return shots
 
 
+#: grid points summed over every sweep of one 2-level solve at the centre
+#: pairs, with a count bracket and Ridders refinement per level
+_BRACKET_RIDDERS_POINTS = {(50.0, 100.0): 25318, (100.0, 320.0): 20756, (200.0, 1000.0): 14055}
+
+
 @pytest.mark.parametrize("nu0, a1", [(50.0, 100.0), (100.0, 320.0), (200.0, 1000.0)])
 def test_two_level_shots_bounded(monkeypatch, nu0, a1):
     # around each (nu0, a1) of the benchmark's spectra workload, where
@@ -249,6 +254,19 @@ def test_two_level_shots_bounded(monkeypatch, nu0, a1):
             res = radial.bound_states_numerov(U, nu0 * f_nu0, (1.0, scattering.r1_range(a1 * f_a1)), 2)
             assert res.complete and res.nodes == [0, 1]
             assert len(shots) <= 25, (nu0 * f_nu0, a1 * f_a1)
+            if f_nu0 == f_a1 == 1.0:
+                # Cooley's corrections sweep each level's window about three
+                # times and take no zero-energy shot over the whole grid
+                assert sum(shots) <= 0.6 * _BRACKET_RIDDERS_POINTS[nu0, a1]
+
+
+def test_settled_seeds_take_no_zero_energy_shot(monkeypatch):
+    shots = _count_shots(monkeypatch)
+    window = (1.0, scattering.r1_range(100.0))
+    res = radial.bound_states_numerov(U, 50.0, window, 2)
+    assert res.complete and res.nodes == [0, 1]
+    n_grid = len(radial._numerov_problem(U, 50.0, window, None).x)
+    assert shots and max(shots) < n_grid
 
 
 @settings(max_examples=12, deadline=None)
@@ -263,6 +281,45 @@ def test_seeded_levels_match_bisection(nu0, a1, k, start):
     assert seeded.nodes == plain.nodes
     assert seeded.complete == plain.complete
     np.testing.assert_allclose(seeded.energies, [e / nu0 for e in plain.energies], rtol=1e-9)
+
+
+def _bisection_levels(nu0, window, k):
+    """eps = nu0 E of the first min(k, count) levels by bisection on plain
+    shot node counts alone, each to 1e-12 relative."""
+    problem = radial._numerov_problem(U, nu0, window, None)
+
+    def count(eps):
+        return problem.shoot(eps)[0]
+
+    floor = -1.0
+    while count(floor) > 0:
+        floor *= 2.0
+    levels = []
+    for j in range(min(k, count(0.0))):
+        lo, hi = (levels[-1] if levels else floor), 0.0
+        while hi - lo > 1e-12 * abs(hi):
+            mid = 0.5 * (lo + hi)
+            if count(mid) <= j:
+                lo = mid
+            else:
+                hi = mid
+        levels.append(0.5 * (lo + hi))
+    return levels
+
+
+@settings(max_examples=12, deadline=None)
+@given(nu0=st.floats(5.0, 300.0), a1=st.floats(30.0, 3000.0), k=st.integers(1, 3),
+       start=st.sampled_from([1.0, math.e]))
+@example(nu0=50.0, a1=100.0, k=2, start=1.0)
+@example(nu0=20.0, a1=30.0, k=3, start=math.e)
+def test_levels_match_count_bisection(nu0, a1, k, start):
+    # an independent reference: node counts only, no correction and no seed
+    window = (start, scattering.r1_range(a1))
+    res = radial.bound_states_numerov(U, nu0, window, k)
+    want = _bisection_levels(nu0, window, k)
+    assert res.nodes == list(range(len(res.energies)))
+    assert len(res.energies) == len(want)
+    np.testing.assert_allclose(res.energies, [e / nu0 for e in want], rtol=1e-9)
 
 
 def test_bad_seeds_fall_back_to_bisection():
@@ -327,15 +384,20 @@ def test_bad_level_count_rejected(k_levels):
 
 
 class _StubProblem:
-    """Shots from given functions of eps: the node count, and the wall value
-    as a one-point shot."""
+    """Shots from given functions of eps: the node count of a plain shot,
+    and the (nodes, correction) pair of a matched shot."""
 
-    def __init__(self, nodes, wall):
+    def __init__(self, nodes, correction):
         self.nodes = nodes
-        self.wall = wall
+        self.correction = correction
+        self.corrections = 0
 
     def shoot(self, eps):
-        return self.nodes(eps), [self.wall(eps)]
+        return self.nodes(eps), []
+
+    def correct(self, eps):
+        self.corrections += 1
+        return self.correction(eps)
 
 
 def _one_level_at(e0):
@@ -343,18 +405,39 @@ def _one_level_at(e0):
 
 
 def test_stub_problem_level():
-    res = radial._eigensolve(_StubProblem(_one_level_at(-1.0), lambda eps: eps + 1.0), 1)
+    # Newton's correction for exp(eps + 1) - 1, which vanishes at eps = -1
+    problem = _StubProblem(_one_level_at(-1.0), lambda eps: (0, math.expm1(-(eps + 1.0))))
+    res = radial._eigensolve(problem, 1)
     assert res.complete and res.nodes == [0]
     assert res.energies[0] == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_node_theorem_violation_is_convergence_error():
-    # the counts bracket a level at -0.7, but the shot at the converged
-    # energy has three nodes
-    problem = _StubProblem(lambda eps: 3 if abs(eps + 0.7) < 1e-12 else int(eps > -0.7),
-                           lambda eps: eps + 0.7)
+    # the counts bracket a level at -0.7, but the matched shot at the
+    # converged energy has three nodes
+    problem = _StubProblem(_one_level_at(-0.7),
+                           lambda eps: (3 if abs(eps + 0.7) < 1e-12 else 0, -0.7 - eps))
     with pytest.raises(ConvergenceError, match="node theorem"):
         radial._eigensolve(problem, 1)
+
+
+def test_unsettled_correction_is_convergence_error():
+    # the correction jumps across the level at -0.7 by 1e-7 forever: the
+    # seeded corrections give up, and so do those inside the count bracket
+    problem = _StubProblem(_one_level_at(-0.7),
+                           lambda eps: (0, 1e-7 if eps < -0.7 else -1e-7))
+    with pytest.raises(ConvergenceError, match="not settled"):
+        radial._eigensolve(problem, 1, seeds=[-0.7 + 5e-8])
+    assert problem.corrections == 2 * radial._CORRECTION_LIMIT
+
+
+def test_seeded_stub_takes_no_shot():
+    shots = []
+    problem = _StubProblem(lambda eps: shots.append(eps) or int(eps > -1.0),
+                           lambda eps: (0, math.expm1(-(eps + 1.0))))
+    res = radial._eigensolve(problem, 1, seeds=[-1.2])
+    assert res.complete and res.nodes == [0] and not shots
+    assert res.energies[0] == pytest.approx(-1.0, rel=1e-12)
 
 
 # ------------------------------------------------------------- sweep kernel
@@ -489,7 +572,7 @@ def _reference_cap_index(q, h, cap=35.0):
 
 
 def _cap_index(q, h):
-    return radial._ShootingProblem(h * np.arange(len(q) + 1), lambda eps: q)._cap_index(q)
+    return radial._ShootingProblem(h * np.arange(len(q) + 1), None, None)._cap_index(q)[1]
 
 
 _q_runs = st.lists(
@@ -506,6 +589,21 @@ def test_cap_index_matches_loop(runs, h, seed):
     q = np.concatenate([(1.0 if allowed else -1.0) * scale * rng.uniform(0.1, 1.0, n)
                         for allowed, n, scale in runs])
     assert _cap_index(q, h) == _reference_cap_index(q, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=_q_runs, h=st.sampled_from([0.01, 0.05, 0.2]), seed=st.integers(0, 2**32 - 1))
+def test_turning_point_starts_the_capped_run(runs, h, seed):
+    # the matching point is where the run that holds the cap begins: the
+    # forbidden tail in which the shot stops
+    rng = np.random.default_rng(seed)
+    q = np.concatenate([(1.0 if allowed else -1.0) * scale * rng.uniform(0.1, 1.0, n)
+                        for allowed, n, scale in runs])
+    m, cap = radial._ShootingProblem(h * np.arange(len(q) + 1), None, None)._cap_index(q)
+    if q[cap] < 0.0:
+        assert np.all(q[m:cap + 1] < 0.0) and (m == 0 or q[m - 1] >= 0.0)
+    else:
+        assert cap == len(q) - 1 and m == cap - 1
 
 
 def _whole_run_cap_index(q, h, cap=35.0):
