@@ -75,7 +75,6 @@ class RunConfig:
             ("twobody.r0", self.twobody.r0),
             ("wkb.theta", self.wkb.theta),
             ("wkb.r_inner", self.wkb.R_inner),
-            ("wkb.quad_tol", self.wkb.quad_tol),
             ("wkb.phase_mode", self.wkb.phase_mode),
             ("wkb.r_max", self.wkb.R_max),
             ("sweep", None if self.sweep is None else
@@ -91,15 +90,37 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
+#: every INI key that load_config reads, by section
+_INI_KEYS = {
+    "masses": ("m", "M"),
+    "model": ("nu0",),
+    "twobody": ("a0", "a1", "a1_inv", "r0"),
+    "wkb": ("theta", "r_inner", "phase_mode", "r_max"),
+    "sweep": ("r_min", "r_max", "points", "log"),
+    "output": ("dir",),
+}
+
+
 def load_config(path: str | None) -> RunConfig:
+    """The run configuration of an INI file (the defaults for None); a
+    section or key outside _INI_KEYS is a ConfigError, not ignored."""
     cfg = default_config()
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # [masses] carries both m and M
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # no section header, a repeated key
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    for name, section in parser.items():  # [DEFAULT] first, which knows no key
+        if name not in _INI_KEYS and name != parser.default_section:
+            raise ConfigError(f"unknown section [{name}] in {path}")
+        for key in section:
+            if key not in _INI_KEYS.get(name, ()):
+                raise ConfigError(f"unknown key {key!r} in [{name}] of {path}")
     try:
         if parser.has_section("masses"):
             cfg.masses = MassConfig(
@@ -122,7 +143,6 @@ def load_config(path: str | None) -> RunConfig:
             cfg.wkb = WkbConfig(
                 theta=parser.getfloat("wkb", "theta", fallback=0.0),
                 R_inner=parser.getfloat("wkb", "r_inner", fallback=1.0),
-                quad_tol=parser.getfloat("wkb", "quad_tol", fallback=1e-10),
                 phase_mode=parser.get("wkb", "phase_mode", fallback="approx"),
                 R_max=parser.getfloat("wkb", "r_max", fallback=1e150),
             )

@@ -1,10 +1,9 @@
 """Acceptance checks shared by ``planar3b validate`` and the test suite.
 
-Each check pins its own physics parameters and tolerances; the run
-configuration only contributes environmental knobs (quadrature tolerance,
-output directory).  Special-function checks compare against frozen
-arbitrary-precision reference tables (``_refvals``), so the installed
-package validates without any extra dependency.
+Each check pins its own physics parameters and tolerances and reads nothing
+from the run configuration it is passed.  Special-function checks compare
+against frozen arbitrary-precision reference tables (``_refvals``), so the
+installed package validates without any extra dependency.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import logging
 import math
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,13 +26,13 @@ _UNIFIED = potentials.UnifiedPotential()
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    module: str
     passed: bool
     detail: str
+    module: str = ""  # filled in by run_checks from CHECKS
 
 
-def _result(name, module, passed, detail):
-    return CheckResult(name=name, module=module, passed=bool(passed), detail=detail)
+def _result(name, passed, detail):
+    return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
 # ----------------------------------------------------------------- criterion 1
@@ -59,7 +58,7 @@ def check_specfun_oracle(cfg) -> CheckResult:
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt < 1.0
     return _result(
-        "specfun_oracle", "specfun", ok,
+        "specfun_oracle", ok,
         f"350 frozen oracle points, worst rel err {worst:.2e} at {worst_at}, {dt:.2f} s",
     )
 
@@ -90,7 +89,7 @@ def check_swave_branches(cfg) -> CheckResult:
     dt = time.perf_counter() - t0
     ok = worst_small <= 0.03 and worst_large <= 0.03 and no_root_ok and repulsive and dt < 5.0
     return _result(
-        "swave_branches", "potentials", ok,
+        "swave_branches", ok,
         f"small-R dev {worst_small:.3%}, large-R dev {worst_large:.3%}, "
         f"'-' no-root below a0: {no_root_ok}, repulsive: {repulsive}, {dt:.2f} s",
     )
@@ -116,7 +115,7 @@ def check_pwave_closed_forms(cfg) -> CheckResult:
     ) / abs(potentials.v_unified(1e6))
     ok = max(dev_i) <= 0.05 and max(dev_ii) <= 0.05 and mono and merge < 0.1
     return _result(
-        "pwave_closed_forms", "potentials", ok,
+        "pwave_closed_forms", ok,
         f"max dev I {max(dev_i):.3%}, II {max(dev_ii):.3%}, monotone: {mono}, "
         f"merge metric at 1e6: {merge:.3f}",
     )
@@ -167,7 +166,7 @@ def check_determinant_consistency(cfg) -> CheckResult:
                     count += 1
     ok = count >= 100 and worst <= 1e-8
     return _result(
-        "determinant_consistency", "potentials", ok,
+        "determinant_consistency", ok,
         f"{count} converged roots sampled, worst |det| = {worst:.2e} "
         f"({skipped} ill-conditioned points excluded)",
     )
@@ -188,7 +187,7 @@ def check_spectrum_law(cfg) -> CheckResult:
     dt = time.perf_counter() - t0
     ok = slope_err <= 0.02 and ratio_err <= 0.03 and dt < 10.0
     return _result(
-        "spectrum_law", "wkb", ok,
+        "spectrum_law", ok,
         f"slope rel err {slope_err:.2e}, ratio-law err (n>=10) {ratio_err:.2e}, {dt:.2f} s",
     )
 
@@ -207,7 +206,7 @@ def check_wkb_vs_numerov(cfg) -> CheckResult:
     deep_ok = len(devs) == 3 and max(devs) < 0.15
     ok = count_ok and deep_ok
     return _result(
-        "wkb_vs_numerov", "radial_oracle", ok,
+        "wkb_vs_numerov", ok,
         f"count {cnt} vs N_b {nb:.3f} (round {round(nb)}); deepest-3 max dev "
         f"{max(devs):.3%}" if devs else "no levels found",
     )
@@ -216,22 +215,22 @@ def check_wkb_vs_numerov(cfg) -> CheckResult:
 # ----------------------------------------------------------------- criterion 7
 
 def check_phi_correction(cfg) -> CheckResult:
-    quad_tol = cfg.wkb.quad_tol
     nu0 = 500.0
-    phi = wkb.phi_correction(2.0, 1e4, nu0, quad_tol)
+    chain_bound = 2e-10
+    phi = wkb.phi_correction(2.0, 1e4, nu0)
     asym_dev = abs(phi * math.sqrt(1e4 / nu0) - (1.0 - math.log(2.0)))
     chain_worst = 0.0
     for x_eps in (1e2, 1e4):
         for x in (2.0, x_eps / 2.0):
             full = wkb.wkb_phase_langer(x, x_eps, nu0, _UNIFIED.langer_w, 0.0)
             approx = 2.0 * math.sqrt(nu0) * (math.sqrt(x_eps) - math.sqrt(x))
-            corr = wkb.phi_correction(x, x_eps, nu0, quad_tol)
+            corr = wkb.phi_correction(x, x_eps, nu0)
             chain_worst = max(chain_worst, abs(full - (approx - corr)))
-    ok = asym_dev <= 1e-3 and chain_worst <= 2.0 * quad_tol
+    ok = asym_dev <= 1e-3 and chain_worst <= chain_bound
     return _result(
-        "phi_correction", "wkb", ok,
+        "phi_correction", ok,
         f"asymptote dev {asym_dev:.2e} (<=1e-3), chain worst {chain_worst:.2e} "
-        f"(<= {2.0 * quad_tol:.1e})",
+        f"(<= {chain_bound:.1e})",
     )
 
 
@@ -255,7 +254,7 @@ def check_numerov_exact_solution(cfg) -> CheckResult:
     ratio = errs[0] / errs[1]
     ok = rms <= 1e-6 and 12.0 <= ratio <= 20.0
     return _result(
-        "numerov_exact_solution", "radial_oracle", ok,
+        "numerov_exact_solution", ok,
         f"RMS {rms:.2e} at h=1e-3; halving error ratio {ratio:.1f}",
     )
 
@@ -276,7 +275,7 @@ def check_resonance_series(cfg) -> CheckResult:
     at_integer = abs(scattering.atom_molecule_A0(a1_int, 100.0) / scattering.r1_range(a1_int) - 1.0)
     ok = round_trip <= 1e-12 and abs(asym_ratio - 1.0) <= 0.10 and diverges and at_integer < 1e-9
     return _result(
-        "resonance_series", "scattering", ok,
+        "resonance_series", ok,
         f"round-trip {round_trip:.1e}, asymptotic ratio {asym_ratio:.4f}, "
         f"diverges at a1^(n): {diverges}, A0=R1 at integer N_b dev {at_integer:.1e}",
     )
@@ -347,36 +346,27 @@ def check_figure_shapes(cfg) -> CheckResult:
 
     ok = not problems
     return _result(
-        "figure_shapes", "cli_io", ok,
+        "figure_shapes", ok,
         "all curve shapes reproduced" if ok else "; ".join(problems),
     )
 
 
-ALL_CHECKS = (
-    check_specfun_oracle,
-    check_swave_branches,
-    check_pwave_closed_forms,
-    check_determinant_consistency,
-    check_spectrum_law,
-    check_wkb_vs_numerov,
-    check_phi_correction,
-    check_numerov_exact_solution,
-    check_resonance_series,
-    check_figure_shapes,
+#: (module, check) in the order ``planar3b validate`` prints them
+CHECKS = (
+    ("specfun", check_specfun_oracle),
+    ("potentials", check_swave_branches),
+    ("potentials", check_pwave_closed_forms),
+    ("potentials", check_determinant_consistency),
+    ("wkb", check_spectrum_law),
+    ("radial_oracle", check_wkb_vs_numerov),
+    ("wkb", check_phi_correction),
+    ("radial_oracle", check_numerov_exact_solution),
+    ("scattering", check_resonance_series),
+    ("cli_io", check_figure_shapes),
 )
 
-_MODULE_OF = {
-    "check_specfun_oracle": "specfun",
-    "check_swave_branches": "potentials",
-    "check_pwave_closed_forms": "potentials",
-    "check_determinant_consistency": "potentials",
-    "check_spectrum_law": "wkb",
-    "check_wkb_vs_numerov": "radial_oracle",
-    "check_phi_correction": "wkb",
-    "check_numerov_exact_solution": "radial_oracle",
-    "check_resonance_series": "scattering",
-    "check_figure_shapes": "cli_io",
-}
+# perfbench/reference.py times the checks one by one through this name
+ALL_CHECKS = tuple(check for _, check in CHECKS)
 
 
 def run_checks(cfg, only: str | None = None) -> list:
@@ -390,17 +380,15 @@ def run_checks(cfg, only: str | None = None) -> list:
     level = sweep_log.level
     sweep_log.setLevel(logging.ERROR)
     try:
-        for fn in ALL_CHECKS:
-            module = _MODULE_OF[fn.__name__]
+        for module, fn in CHECKS:
             if only is not None and module != only:
                 continue
             try:
-                results.append(fn(cfg))
+                result = fn(cfg)
             except Exception as exc:  # a crashed check is a failed check
-                results.append(
-                    _result(fn.__name__.removeprefix("check_"), module, False,
-                            f"raised {type(exc).__name__}: {exc}")
-                )
+                result = _result(fn.__name__.removeprefix("check_"), False,
+                                 f"raised {type(exc).__name__}: {exc}")
+            results.append(replace(result, module=module))
     finally:
         sweep_log.setLevel(level)
     return results

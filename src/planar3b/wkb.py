@@ -14,7 +14,8 @@ substitutions, which leave smooth integrands; these are summed on a fixed
 32-node Gauss-Legendre rule (DLMF 3.5(v)), three panels per phase, so the
 phases of many turning points are one array expression and full-phase
 quantization solves for all levels at once with ``refine_brackets``.  The
-energy correction Phi (``phi_correction``) keeps adaptive Simpson.
+energy correction Phi (``phi_correction``) is summed on the same rule, so
+no WKB quantity has a tolerance to set.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NoTurningPointError
-from .numerics import adaptive_simpson, brent, refine_brackets
+from .numerics import brent, refine_brackets
+# perfbench/layers.py traces wkb.adaptive_simpson (numerics.simpson_*
+# metrics); the name stays bound until the counters module of ROADMAP
+# item 2 lands
+from .numerics import adaptive_simpson  # noqa: F401
 from .potentials import UnifiedPotential
 
 _DEF_POTENTIAL = UnifiedPotential()
@@ -34,15 +39,13 @@ _DEF_POTENTIAL = UnifiedPotential()
 
 @dataclass(frozen=True)
 class WkbConfig:
-    """Short-range phase theta (|theta| <= pi), inner matching radius, and
-    the absolute tolerance quad_tol of ``phi_correction`` (also the bound of
-    validate's phi chain check; the full phase uses a fixed rule and has no
-    tolerance); phase_mode selects the quantization phase ('approx' =
-    energy-free closed form, 'full' = quadrature)."""
+    """Short-range phase theta (|theta| <= pi), inner matching radius
+    R_inner, outer search limit R_max, and phase_mode, the quantization
+    phase ('approx' = energy-free closed form, 'full' = the fixed
+    Gauss-Legendre quadrature, which has no tolerance)."""
 
     theta: float = 0.0
     R_inner: float = 1.0
-    quad_tol: float = 1e-10
     phase_mode: str = "approx"
     R_max: float = 1e150
 
@@ -54,8 +57,6 @@ class WkbConfig:
             raise DomainError("R_inner must be finite and >= r1 = 1")
         if not self.R_max > self.R_inner:
             raise DomainError("R_max must exceed R_inner")
-        if not 0 < self.quad_tol < math.inf:
-            raise DomainError("quad_tol must be finite and positive")
         if self.phase_mode not in ("approx", "full"):
             raise DomainError("phase_mode must be 'approx' or 'full'")
 
@@ -224,54 +225,55 @@ def wkb_phase_approx(R: float, R_E: float, nu0: float, theta: float) -> float:
     return 2.0 * math.sqrt(nu0) * (math.sqrt(math.log(R_E)) - math.sqrt(math.log(R))) + theta
 
 
-def phi_correction(x: float, x_eps: float, nu0: float, quad_tol: float = 1e-10) -> float:
+def phi_correction(x: float, x_eps: float, nu0: float) -> float:
     """Energy correction Phi to the WKB phase,
 
     Phi = sqrt(nu0/x_eps) * int_0^{x_eps - x}
           sqrt(1 - s/x_eps) e^{-2s} / (1 + sqrt(1 - (1 - s/x_eps) e^{-2s})) ds,
 
-    which tends to (1 - ln 2) sqrt(nu0/x_eps) as x_eps -> infinity.
+    which tends to (1 - ln 2) sqrt(nu0/x_eps) as x_eps -> infinity, summed
+    on the full phase's 32-node rule in panels at most 10 wide.
     """
     # written so that NaN fails every check
     if not 0 < x < x_eps < math.inf:
         raise DomainError("need 0 < x < x_eps < inf")
-    if not (0.0 < nu0 < math.inf and 0.0 < quad_tol < math.inf):
-        raise DomainError(f"need finite nu0 > 0 and quad_tol > 0, got {nu0}, {quad_tol}")
-
-    def integrand(s, a):
-        # a = 1 - s/x_eps, passed in so that the end piece keeps its digits
-        decay = math.exp(-2.0 * s)
-        inner = 1.0 - a * decay
-        if inner < 0.0:
-            inner = 0.0
-        return math.sqrt(a) * decay / (1.0 + math.sqrt(inner))
-
-    def middle(s):
-        return integrand(s, 1.0 - s / x_eps)
-
+    if not 0.0 < nu0 < math.inf:
+        raise DomainError(f"need finite nu0 > 0, got {nu0}")
     length = x_eps - x
-    cap = min(length, 40.0)  # e^{-80} tail is far below any tolerance here
-    pref = math.sqrt(nu0 / x_eps)
-    tol = quad_tol / (3.0 * max(pref, 1.0))  # a third for each of up to three pieces
+    cap = min(length, 40.0)  # the e^{-80} tail is far below double precision
     # where the range runs to s = length, sqrt(1 - s/x_eps) falls to
     # sqrt(x/x_eps) at its end, a near square-root end point once x << x_eps;
     # the upper half of such a range goes in v = sqrt(x_eps - s)
     s_end = 0.5 * cap if cap == length else cap
-    # sqrt(s) behavior at s = 0: quadratic substitution on [0, min(1, s_end)]
     s0 = min(1.0, s_end)
-
-    def head(t):
-        return 2.0 * t * middle(t * t)
-
-    def end(v):
-        return 2.0 * v * integrand(x_eps - v * v, v * v / x_eps)
-
-    total, _ = adaptive_simpson(head, 0.0, math.sqrt(s0), tol)
-    if s_end > s0:
-        total += adaptive_simpson(middle, s0, s_end, tol)[0]
-    if cap > s_end:
-        total += adaptive_simpson(end, math.sqrt(x), math.sqrt(x_eps - s_end), tol)[0]
-    return pref * total
+    n_mid = math.ceil((s_end - s0) / 10.0)
+    mid = (s_end - s0) / max(n_mid, 1)
+    # panels (start, width): the head in t = sqrt(s) (sqrt(s) behaviour at
+    # s = 0), the middle in s, the end in v, of width sqrt(x_eps - s_end) -
+    # sqrt(x) written without cancellation (zero where the range stops at
+    # the cap)
+    sqrt_x = math.sqrt(x)
+    v_width = s_end / (math.sqrt(x_eps - s_end) + sqrt_x) if cap > s_end else 0.0
+    lo = np.array([0.0, *(s0 + i * mid for i in range(n_mid)), sqrt_x])
+    width = np.array([math.sqrt(s0), *[mid] * n_mid, v_width])
+    t, weights = _phase_rule()
+    d = width[:, None] * t
+    u = lo[:, None] + d  # (panel, node)
+    s = u.copy()
+    s[0] = u[0] * u[0]
+    # s = length - (v^2 - x) and a = v^2/x_eps keep their digits where
+    # x_eps - v^2 and 1 - s/x_eps would cancel
+    s[-1] = length - d[-1] * (sqrt_x + u[-1])
+    a = 1.0 - s / x_eps
+    a[-1] = u[-1] * u[-1] / x_eps
+    jac = np.ones_like(u)
+    jac[[0, -1]] = 2.0 * u[[0, -1]]
+    decay = np.exp(-2.0 * s)
+    # 1 - a e^{-2s} as a sum of two positive terms, which does not cancel
+    # near s = 0
+    inner = (s / x_eps) * decay - np.expm1(-2.0 * s)
+    f = jac * np.sqrt(a) * decay / (1.0 + np.sqrt(inner))
+    return math.sqrt(nu0 / x_eps) * float(f @ weights @ width)
 
 
 def _full_phase_roots(targets, nu0, w, x_inner, x_cap):

@@ -13,7 +13,8 @@ import pytest
 from planar3b import validation
 from planar3b.cli import default_config
 
-_NAMES = [fn.__name__.removeprefix("check_") for fn in validation.ALL_CHECKS]
+_CHECKS = [check for _, check in validation.CHECKS]
+_NAMES = [check.__name__.removeprefix("check_") for check in _CHECKS]
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,7 @@ def cfg():
     return default_config()
 
 
-@pytest.mark.parametrize("check", validation.ALL_CHECKS, ids=_NAMES)
+@pytest.mark.parametrize("check", _CHECKS, ids=_NAMES)
 def test_acceptance(check, cfg):
     result = check(cfg)
     status = "PASS" if result.passed else "FAIL"
@@ -30,8 +31,9 @@ def test_acceptance(check, cfg):
 
 
 def test_registry_covers_all_modules(cfg):
-    modules = {validation._MODULE_OF[fn.__name__] for fn in validation.ALL_CHECKS}
+    modules = {module for module, _ in validation.CHECKS}
     assert {"specfun", "potentials", "wkb", "radial_oracle", "scattering", "cli_io"} <= modules
+    assert validation.ALL_CHECKS == tuple(_CHECKS)
 
 
 def test_validation_leaves_potentials_log_level_alone(cfg):
@@ -46,7 +48,8 @@ def test_validation_leaves_potentials_log_level_alone(cfg):
     level = log.level
     try:
         log.setLevel(logging.DEBUG)
-        assert validation.run_checks(cfg, only="specfun")[0].passed
+        (result,) = validation.run_checks(cfg, only="specfun")
+        assert result.passed and result.module == "specfun"
         assert log.level == logging.DEBUG
     finally:
         log.setLevel(level)

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -289,21 +290,65 @@ def test_cli_bad_model_nu0_exit_2(tmp_path, capsys, nu0):
     assert not out.exists()
 
 
-def test_cli_validate_corrupted_tolerance(tmp_path):
-    ini = tmp_path / "bad_tol.ini"
-    ini.write_text("[wkb]\nquad_tol = 1.0\n")
-    r = run_cli(["validate", "--config", str(ini), "--only", "wkb"])
-    assert r.returncode == 1
-    assert "phi_correction" in r.stdout and "FAIL" in r.stdout
+def test_cli_validate_coarse_phase_rule(monkeypatch, capsys):
+    # on an 8-node rule the full phase and Phi no longer meet the closed
+    # form to 2e-10, and the phi chain check fails
+    from planar3b import wkb
+
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    monkeypatch.setattr(wkb, "_phase_rule", lambda: (0.5 * (nodes + 1.0), 0.5 * weights))
+    assert cli.main(["validate", "--only", "wkb"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("phi_correction") and "FAIL" in line for line in lines)
+    assert any(line.startswith("spectrum_law") and "PASS" in line for line in lines)
 
 
 def test_cli_infinite_quad_tol_exit_2(tmp_path):
-    # an infinite tolerance is a configuration error, not a failed check
+    # the retired Phi tolerance is an unknown key, whatever its value
     ini = tmp_path / "inf_tol.ini"
     ini.write_text("[wkb]\nquad_tol = inf\n")
     r = run_cli(["validate", "--config", str(ini), "--only", "wkb"])
     assert r.returncode == 2, r.stdout + r.stderr
-    assert "invalid configuration" in r.stderr
+    assert "unknown key 'quad_tol' in [wkb]" in r.stderr
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[twobody]\na_0 = 5.0\n", "unknown key 'a_0' in [twobody]"),
+    ("[wbk]\ntheta = 0.5\n", "unknown section [wbk]"),
+    ("[wkb]\nR_inner = 2.0\n", "unknown key 'R_inner' in [wkb]"),
+    ("[DEFAULT]\na0 = 5.0\n", "unknown key 'a0' in [DEFAULT]"),
+], ids=["key", "section", "key-case", "default-section"])
+def test_load_config_rejects_unknown_names(tmp_path, capsys, text, named):
+    # a misspelt section or key would otherwise run with the defaults
+    ini = tmp_path / "typo.ini"
+    ini.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        cli.load_config(str(ini))
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", str(ini), "--output", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["a0 = 5.0\n", "[wkb]\ntheta = 0.1\ntheta = 0.2\n"],
+                         ids=["no-section", "repeated-key"])
+def test_malformed_config_exit_2(tmp_path, capsys, text):
+    ini = tmp_path / "malformed.ini"
+    ini.write_text(text)
+    assert cli.main(["spectrum", "--config", str(ini), "--output", str(tmp_path)]) == 2
+    assert "malformed config file" in capsys.readouterr().err
+
+
+def test_readme_ini_example_loads(tmp_path):
+    # the README's INI block names only keys that load_config reads, so a
+    # retired key cannot stay in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    ini = tmp_path / "readme.ini"
+    ini.write_text(blocks[0])
+    cfg = cli.load_config(str(ini))
+    assert cfg.nu0_value == 500.0 and cfg.output_dir == "out"
 
 
 def test_cli_full_mode_spectrum_deterministic(tmp_path):

@@ -260,6 +260,31 @@ def test_two_level_shots_bounded(monkeypatch, nu0, a1):
                 assert sum(shots) <= 0.6 * _BRACKET_RIDDERS_POINTS[nu0, a1]
 
 
+def test_count_bracket_shot_budget_from_e(monkeypatch):
+    # from R = e the WKB seeds are 15-320% off and every level goes through
+    # the count bracket, which Johnson's count narrows inside _settle; a
+    # bisection on plain-shot counts to 1e-3 relative first took 17.8 plain
+    # shots and 22.0 shots in all per level on these windows
+    problems, corrections = [], []
+    solve, correct = radial._eigensolve, radial._ShootingProblem.correct
+    monkeypatch.setattr(radial, "_eigensolve",
+                        lambda problem, *args, **kw: problems.append(problem)
+                        or solve(problem, *args, **kw))
+    monkeypatch.setattr(radial._ShootingProblem, "correct",
+                        lambda self, eps: corrections.append(eps) or correct(self, eps))
+    levels = 0
+    for nu0 in (20.0, 50.0, 100.0, 200.0, 300.0):
+        for a1 in (30.0, 300.0, 3000.0):
+            window = (math.e, scattering.r1_range(a1))
+            res = radial.bound_states_numerov(U, nu0, window, 3)
+            assert res.nodes == list(range(len(res.energies)))
+            levels += len(res.energies)
+    plain = sum(len(problem.shots) for problem in problems)
+    assert levels == 39
+    assert plain <= 12 * levels
+    assert plain + len(corrections) <= 18 * levels
+
+
 def test_settled_seeds_take_no_zero_energy_shot(monkeypatch):
     shots = _count_shots(monkeypatch)
     window = (1.0, scattering.r1_range(100.0))

@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planar3b import wkb
+from planar3b import numerics, wkb
 from planar3b.errors import DomainError, NoTurningPointError
 from planar3b.potentials import UnifiedPotential
 
@@ -93,12 +94,11 @@ def test_phi_positive_and_sqrt_convergent():
 @pytest.mark.parametrize("x_eps", [1e2, 1e4])
 def test_phi_chain_reconciles_full_and_approx(x_eps):
     nu0 = 500.0
-    quad_tol = 1e-10
     for x in (2.0, 10.0, x_eps / 2.0):
         full = wkb.wkb_phase_langer(x, x_eps, nu0, U.langer_w, 0.0)
         approx = 2.0 * math.sqrt(nu0) * (math.sqrt(x_eps) - math.sqrt(x))
-        phi = wkb.phi_correction(x, x_eps, nu0, quad_tol)
-        assert abs(full - (approx - phi)) <= 2.0 * quad_tol
+        phi = wkb.phi_correction(x, x_eps, nu0)
+        assert abs(full - (approx - phi)) <= 2e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,13 +106,12 @@ def test_phi_chain_reconciles_full_and_approx(x_eps):
        nu0=st.floats(1.0, 1e4))
 def test_phase_chain_identity(x_eps, frac, nu0):
     # for W = 1/x the full phase is exactly the closed form minus Phi
-    quad_tol = 1e-10
     x = frac * x_eps
     assume(0.0 < x < x_eps)
     full = wkb.wkb_phase_langer(x, x_eps, nu0, U.langer_w, 0.0)
     approx = 2.0 * math.sqrt(nu0) * (math.sqrt(x_eps) - math.sqrt(x))
-    phi = wkb.phi_correction(x, x_eps, nu0, quad_tol)
-    assert abs(full - (approx - phi)) <= 2.0 * quad_tol + 1e-13 * abs(full)
+    phi = wkb.phi_correction(x, x_eps, nu0)
+    assert abs(full - (approx - phi)) <= 2e-10 + 1e-13 * abs(full)
 
 
 @pytest.mark.parametrize("nu0, x_eps", [(50.0, 1e7), (1e4, 1e7)])
@@ -162,6 +161,45 @@ def test_phi_domain():
         wkb.phi_correction(5.0, 5.0, 100.0)
     with pytest.raises(DomainError):
         wkb.phi_correction(-1.0, 5.0, 100.0)
+
+
+def _phi_mpmath(x, x_eps, nu0):
+    """Phi at 30 digits, by mpmath's tanh-sinh rule over the unsubstituted
+    integral (the tail beyond s = 60 is below e^-120)."""
+    with mp.workdps(30):
+        x, x_eps, nu0 = mp.mpf(x), mp.mpf(x_eps), mp.mpf(nu0)
+        top = min(x_eps - x, mp.mpf(60))
+
+        def f(s):
+            a = 1 - s / x_eps
+            decay = mp.exp(-2 * s)
+            return mp.sqrt(a) * decay / (1 + mp.sqrt(1 - a * decay))
+
+        points = [mp.mpf(0), *(p for p in (1, 2, 4, 8, 16, 32) if p < top), top]
+        return float(mp.sqrt(nu0 / x_eps) * mp.quad(f, points))
+
+
+@pytest.mark.parametrize("x_eps", [0.05, 0.5, 3.0, 20.0, 80.0, 1e3, 1e8, 1e300])
+@pytest.mark.parametrize("frac", [1e-15, 1e-6, 0.3, 0.99, 0.9999])
+def test_phi_matches_mpmath(x_eps, frac):
+    # x << x_eps puts a near square-root end point at s = x_eps - x; x near
+    # x_eps makes the end piece in v a sliver next to sqrt(x), where
+    # x_eps - v^2 would cancel
+    for nu0 in (1.0, 500.0):
+        want = _phi_mpmath(frac * x_eps, x_eps, nu0)
+        got = wkb.phi_correction(frac * x_eps, x_eps, nu0)
+        assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+def test_phi_takes_no_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive_simpson called")
+
+    monkeypatch.setattr(numerics, "adaptive_simpson", refuse)
+    monkeypatch.setattr(wkb, "adaptive_simpson", refuse)
+    assert wkb.phi_correction(2.0, 1e4, 500.0) == pytest.approx(
+        (1.0 - math.log(2.0)) * math.sqrt(500.0 / 1e4), rel=2e-4)
+    assert wkb.phi_correction(1e-130, 0.5, 1.0) > 0.0
 
 
 # ------------------------------------------------------------- quantization
@@ -292,10 +330,11 @@ def test_config_validation():
     with pytest.raises(DomainError):
         wkb.WkbConfig(phase_mode="other")
     for kw in ({"theta": math.nan}, {"R_inner": math.nan}, {"R_inner": math.inf},
-               {"quad_tol": math.nan}, {"quad_tol": math.inf}, {"R_max": math.nan},
-               {"R_max": 0.5}):
+               {"R_max": math.nan}, {"R_max": 0.5}):
         with pytest.raises(DomainError):
             wkb.WkbConfig(**kw)
+    with pytest.raises(TypeError):  # Phi has no tolerance left to set
+        wkb.WkbConfig(quad_tol=1e-10)
 
 
 def test_quantize_spectrum_rejects_bad_nu0():
@@ -327,7 +366,7 @@ def test_quantize_spectrum_rejects_bad_nu0():
     lambda: wkb.phi_correction(2.0, 1e4, math.nan),
     lambda: wkb.phi_correction(2.0, 1e4, -1.0),
     lambda: wkb.phi_correction(2.0, math.inf, 10.0),
-    lambda: wkb.phi_correction(2.0, 1e4, 10.0, math.nan),
+    lambda: wkb.phi_correction(2.0, 1e4, math.inf),
 ])
 def test_wkb_rejects_bad_inputs(call):
     with pytest.raises(DomainError):
