@@ -37,11 +37,14 @@ class SweepConfig:
     points: int = 400
     log: bool = True
 
-    def grid(self) -> np.ndarray:
+    def __post_init__(self):
         if self.points < 2:
-            raise ConfigError("sweep needs at least 2 points")
-        if not 0 < self.r_min < self.r_max:
-            raise ConfigError("sweep needs 0 < r_min < r_max")
+            raise ConfigError(f"sweep needs at least 2 points, got {self.points}")
+        if not 0.0 < self.r_min < self.r_max < math.inf:  # NaN fails too
+            raise ConfigError("sweep needs 0 < r_min < r_max < inf, got "
+                              f"r_min = {self.r_min}, r_max = {self.r_max}")
+
+    def grid(self) -> np.ndarray:
         if self.log:
             return np.logspace(math.log10(self.r_min), math.log10(self.r_max), self.points)
         return np.linspace(self.r_min, self.r_max, self.points)

@@ -21,9 +21,13 @@ import numpy as np
 from .errors import ConvergenceError, NotABracketError, QuadratureError
 
 _EPS = 2.220446049250313e-16
+#: iteration caps of ``brent`` and ``refine_brackets``: past them brent
+#: raises ConvergenceError and refine_brackets returns each better end
+_BRENT_MAXITER = 120
+_REFINE_MAXITER = 200
 
 
-def brent(f, a, b, *, maxiter=120):
+def brent(f, a, b):
     """Root of f on the sign-change interval [a, b] by Brent's method, to
     adjacent doubles.
 
@@ -38,7 +42,7 @@ def brent(f, a, b, *, maxiter=120):
         raise NotABracketError(f"not a bracket: f({a})={fa}, f({b})={fb}")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -74,7 +78,7 @@ def brent(f, a, b, *, maxiter=120):
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
-    raise ConvergenceError(f"brent: no convergence after {maxiter} iterations")
+    raise ConvergenceError(f"brent: no convergence after {_BRENT_MAXITER} iterations")
 
 
 class Brackets(NamedTuple):
@@ -131,7 +135,7 @@ def scan_sign_changes(f, lo, hi, n=200, *, log=True) -> Brackets:
     return Brackets(row, x[grid, i], x[grid, i + 1], v[row, i], v[row, i + 1], fx)
 
 
-def refine_brackets(f, a, b, fa, fb, *, maxiter=200):
+def refine_brackets(f, a, b, fa, fb):
     """Roots of f on many brackets at once, each to adjacent doubles.
 
     f(x, rows) evaluates the function of each bracket listed in the index
@@ -153,7 +157,7 @@ def refine_brackets(f, a, b, fa, fb, *, maxiter=200):
     moved = np.zeros(a.shape, dtype=np.int8)  # -1: a moved last step, +1: b
     width = np.full((3,) + a.shape, math.inf)  # widths at the last three steps
     lost = np.zeros(a.shape, dtype=bool)
-    for _ in range(maxiter):
+    for _ in range(_REFINE_MAXITER):
         mid = 0.5 * (a + b)
         rows = np.flatnonzero((mid > a) & (mid < b) & (fa != 0.0) & (fb != 0.0) & ~lost)
         if rows.size == 0:
@@ -186,19 +190,6 @@ def refine_brackets(f, a, b, fa, fb, *, maxiter=200):
     fx = np.where(keep_a, fa, fb)
     x[lost] = fx[lost] = math.nan
     return x, fx
-
-
-def expand_bracket_up(f, lo, hi0, *, factor=2.0, maxiter=200):
-    """Grow [lo, hi] upward by `factor` until f changes sign across it."""
-    flo = f(lo)
-    hi = hi0
-    for _ in range(maxiter):
-        fhi = f(hi)
-        if flo == 0.0 or flo * fhi <= 0.0:
-            return lo, hi
-        lo, flo = hi, fhi
-        hi *= factor
-    raise ConvergenceError("no sign change found while expanding bracket")
 
 
 def adaptive_simpson(f, a, b, tol, *, max_depth=48):

@@ -18,10 +18,16 @@ root (``_kept_brackets``).  A single point (``solve_swave``,
 with scalar Brent.  A sweep (``sweep_branches``) solves all the branches
 asked for on one grid as one bracket table: the p-wave branches add the
 brackets they keep from one shared R x xi sign map (K0 and K1 are evaluated
-once per scan window), the s-wave branches the brackets they grow for all R
-at once, and one array regula falsi (``refine_brackets``) closes every row
-of the table at adjacent doubles, one K0/K1 evaluation per step.  A row
+once per scan window), the s-wave branches the point solver's brackets for
+all R at once, and one array regula falsi (``refine_brackets``) closes every
+row of the table at adjacent doubles, one K0/K1 evaluation per step.  A row
 that misses the residual bound stays unconverged.
+
+The s+ bracket is closed form (``_splus_bracket``): with c = 2 e^-gamma R/a0
+it is [max(1 + 1e-15, 1/(2 sqrt(c))), max(2, 2/sqrt(c))], from the two
+inequalities K0(z) < ln(4/z) for z < 2 and, by the power series of K0
+(DLMF 10.31.2), K0(z) >= ln(2/z) - gamma for z < 1/4.  The s- bracket is
+(1e-280, 1 - ulp).
 
 The same zeros are reachable through the block determinants of the
 six-coefficient linear system (``determinant_residual``), which is the
@@ -43,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NoRealRootError, NotABracketError
-from .numerics import brent, expand_bracket_up, refine_brackets, scan_sign_changes
+from .numerics import brent, refine_brackets, scan_sign_changes
 from .specfun import EULER_GAMMA, bessel_k, bessel_k01
 from .twobody import TwoBodyParams, dimer_energies, pole_minimum, t_matrix
 
@@ -76,9 +82,6 @@ PWAVE_BRANCHES = {
 #: sweep's sign map (chunks keep the K kernel's temporaries small)
 _N_SCAN = 200
 _SWEEP_CHUNK = 16
-#: doublings of the s+ bracket up from xi = 2: the root is about
-#: (R/a0)^-1/2, below 2^540 for every positive double R/a0
-_SPLUS_DOUBLINGS = 1100
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,21 @@ def _check_R(R, name="R"):
 # s-wave branches (units: R/a0 and V/|eps0|)
 # --------------------------------------------------------------------------
 
+def _splus_bracket(c):
+    """The s+ bracket (lo, hi) of K0(c xi) = ln xi, for a float or an
+    array c = 2 e^-gamma R/a0 > 0.
+
+    hi = max(2, 2/sqrt(c)): for c >= 1, K0(2c) <= K0(2) < ln 2; below,
+    z = 2 sqrt(c) < 2 and K0(z) < ln(4/z) = ln hi.  lo = max(1 + 1e-15,
+    1/(2 sqrt(c))): for c < 1/4, z = sqrt(c)/2 and the power series of K0
+    (DLMF 10.31.2) gives K0(z) >= ln(2/z) - gamma > ln(1/(4z)) = ln lo.
+    K0 decreases, so the root lies within a factor 4 of either end; where
+    K0(c lo) has underflowed at lo = 1 + 1e-15 the root is pinned to 1.
+    """
+    root_c = np.sqrt(c)
+    return np.maximum(1.0 + 1e-15, 0.5 / root_c), np.maximum(2.0, 2.0 / root_c)
+
+
 def solve_swave(R_over_a0: float, sign: int) -> RootResult:
     """Root of K0((2 e^-gamma R/a0) xi) = sign * ln(xi).
 
@@ -134,10 +152,9 @@ def solve_swave(R_over_a0: float, sign: int) -> RootResult:
         def f(xi):
             return bessel_k(0, c * xi) - math.log(xi)
 
-        lo = 1.0 + 1e-15
+        lo, hi = (float(end) for end in _splus_bracket(c))
         if f(lo) <= 0.0:  # K0 underflowed; root is pinned to xi = 1
             return RootResult(xi=1.0, residual=f(lo), bracket=(1.0, lo), converged=True)
-        lo, hi = expand_bracket_up(f, lo, 2.0, maxiter=_SPLUS_DOUBLINGS)
     else:
         def f(xi):
             return bessel_k(0, c * xi) + math.log(xi)
@@ -578,8 +595,8 @@ def _swave_brackets(sign, R):
     """The brackets of ``solve_swave`` at every R/a0 of the array R at once:
     the rows with a root and their brackets (rows, a, b, fa, fb).
 
-    The brackets grow for all rows together, s+ doubling up from 2 as
-    ``expand_bracket_up`` does and s- on (1e-280, 1 - ulp).  The point
+    The brackets are the point solver's, for all rows together: s+ the
+    closed-form ``_splus_bracket``, s- (1e-280, 1 - ulp).  The point
     solver's closed-form roots, s+ pinned at 1 and s- within an ulp of 1,
     are closed brackets [xi, xi] that carry the point solver's residual.
     """
@@ -587,34 +604,24 @@ def _swave_brackets(sign, R):
     f = _table_function({0: _swave_residual(sign)}, np.zeros(len(R), dtype=int), c)
     if sign == +1:
         rows = np.flatnonzero(R > 0.0)
-        lo = np.full(rows.size, 1.0 + 1e-15)
-        flo = f(lo, rows)
-        hi, fhi = np.full(rows.size, 2.0), flo.copy()
+        lo, hi = _splus_bracket(c[rows])
+        flo, fhi = f(lo, rows), f(hi, rows)
         pinned = flo <= 0.0  # K0 underflowed; root is pinned to xi = 1
         lo[pinned] = hi[pinned] = 1.0
-        grow = np.flatnonzero(~pinned)
-        for _ in range(_SPLUS_DOUBLINGS):
-            if grow.size == 0:
-                break
-            fhi[grow] = f(hi[grow], rows[grow])
-            grow = grow[~((flo[grow] == 0.0) | (flo[grow] * fhi[grow] <= 0.0))]
-            lo[grow], flo[grow] = hi[grow], fhi[grow]
-            hi[grow] *= 2.0
-        keep = np.ones(rows.size, dtype=bool)
-        keep[grow] = False  # no sign change within the doublings: no root
-    else:
-        # f(0+) -> -ln(R/a0): no sign change (hence no real root) for R <= a0
-        rows = np.flatnonzero(R > 1.0)
-        hi = np.full(rows.size, math.nextafter(1.0, 0.0))
-        fhi = f(hi, rows)
-        near = fhi < 0.0
-        # root within an ulp of 1: asymptotically xi = 1 - K0(c)
-        lo = np.full(rows.size, 1e-280)
-        lo[near] = hi[near] = 1.0 - bessel_k01(c[rows[near]])[0]
-        fhi[near] = f(hi[near], rows[near])
-        flo = fhi.copy()
-        flo[~near] = f(lo[~near], rows[~near])
-        keep = near | ~(flo > 0.0)
+        fhi[pinned] = flo[pinned]
+        return rows, lo, hi, flo, fhi
+    # f(0+) -> -ln(R/a0): no sign change (hence no real root) for R <= a0
+    rows = np.flatnonzero(R > 1.0)
+    hi = np.full(rows.size, math.nextafter(1.0, 0.0))
+    fhi = f(hi, rows)
+    near = fhi < 0.0
+    # root within an ulp of 1: asymptotically xi = 1 - K0(c)
+    lo = np.full(rows.size, 1e-280)
+    lo[near] = hi[near] = 1.0 - bessel_k01(c[rows[near]])[0]
+    fhi[near] = f(hi[near], rows[near])
+    flo = fhi.copy()
+    flo[~near] = f(lo[~near], rows[~near])
+    keep = near | ~(flo > 0.0)
     return tuple(v[keep] for v in (rows, lo, hi, flo, fhi))
 
 
@@ -626,8 +633,8 @@ def sweep_branches(jobs, R_grid) -> dict:
     All branches of one call are one bracket table: each p-wave branch adds,
     like ``solve_pwave_I``/``solve_pwave_II`` at each point, its
     smallest-xi bracket from one shared R x xi sign map
-    (``_pwave_brackets``), each s-wave branch the brackets it grows for all
-    R at once (``_swave_brackets``), and one ``refine_brackets`` call closes
+    (``_pwave_brackets``), each s-wave branch its brackets for all R at
+    once (``_swave_brackets``), and one ``refine_brackets`` call closes
     every row; the asymptote is one array expression.  Points without a
     root, or whose residual misses 1e-10, carry converged = False, and
     those without a root V = NaN.
@@ -682,8 +689,8 @@ def sweep_branches(jobs, R_grid) -> dict:
             ok = inside.copy()
         multi = int((n_roots[j] > 1).sum())
         if multi:
-            log.warning("%s: %d of %d sweep points had extra roots; kept the "
-                        "smallest xi at each", branch.value, multi, len(grid))
+            log.info("%s: %d of %d sweep points had extra roots; kept the "
+                     "smallest xi at each", branch.value, multi, len(grid))
         curves[branch] = PotentialCurve(
             branch=branch,
             R_grid=grid,

@@ -92,6 +92,8 @@ _CAP_PIECE = 1024
 _RENORM_LIMIT = 1e250
 _STEP_LIMIT = 60
 _CORRECTION_LIMIT = 60
+#: a level settles once a Cooley correction is at most this times |eps|
+_SETTLE_RTOL = 1e-10
 
 
 @dataclass
@@ -338,9 +340,9 @@ def _bracket(shoot, k, start, step, eps_hi):
     raise ConvergenceError(f"level {k} not bracketed in {_STEP_LIMIT} steps from {start:g}")
 
 
-def _settle(correct, k, eps, rtol, lo, hi, bracketed):
+def _settle(correct, k, eps, lo, hi, bracketed):
     """Level k by Cooley corrections from eps, stopping once a correction
-    is at most rtol |eps| and returning eps plus that correction.
+    is at most _SETTLE_RTOL |eps| and returning eps plus that correction.
 
     Every step must read k nodes and stay inside (lo, hi).  From a seed
     (bracketed False, hi = eps_hi) a step that does not returns None, and
@@ -351,7 +353,7 @@ def _settle(correct, k, eps, rtol, lo, hi, bracketed):
     """
     for _ in range(_CORRECTION_LIMIT):
         nodes, delta = correct(eps)
-        settled = abs(delta) <= rtol * abs(eps)  # NaN is not
+        settled = abs(delta) <= _SETTLE_RTOL * abs(eps)  # NaN is not
         if nodes == k and settled:
             return eps + delta
         if nodes == k and lo < eps + delta < hi:
@@ -371,17 +373,16 @@ def _settle(correct, k, eps, rtol, lo, hi, bracketed):
     return None
 
 
-def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e-10,
-                seeds=()):
+def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, seeds=()):
     """Hard-wall levels below eps_hi by Cooley's matched-shot correction
     (``_ShootingProblem.correct``), with the node-count bracket as its
     safeguard.
 
     Only eigenvalues below eps_hi are reported (eps_hi = 0 restricts to
     bound states of the radial problem).  Level k (k nodes) is corrected
-    from seeds[k] until a correction is at most rtol |eps| (``_settle``);
-    on a window from r1 full-phase WKB seeds take about 3 correction shots
-    per level.  A level with no usable seed (none, NaN, or not below
+    from seeds[k] until a correction is at most _SETTLE_RTOL |eps|
+    (``_settle``); on a window from r1 full-phase WKB seeds take about 3
+    correction shots per level.  A level with no usable seed (none, NaN, or not below
     eps_hi), or whose corrections read a count other than k, leave eps_hi
     or settle at or above it, is bracketed by ``_bracket`` from its seed,
     first step 1e-3 |seed|, or from eps_hi, first step 1, and corrected
@@ -401,7 +402,7 @@ def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e
         step = 1e-3 * abs(start)
         eps_k = None
         if start < eps_hi:  # NaN fails
-            eps_k = _settle(problem.correct, k, start, rtol, -math.inf, eps_hi, False)
+            eps_k = _settle(problem.correct, k, start, -math.inf, eps_hi, False)
             if eps_k is not None and not eps_k < eps_hi:
                 eps_k = None
         else:
@@ -412,7 +413,7 @@ def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, rtol=1e
             if k >= total:
                 break
             lo, hi = _bracket(problem.shoot, k, start, step, eps_hi)
-            eps_k = _settle(problem.correct, k, 0.5 * (lo + hi), rtol, lo, hi, True)
+            eps_k = _settle(problem.correct, k, 0.5 * (lo + hi), lo, hi, True)
         energies.append(eps_k)
     return BoundStates(energies=energies, nodes=list(range(len(energies))),
                        complete=len(energies) == k_levels)

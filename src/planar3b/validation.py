@@ -8,7 +8,6 @@ installed package validates without any extra dependency.
 
 from __future__ import annotations
 
-import logging
 import math
 import tempfile
 import time
@@ -370,25 +369,15 @@ ALL_CHECKS = tuple(check for _, check in CHECKS)
 
 
 def run_checks(cfg, only: str | None = None) -> list:
-    """Run the acceptance suite; `only` filters by module name.
-
-    The checks' sweeps would log the known extra roots as warnings, so the
-    potentials logger is held at ERROR while they run.
-    """
+    """Run the acceptance suite; `only` filters by module name."""
     results = []
-    sweep_log = logging.getLogger("planar3b.potentials")
-    level = sweep_log.level
-    sweep_log.setLevel(logging.ERROR)
-    try:
-        for module, fn in CHECKS:
-            if only is not None and module != only:
-                continue
-            try:
-                result = fn(cfg)
-            except Exception as exc:  # a crashed check is a failed check
-                result = _result(fn.__name__.removeprefix("check_"), False,
-                                 f"raised {type(exc).__name__}: {exc}")
-            results.append(replace(result, module=module))
-    finally:
-        sweep_log.setLevel(level)
+    for module, fn in CHECKS:
+        if only is not None and module != only:
+            continue
+        try:
+            result = fn(cfg)
+        except Exception as exc:  # a crashed check is a failed check
+            result = _result(fn.__name__.removeprefix("check_"), False,
+                             f"raised {type(exc).__name__}: {exc}")
+        results.append(replace(result, module=module))
     return results

@@ -37,8 +37,7 @@ def test_registry_covers_all_modules(cfg):
 
 
 def test_validation_leaves_potentials_log_level_alone(cfg):
-    # importing the module changes no logger; run_checks lowers the sweep
-    # warnings only while it runs
+    # neither importing the module nor running the checks changes a logger
     code = ("import logging; log = logging.getLogger('planar3b.potentials'); "
             "log.setLevel(logging.INFO); import planar3b.validation; "
             "assert log.level == logging.INFO, log.level")

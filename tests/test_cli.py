@@ -62,6 +62,28 @@ def test_load_config_invalid_values(tmp_path):
         cli.load_config(str(path))
 
 
+@pytest.mark.parametrize("sweep, named", [
+    ("r_max = inf", "r_max = inf"), ("r_min = nan", "r_min = nan"),
+    ("r_min = 0.0", "r_min = 0.0"), ("r_min = 5.0\nr_max = 2.0", "r_min = 5.0"),
+    ("points = 1", "at least 2 points"),
+], ids=["inf", "nan", "zero", "reversed", "one-point"])
+@pytest.mark.parametrize("command", ["potentials", "spectrum", "resonances",
+                                     "wavefunction", "validate"])
+def test_bad_sweep_section_exit_2(tmp_path, capsys, sweep, named, command):
+    # [sweep] is checked when the INI is read, so every command stops with
+    # a configuration error, even one that never sweeps
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(f"[sweep]\n{sweep}\n")
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        cli.load_config(str(ini))
+    args = [command, "--config", str(ini)]
+    if command != "validate":
+        args += ["--output", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_stable():
     assert cli.default_config().config_hash() == cli.default_config().config_hash()
     other = cli.default_config()
@@ -208,17 +230,17 @@ def test_cli_byte_identical_outputs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_cli_jobs_keeps_sweep_warnings(tmp_path):
+def test_cli_jobs_writes_empty_stderr(tmp_path):
     # --jobs is accepted and ignored: both runs take the same in-process
-    # array solve, so they report the same extra-root warnings
+    # array solve, and the extra-root counts are logged at INFO, so a
+    # default run writes nothing to stderr
     stderr = []
     for jobs in ("1", "2"):
-        r = run_cli(["potentials", "--branch", "s+,I0", "--output", str(tmp_path / jobs),
-                     "--jobs", jobs])
+        r = run_cli(["potentials", "--branch", "s+,I+,II+,II-", "--output",
+                     str(tmp_path / jobs), "--jobs", jobs])
         assert r.returncode == 0, r.stderr
-        stderr.append(r.stderr.splitlines())
-    assert any("extra roots" in line for line in stderr[0])
-    assert stderr[1] == stderr[0]
+        stderr.append(r.stderr)
+    assert stderr == ["", ""]
 
 
 def test_cli_nan_config_values_exit_2(tmp_path):

@@ -213,7 +213,7 @@ def test_brent_returns_smaller_end_and_lower_on_tie():
 @pytest.mark.parametrize("R_over_a0", [1.0 + 36 * 2.0 ** -52, 1.0 + 1e-9, 1.001, 1.5, 30.0])
 def test_brent_closes_sminus_bracket(R_over_a0):
     # the s- point solve's widest bracket, (1e-280, 1 - ulp), closes to
-    # adjacent doubles within brent's default maxiter; just above R/a0 = 1
+    # adjacent doubles within brent's iteration cap; just above R/a0 = 1
     # the root lies near 4e-8, far below the bracket's midpoint
     c = 2.0 * math.exp(-0.5772156649015329) * R_over_a0
     calls = []

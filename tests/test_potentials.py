@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planar3b import potentials as P
@@ -71,7 +71,7 @@ def test_swave_residuals_tiny():
 
 
 def test_swave_plus_tiny_R_reaches_coulomb_limit():
-    # the root, about (R/a0)^-1/2 (1e65 and 1e100), lies beyond 200 doublings of 2
+    # the root, about (R/a0)^-1/2 (1e65 and 1e100), lies far above 1
     for x in (1e-130, 1e-200):
         want = P.swave_asymptote(x, +1, "small")
         r = P.solve_swave(x, +1)
@@ -82,6 +82,76 @@ def test_swave_plus_tiny_R_reaches_coulomb_limit():
     curve = P.sweep_branch(P.Branch.SWAVE_PLUS, PARAMS_100, np.array([1e-320, 1e-300]))
     assert not curve.converged[0] and math.isnan(curve.V[0])
     assert curve.converged[1] and curve.V[1] == pytest.approx(-1e300, rel=1e-10)
+
+
+def _r_pinned():
+    """log10 of the R/a0 above which the s+ root lies within 1e-15 of 1:
+    where K0(c lo) = ln lo at lo = 1 + 1e-15, in 30-digit mpmath."""
+    with mp.workdps(30):
+        lo = mp.mpf(1.0 + 1e-15)
+        z = mp.findroot(lambda z: mp.besselk(0, z) - mp.log(lo), 33)
+        return math.log10(z / lo / (2 * mp.exp(-mp.euler)))
+
+
+# just below the pinned edge, where f(lo) is still above 0
+_LOG10_R_PINNED = _r_pinned() - 1e-6
+
+
+@given(log10_R=st.floats(-320.0, _LOG10_R_PINNED))
+@example(log10_R=-320.0)
+@example(log10_R=_LOG10_R_PINNED)
+@settings(max_examples=60, deadline=None)
+def test_splus_bracket_has_a_sign_change(log10_R):
+    # f(xi) = K0(c xi) - ln xi is positive at lo and negative at hi, in
+    # 30-digit arithmetic at the very ends and c the solvers use
+    c = P._TWO_EXP_NEG_GAMMA * 10.0 ** log10_R
+    lo, hi = (float(end) for end in P._splus_bracket(c))
+    with mp.workdps(30):
+        def f(xi):
+            return mp.besselk(0, mp.mpf(c) * mp.mpf(xi)) - mp.log(mp.mpf(xi))
+
+        assert f(lo) > 0 > f(hi), (c, lo, hi)
+    assert 1.0 < lo < hi <= 4.0 * lo
+
+
+def test_splus_point_solve_k0_budget(monkeypatch):
+    # the closed-form bracket sits within a factor 4 of the root, about
+    # 1e100 here; doubling up from 2 took 342 K0 evaluations
+    calls = []
+    k = P.bessel_k
+
+    def count_k(order, x):
+        calls.append(x)
+        return k(order, x)
+
+    monkeypatch.setattr(P, "bessel_k", count_k)
+    r = P.solve_swave(1e-200, +1)
+    assert r.converged
+    assert len(calls) <= 20
+
+
+def test_splus_sweep_brackets_in_two_table_calls(monkeypatch):
+    # one table-function call at the lower ends and one at the upper ends
+    # of every row, however wide the grid (533 calls when doubling)
+    calls = []
+    table = P._table_function
+
+    def count_table(*args):
+        f = table(*args)
+
+        def counted(x, rows):
+            calls.append(rows.size)
+            return f(x, rows)
+
+        return counted
+
+    grid = np.logspace(-320.0, 3.0, 400)
+    monkeypatch.setattr(P, "_table_function", count_table)
+    rows, lo, hi, flo, fhi = P._swave_brackets(+1, grid)
+    assert calls == [400, 400]
+    pinned = lo == hi
+    assert rows.size == 400 and np.all(lo[pinned] == 1.0) and grid[pinned].min() > 25.0
+    assert np.all(flo[~pinned] > 0.0) and np.all(fhi[~pinned] < 0.0)
 
 
 def test_swave_asymptote_forms():
@@ -700,11 +770,25 @@ def test_sweep_branches_is_one_refinement():
     grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
     with pytest.MonkeyPatch.context() as mp_ctx:
         mp_ctx.setattr(P, "refine_brackets", count_refine)
-        for name in ("brent", "solve_swave", "expand_bracket_up", "bessel_k"):
+        for name in ("brent", "solve_swave", "bessel_k"):
             mp_ctx.setattr(P, name, scalar)
         curves = P.sweep_branches(_ALL_JOBS, grid)
     assert len(refinements) == 1
     assert all(curve.converged.any() for curve in curves.values())
+
+
+def test_sweep_logs_extra_roots_at_info(caplog):
+    # the per-branch count of multi-root points is an INFO record, so a
+    # default run writes nothing to stderr
+    grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
+    with caplog.at_level(logging.INFO, logger="planar3b.potentials"):
+        curves = P.sweep_branches(_PWAVE_JOBS, grid)
+    multi = {b.value: int((c.n_roots > 1).sum()) for b, c in curves.items()}
+    records = [r for r in caplog.records if "extra roots" in r.getMessage()]
+    assert records and all(r.levelno == logging.INFO for r in records)
+    assert {r.getMessage().split(":")[0]: r.getMessage() for r in records} == {
+        b: f"{b}: {m} of 100 sweep points had extra roots; kept the smallest xi at each"
+        for b, m in multi.items() if m}
 
 
 def test_sweep_is_one_array_problem():
