@@ -434,22 +434,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out = os.environ.get("PLANAR3B_OUTPUT")
-    if args.output is not None:
-        out = args.output
-    if out is not None:
-        cfg.output_dir = out
-    try:
+        out = os.environ.get("PLANAR3B_OUTPUT")
+        if args.output is not None:
+            out = args.output
+        if out is not None:
+            cfg.output_dir = out
         if args.command == "potentials":
-            try:
-                branches = _parse_branches(args.branch)
-            except ConfigError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            cmd_potentials(cfg, branches)
+            cmd_potentials(cfg, _parse_branches(args.branch))
             return 0
         if args.command == "spectrum":
             cmd_spectrum(cfg, args.n_max, mass_ratio=args.mass_ratio)

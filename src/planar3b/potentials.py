@@ -31,9 +31,12 @@ inequalities K0(z) < ln(4/z) for z < 2 and, by the power series of K0
 
 The same zeros are reachable through the block determinants of the
 six-coefficient linear system (``determinant_residual``), which is the
-cross-check used by the validation suite.  Closed forms for the exact
-resonance and the shared large-R asymptote -1/(R^2 ln R) are provided
-alongside the full solvers.
+cross-check used by the validation suite.  With z = kappa R and
+t_m = T_m(i kappa) they are real: the M+/- blocks (branch II, s = +/-1) give
+(1 + 2 s t0 K0)(1 - 2 s t1 (K0 + K2)) + 8 t0 t1 K1^2, and the M0 block
+(branch I) gives 1 - (4 t1 K1/z)^2.  Closed forms for the exact resonance
+and the shared large-R asymptote -1/(R^2 ln R) are provided alongside the
+full solvers.
 
 Units: s-wave functions work in (R/a0, V/|eps0|); everything p-wave is in
 natural units (r1 = 1, energies hbar^2/(mu r1^2)).
@@ -51,7 +54,7 @@ import numpy as np
 from .errors import DomainError, NoRealRootError, NotABracketError
 from .numerics import brent, refine_brackets, scan_sign_changes
 from .specfun import EULER_GAMMA, bessel_k, bessel_k01
-from .twobody import TwoBodyParams, dimer_energies, pole_minimum, t_matrix
+from .twobody import TwoBodyParams, pole_minimum, t_matrix
 
 log = logging.getLogger(__name__)
 
@@ -104,7 +107,6 @@ class PotentialCurve:
     branch: Branch
     R_grid: np.ndarray
     V: np.ndarray
-    validity: tuple
     converged: np.ndarray
     residual: np.ndarray
     n_roots: np.ndarray
@@ -256,7 +258,7 @@ def _pwave_point(family, R, params, sign):
     """``solve_pwave_I`` or ``solve_pwave_II``: scan one row of xi, then
     Brent on the smallest bracket with scalar K and math.log."""
     _check_R(R)
-    if R <= params.r1:
+    if R <= 1.0:
         raise DomainError(f"branch {family} needs R > r1, got R = {R:g}")
     residual, hi, needs_k0, label = _pwave_equation(family, params, sign)
     scan = _scan_pwave([residual], np.array([R]), hi)
@@ -409,8 +411,6 @@ class UnifiedPotential:
     takes a float (and returns a float) or an array.
     """
 
-    validity = (math.e, math.inf)
-
     def __call__(self, R: float) -> float:
         return v_unified(R)
 
@@ -425,55 +425,33 @@ class UnifiedPotential:
 # Block-determinant consistency check
 # --------------------------------------------------------------------------
 
-def coupling_coefficients(kappa: float, R: float, params: TwoBodyParams):
-    """The five complex couplings (alpha0, alpha1, beta0, beta1, beta2).
-
-    alpha_m = i pi T0(i kappa) H_m(i kappa R) and beta_m the same with T1,
-    rewritten through K_m via H_m(iz) = (2/pi) i^-(m+1) K_m(z).
-    """
-    if not (0.0 < kappa < math.inf and 0.0 < R < math.inf):  # NaN fails too
-        raise DomainError("coupling_coefficients needs finite kappa > 0 and R > 0")
-    t0 = t_matrix(0, kappa, params)
-    t1 = t_matrix(1, kappa, params)
-    z = kappa * R
-    k0 = bessel_k(0, z)
-    k1 = bessel_k(1, z)
-    k2 = k0 + 2.0 * k1 / z
-    alpha0 = complex(2.0 * t0 * k0)
-    alpha1 = -2.0j * t0 * k1
-    beta0 = complex(2.0 * t1 * k0)
-    beta1 = -2.0j * t1 * k1
-    beta2 = complex(-2.0 * t1 * k2)
-    return alpha0, alpha1, beta0, beta1, beta2
-
-
-def block_matrices(kappa: float, R: float, params: TwoBodyParams):
-    """2x2 blocks of the six-coefficient system: (M_plus, M_minus, M_zero)."""
-    alpha0, alpha1, beta0, beta1, beta2 = coupling_coefficients(kappa, R, params)
-    blocks = {}
-    for s in (+1, -1):
-        blocks[s] = np.array(
-            [[1.0 + s * alpha0, s * alpha1],
-             [s * 2.0 * beta1, 1.0 + s * (beta2 - beta0)]],
-            dtype=complex,
-        )
-    m_zero = np.array([[1.0, beta0 + beta2], [beta0 + beta2, 1.0]], dtype=complex)
-    return blocks[+1], blocks[-1], m_zero
-
-
 def determinant_residual(xi: float, R: float, params: TwoBodyParams, block: str) -> float:
     """Determinant of the selected block at light momentum kappa = xi/r1.
 
-    block: 'plus'/'minus' (branch II with that sign) or 'zero' (branch I,
-    both signs).  A converged branch root makes the matching block singular.
+    block: 'plus'/'minus' (branch II with sign s = +1/-1) or 'zero' (branch
+    I, both signs).  With z = kappa R and t_m = T_m(i kappa) the
+    determinants are real,
+
+    det M+/- = (1 + 2 s t0 K0(z)) (1 - 2 s t1 (K0(z) + K2(z))) + 8 t0 t1 K1(z)^2,
+    det M0 = 1 - (4 t1 K1(z)/z)^2,
+
+    and a converged branch root makes the matching one vanish.  M0 does not
+    involve T0.
     """
-    m_plus, m_minus, m_zero = block_matrices(xi, R, params)
-    sel = {"plus": m_plus, "minus": m_minus, "zero": m_zero}
-    if block not in sel:
+    if block not in ("plus", "minus", "zero"):
         raise DomainError("block must be 'plus', 'minus' or 'zero'")
-    m = sel[block]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return det.real
+    if not (0.0 < xi < math.inf and 0.0 < R < math.inf):  # NaN fails too
+        raise DomainError("determinant_residual needs finite kappa > 0 and R > 0")
+    z = xi * R
+    t1 = t_matrix(1, xi, params)
+    k1 = bessel_k(1, z)
+    if block == "zero":
+        return 1.0 - (4.0 * t1 * k1 / z) ** 2
+    s = 1.0 if block == "plus" else -1.0
+    t0 = t_matrix(0, xi, params)
+    k0 = bessel_k(0, z)
+    k2 = k0 + 2.0 * k1 / z
+    return (1.0 + 2.0 * s * t0 * k0) * (1.0 - 2.0 * s * t1 * (k0 + k2)) + 8.0 * t0 * t1 * k1 * k1
 
 
 # --------------------------------------------------------------------------
@@ -525,19 +503,6 @@ def light_wavefunction(branch: str, sign: int, kappa: float, R: float,
 # Curve sweeps
 # --------------------------------------------------------------------------
 
-def branch_validity(branch: Branch, params: TwoBodyParams) -> tuple:
-    """Documented validity window of a branch, in the branch's R unit."""
-    if branch is Branch.SWAVE_PLUS:
-        return (0.0, math.inf)
-    if branch is Branch.SWAVE_MINUS:
-        return (1.0, math.inf)
-    if branch is Branch.ASYMPTOTIC_UNIFIED:
-        return (math.e, math.inf)
-    if branch in ZERO_BRANCHES:
-        return (params.r1, math.inf)
-    return (params.r1, dimer_energies(params).R1)
-
-
 def branch_existence(branch: Branch, params: TwoBodyParams) -> tuple:
     """Window where real roots are expected (used to tell genuine solver
     failures from branches that simply have no solution at that R).
@@ -556,11 +521,11 @@ def branch_existence(branch: Branch, params: TwoBodyParams) -> tuple:
         if params.a1_inv == 0.0:
             return (math.inf, math.inf)
         return (math.sqrt(2.0 * params.a1), math.inf)
-    return (2.0 * params.r1, math.inf)
+    return (2.0, math.inf)
 
 
 def resonance_params(params: TwoBodyParams) -> TwoBodyParams:
-    return TwoBodyParams(a0=params.a0, a1_inv=0.0, r1=params.r1, r0=params.r0)
+    return TwoBodyParams(a0=params.a0, a1_inv=0.0, r0=params.r0)
 
 
 def _swave_residual(sign):
@@ -672,7 +637,7 @@ def sweep_branches(jobs, R_grid) -> dict:
     xi, res = np.full((2, len(jobs), grid.size), math.nan)
     xi[job, at], res[job, at] = refine_brackets(_table_function(residuals, job, scale), *bracket)
     curves = {}
-    for j, (branch, params) in enumerate(jobs):
+    for j, (branch, _) in enumerate(jobs):
         ok = np.abs(res[j]) <= 1e-10
         if branch in PWAVE_BRANCHES:
             v = -0.5 * xi[j] * xi[j]
@@ -695,7 +660,6 @@ def sweep_branches(jobs, R_grid) -> dict:
             branch=branch,
             R_grid=grid,
             V=v,
-            validity=branch_validity(branch, params),
             converged=ok,
             residual=res[j],
             n_roots=n_roots[j],

@@ -125,9 +125,9 @@ def _numerov_sweep(q, h, y0, y1, *, qy0=None):
 
     qy0 is the limit of q chi at the first point for a start on a 1/x
     singularity, where q[0] is not finite; it replaces y0 (1 + h^2 q[0]/12)
-    in the first step.  Returns (values, node_count, scale_log) where values
-    may have been rescaled by exp(-scale_log) along the way to avoid
-    overflow (sign structure, and therefore nodes, are unaffected).
+    in the first step.  Returns (values, node_count) where values may have
+    been rescaled along the way to avoid overflow (sign structure, and
+    therefore nodes, are unaffected).
 
     h, y0, y1 and qy0 go through float() here, whatever the caller passes,
     so every step is Python float arithmetic.  The shrink factors
@@ -164,7 +164,7 @@ def _numerov_sweep(q, h, y0, y1, *, qy0=None):
     for i, f in renorms:
         y[:i] /= f
     nodes = int(np.count_nonzero(cross)) + int(y[0] * y[1] < 0.0)
-    return y, nodes, sum((math.log(f) for _, f in renorms), 0.0)
+    return y, nodes
 
 
 def numerov_integrate(potential, E: float, grid, bc, *, nu0: float) -> WavefunctionSample:
@@ -190,7 +190,7 @@ def numerov_integrate(potential, E: float, grid, bc, *, nu0: float) -> Wavefunct
         raise StepSizeError(
             f"step h = {h:g} too coarse: max h^2|Q| = {np.max(h*h*np.abs(q)):.3g}"
         )
-    y, nodes, _ = _numerov_sweep(q, h, bc[0], bc[1])
+    y, nodes = _numerov_sweep(q, h, bc[0], bc[1])
     norm = math.sqrt(np.trapezoid(y * y * np.exp(2.0 * x), x))
     return WavefunctionSample(grid=x, values=y, node_count=nodes, norm_const=norm)
 
@@ -280,20 +280,15 @@ class _ShootingProblem:
         return (bounds[-2] if neg[cap] else cap - 1), cap
 
     def shoot(self, eps):
-        """(nodes, values) of the shot at eps up to its cap index.
-
-        The node count is ``_numerov_sweep``'s, the cell at the cap
-        included.  Q rises with eps, so the cap index does too: a shot's
-        values reach the cap index of every lower energy.
-        """
-        shot = self.shots.get(eps)
-        if shot is None:
+        """Node count of the shot at eps up to its cap index, the cell at
+        the cap included (``_numerov_sweep``'s count)."""
+        nodes = self.shots.get(eps)
+        if nodes is None:
             q = eps * self.w + self.v
             end = max(self._cap_index(q)[1], 3)
             y1, qy0 = _start(self.wall, eps, self.h)
-            y, nodes, _ = _numerov_sweep(q[: end + 1], self.h, 0.0, y1, qy0=qy0)
-            shot = self.shots[eps] = nodes, y
-        return shot
+            nodes = self.shots[eps] = _numerov_sweep(q[: end + 1], self.h, 0.0, y1, qy0=qy0)[1]
+        return nodes
 
     def correct(self, eps):
         """(nodes, delta) of Cooley's matched shot at eps.
@@ -311,8 +306,8 @@ class _ShootingProblem:
         end = max(end, 3)
         m = min(max(m, 2), end - 1)
         y1, qy0 = _start(self.wall, eps, self.h)
-        out, n_out, _ = _numerov_sweep(q[: m + 1], self.h, 0.0, y1, qy0=qy0)
-        inw, n_in, _ = _numerov_sweep(q[end:m - 1:-1], self.h, 0.0, self.h)
+        out, n_out = _numerov_sweep(q[: m + 1], self.h, 0.0, y1, qy0=qy0)
+        inw, n_in = _numerov_sweep(q[end:m - 1:-1], self.h, 0.0, self.h)
         y = np.concatenate((out, (out[-1] / inw[-1]) * inw[-2::-1]))
         t = (self.h * self.h / 12.0) * q[m - 1:m + 2]
         ym = y[m]
@@ -330,11 +325,11 @@ def _bracket(shoot, k, start, step, eps_hi):
     above level k).  The bracket may hold other levels too; ``_settle``
     narrows it by Johnson's count.
     """
-    up = shoot(start)[0] <= k
+    up = shoot(start) <= k
     near = start
     for _ in range(_STEP_LIMIT):
         far = min(near + step, eps_hi) if up else near - step
-        if (shoot(far)[0] <= k) != up:
+        if (shoot(far) <= k) != up:
             return (near, far) if up else (far, near)
         near, step = far, 2.0 * step
     raise ConvergenceError(f"level {k} not bracketed in {_STEP_LIMIT} steps from {start:g}")
@@ -409,7 +404,7 @@ def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, seeds=(
             start, step = eps_hi, 1.0
         if eps_k is None:
             if total is None:
-                total = problem.shoot(eps_hi)[0]
+                total = problem.shoot(eps_hi)
             if k >= total:
                 break
             lo, hi = _bracket(problem.shoot, k, start, step, eps_hi)
@@ -496,7 +491,7 @@ def bound_states_numerov(potential, nu0: float, window, k_levels: int,
 
 def count_negative_levels(potential, nu0: float, window, *, h: float | None = None) -> int:
     """Number of E < 0 hard-wall levels: node count of the zero-energy shot."""
-    return _numerov_problem(potential, nu0, window, h).shoot(0.0)[0]
+    return _numerov_problem(potential, nu0, window, h).shoot(0.0)
 
 
 def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundStates:
@@ -510,7 +505,7 @@ def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundS
     problem = _ShootingProblem(x, np.ones_like(x), -u)
     eps_hi = 1.0
     for _ in range(200):
-        if problem.shoot(eps_hi)[0] >= k_levels:
+        if problem.shoot(eps_hi) >= k_levels:
             break
         eps_hi *= 2.0
     return _eigensolve(problem, k_levels, eps_hi=eps_hi)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, TMatrixPoleError
+from .specfun import EULER_GAMMA
 from .wkb import count_bound_states
 
 
@@ -40,7 +41,7 @@ def cross_section(k: float, A0: float) -> float:
     """
     if not (0 < k < math.inf and 0 < A0 < math.inf):
         raise DomainError(f"cross_section needs finite k > 0 and A0 > 0, got {k!r}, {A0!r}")
-    log_term = math.log(0.5 * k * A0) + 0.5772156649015329
+    log_term = math.log(0.5 * k * A0) + EULER_GAMMA
     return (math.pi**2 / k) / (0.25 * math.pi**2 + log_term * log_term)
 
 

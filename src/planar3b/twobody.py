@@ -57,7 +57,6 @@ class TwoBodyParams:
 
     a0: float
     a1_inv: float = 0.0
-    r1: float = 1.0
     r0: float = 1.25
 
     def __post_init__(self):
@@ -66,11 +65,9 @@ class TwoBodyParams:
             raise DomainError("a0 must be positive and finite")
         if not 0.0 <= self.a1_inv < math.inf:
             raise DomainError("a1_inv must be finite and >= 0")
-        if self.r1 != 1.0:
-            raise DomainError("core works in natural units; r1 must be 1")
         if not 0.0 < self.r0 < math.inf:
             raise DomainError("r0 must be positive and finite")
-        if self.r1 > 0.5 * math.exp(EULER_GAMMA) * self.r0:
+        if 1.0 > 0.5 * math.exp(EULER_GAMMA) * self.r0:
             raise DomainError(
                 f"effective range bound violated: need r0 >= {R0_MIN:.6f} r1"
             )

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planar3b import cli
+from planar3b import cli, potentials
 from planar3b.errors import ConfigError
 from planar3b.potentials import Branch
 
@@ -151,6 +151,25 @@ def test_cmd_potentials_unconverged_rows_empty(tmp_path):
     assert first[1] == "" and first[3] == "false" and first[4] == ""
     last = rows[-1].split(",")
     assert last[3] == "true" and float(last[1]) < 0
+
+
+def test_pwave_II_sweeps_without_dimer_pole(tmp_path, capsys):
+    # at a1 = 5 < 2e T1 has no pole, but branch II still has roots; the
+    # sweep needs no dimer pole, so both II curves are written
+    ini = tmp_path / "a1_5.ini"
+    ini.write_text("[twobody]\na0 = 10\na1 = 5\n")
+    out = tmp_path / "out"
+    assert cli.main(["potentials", "--config", str(ini), "--branch", "II+,II-",
+                     "--output", str(out)]) == 0, capsys.readouterr().err
+    params = cli.load_config(str(ini)).twobody
+    rows = [line.split(",") for line in
+            (out / "potential_II_plus.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 400 and all(row[3] == "true" for row in rows)
+    for row in rows:
+        root = potentials.solve_pwave_II(float(row[0]), params, +1)
+        assert root.converged
+        assert math.sqrt(-2.0 * float(row[1])) == pytest.approx(root.xi, rel=1e-12)
+    assert (out / "potential_II_minus.csv").exists()
 
 
 def test_cmd_spectrum_summary(tmp_path):

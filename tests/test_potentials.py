@@ -4,11 +4,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planar3b import potentials as P
-from planar3b.errors import DomainError, NoRealRootError
+from planar3b.errors import DomainError, NoRealRootError, TMatrixPoleError
 from planar3b.specfun import EULER_GAMMA, bessel_k
 from planar3b.twobody import TwoBodyParams, dimer_energies, t_matrix
 
@@ -493,15 +493,60 @@ def test_determinant_sensitivity_off_root():
     assert abs(P.determinant_residual(1.1 * xi, 20.0, PARAMS_100, "zero")) > 1e-4
 
 
+def _reference_blocks(kappa, R, params):
+    """The complex 2x2 blocks {'plus': M+, 'minus': M-, 'zero': M0} of the
+    six-coefficient system, built from the five couplings: alpha_m =
+    i pi T0(i kappa) H_m(i kappa R) and beta_m the same with T1, rewritten
+    through K_m via H_m(iz) = (2/pi) i^-(m+1) K_m(z)."""
+    t0, t1 = t_matrix(0, kappa, params), t_matrix(1, kappa, params)
+    z = kappa * R
+    k0, k1 = bessel_k(0, z), bessel_k(1, z)
+    k2 = k0 + 2.0 * k1 / z
+    alpha0, alpha1 = complex(2.0 * t0 * k0), -2.0j * t0 * k1
+    beta0, beta1, beta2 = complex(2.0 * t1 * k0), -2.0j * t1 * k1, complex(-2.0 * t1 * k2)
+    blocks = {
+        name: np.array([[1.0 + s * alpha0, s * alpha1],
+                        [s * 2.0 * beta1, 1.0 + s * (beta2 - beta0)]], dtype=complex)
+        for name, s in (("plus", +1), ("minus", -1))
+    }
+    blocks["zero"] = np.array([[1.0, beta0 + beta2], [beta0 + beta2, 1.0]], dtype=complex)
+    return blocks
+
+
+def _reference_determinant(kappa, R, params, block):
+    m = _reference_blocks(kappa, R, params)[block]
+    return float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
+
+
+@given(a0=st.floats(1.0, 100.0), a1_inv=st.one_of(st.just(0.0), st.floats(1e-5, 0.3)),
+       log10_kappa=st.floats(-4.0, math.log10(0.99)), log10_R=st.floats(0.05, 3.0),
+       block=st.sampled_from(["plus", "minus", "zero"]))
+@settings(max_examples=300, deadline=None)
+def test_determinant_matches_block_matrices(a0, a1_inv, log10_kappa, log10_R, block):
+    # the closed forms against the determinants of the complex blocks
+    params = TwoBodyParams(a0=a0, a1_inv=a1_inv)
+    kappa, R = 10.0 ** log10_kappa, 10.0 ** log10_R
+    try:
+        want = _reference_determinant(kappa, R, params, block)
+    except TMatrixPoleError:
+        assume(False)
+    got = P.determinant_residual(kappa, R, params, block)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_m_zero_block_structure():
     # det(M0) = 1 - (beta0+beta2)^2 by construction
     xi, R = 0.07, 12.0
-    _, _, m0 = P.block_matrices(xi, R, PARAMS_100)
-    s = m0[0, 1]
+    s = _reference_blocks(xi, R, PARAMS_100)["zero"][0, 1]
     det = P.determinant_residual(xi, R, PARAMS_100, "zero")
     assert det == pytest.approx(float((1 - s * s).real), rel=1e-12)
     with pytest.raises(DomainError):
         P.determinant_residual(xi, R, PARAMS_100, "bogus")
+    # M0 holds T1 only, so it is finite at the T0 pole kappa = 2 e^-gamma/a0
+    kappa = 2.0 * math.exp(-EULER_GAMMA) / PARAMS_100.a0
+    with pytest.raises(TMatrixPoleError):
+        P.determinant_residual(kappa, R, PARAMS_100, "plus")
+    assert math.isfinite(P.determinant_residual(kappa, R, PARAMS_100, "zero"))
 
 
 # ------------------------------------------------------------------ wavefunctions
@@ -621,7 +666,6 @@ def test_sweep_branch_failure_rows():
     curve = P.sweep_branch(P.Branch.SWAVE_MINUS, PARAMS_100, grid)
     assert not curve.converged[0] and math.isnan(curve.V[0])
     assert curve.converged[1] and curve.converged[2]
-    assert curve.validity == (1.0, math.inf)
 
 
 def test_zero_branch_requires_resonance():
