@@ -8,42 +8,30 @@ the radial equation takes the form chi'' + Q(x) chi = 0 with
 
 W(x) = -e^{2x} V(e^x) (equal to 1/x for the shared asymptotic potential) and
 no first-derivative term, so the fourth-order Numerov recurrence applies
-directly.  Eigenvalues come from hard-wall shooting.  The outward
-integration is truncated once the solution has grown by e^35 inside the
-classically forbidden region, which shifts eigenvalues by ~e^-70 and keeps
-the recurrence inside double range (this also makes the levels independent
-of the outer wall position once the wall clears the turning point).  Every
-shot runs to its own truncation point, and its node count includes the
-cell there, so the count steps from k to k + 1 where the last value
-changes sign (node counting as in Johnson, J. Chem. Phys. 67 (1977) 4086).
+directly.  Eigenvalues come from hard-wall shooting.  A shot is truncated
+once the solution has grown by e^35 inside the classically forbidden
+region, which shifts eigenvalues by ~e^-70 and keeps the recurrence inside
+double range (this also makes the levels independent of the outer wall
+position once the wall clears the turning point).
 
-Each level is found by Cooley's energy correction (Math. Comp. 15 (1961)
-363).  A correction shot sweeps outward from the wall to the outer turning
-point m and inward from the truncation point (where chi = 0) back to m,
-scales the inward part to meet the outward one, and turns the Numerov
-residual of the matched function at m into a first-order energy step.  The
-steps converge quadratically, and the level is eps plus the first step of
-at most 1e-10 |eps|.  The matched function's node count labels every step:
-it must read k for level k.  The corrections start at the level's
-full-phase WKB energy, level n = k + 1 of ``quantize_spectrum`` with the
-inner wall at the window's start, which on a window from r1 lies within
-1e-5 to 1e-3 of the level; a level then takes about 3 correction shots,
-and a 2-level solve at the benchmark's (nu0, a1) 6 of them.  A level
-without a usable seed (WKB fails or drops the level, and always in
-``bound_states_1d``), or whose steps read another count or leave the
-energy range, falls back to a node-count bracket: shots step toward level
-k from the seed (1e-3 of it first, 1 from the top of the range) and
-doubling, until the count changes side of k.  The corrections then restart
-from the bracket's midpoint and stay inside it; a step that would leave
-it, or reads another count, narrows it by Johnson's count (the matched
-node count, plus one where the correction is negative, is the number of
-levels below eps) and the next shot is its midpoint, so the bracket needs
-no bisection on plain-shot counts of its own.  The zero-energy shot that
-counts the levels of the window runs over the whole grid; it is taken only
-for such a fallback, since levels 0..k-1 found with their own counts below
-the top are all there by Sturm's theorem.  From R = e the seeds are
-15-320% off, and levels there go through the bracket: on 120 random
-windows from R = e a level takes about 10 plain shots and 6 corrections.
+Every shot is Cooley's matched shot (Math. Comp. 15 (1961) 363): it sweeps
+outward from the wall to the outer turning point m and inward from the
+truncation point (where chi = 0) back to m, scales the inward part to meet
+the outward one, and turns the Numerov residual of the matched function at
+m into a first-order energy step delta.  Its count, the matched function's
+nodes plus one where delta < 0, is the number of levels below the shot's
+energy (Johnson, J. Chem. Phys. 67 (1977) 4086).  Level k is one search
+inside a bracket from level k - 1 (level 0: the floor -max(v/w), below
+which Q <= 0 everywhere) to the top of the range.  Each shot narrows the
+bracket by its count; a step that reads k nodes and lands inside it is
+taken, otherwise the next shot is the bracket's midpoint, or the top while
+no shot has tested it.  The level is eps plus the first k-node step of at
+most 1e-10 |eps|.  The search starts at the level's full-phase WKB energy,
+level n = k + 1 of ``quantize_spectrum`` with the inner wall at the
+window's start.  On 120 random windows from r1 (nu0 5-300, a1 30-3000) the
+seeds lie within 1e-5 to 1e-3 of the levels and a level takes 3.2 shots;
+from R = e they are 15-320% off and a level takes 10.0.  The level count
+of a window is the count of one shot at eps = 0.
 
 A window that starts at R = r1 puts the hard wall on the 1/x singularity of
 Q at x = 0.  There the shot starts from the regular series
@@ -90,8 +78,9 @@ from .wkb import WkbConfig, langer_w, quantize_spectrum
 _FORBIDDEN_ACTION_CAP = 35.0
 _CAP_PIECE = 1024
 _RENORM_LIMIT = 1e250
-_STEP_LIMIT = 60
 _CORRECTION_LIMIT = 60
+#: e^{2x} overflows past this x = ln(DBL_MAX)/2 (R ~ 1.34e154)
+_X_MAX = 0.5 * math.log(np.finfo(float).max)
 #: a level settles once a Cooley correction is at most this times |eps|
 _SETTLE_RTOL = 1e-10
 
@@ -112,6 +101,11 @@ class BoundStates:
     energies: list
     nodes: list
     complete: bool
+
+
+def _check_x_range(x_hi):
+    if x_hi > _X_MAX:
+        raise DomainError(f"x = ln R = {x_hi:g} is past {_X_MAX:.6g}, where e^(2x) overflows")
 
 
 def _check_finite(name, value, *, positive=False):
@@ -183,6 +177,7 @@ def numerov_integrate(potential, E: float, grid, bc, *, nu0: float) -> Wavefunct
     h = x[1] - x[0]
     if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0.0):
         raise DomainError("grid must be uniform in x")
+    _check_x_range(x.max())
     w = langer_w(potential)
     eps = nu0 * E
     q = np.array([eps * math.exp(2.0 * xi) for xi in x.tolist()]) + nu0 * w(x)
@@ -235,9 +230,8 @@ class _ShootingProblem:
 
     w = dQ/deps is e^{2x} for the Langer problem and 1 for
     ``bound_states_1d``.  wall is the strength g of a g/x singularity of Q
-    at x[0], or None for a regular start.  Every plain shot (``shoot``)
-    runs to the cap index of its own forbidden action and is memoized by
-    eps; correction shots (``correct``) are not memoized.
+    at x[0], or None for a regular start.  Every shot is Cooley's matched
+    shot (``correct``).
     """
 
     def __init__(self, x, w, v, wall=None):
@@ -246,7 +240,11 @@ class _ShootingProblem:
         self.w = w
         self.v = v
         self.wall = wall
-        self.shots = {}
+
+    @property
+    def floor(self):
+        """-max(v/w) past the wall: Q <= 0 everywhere there, so no level lies below."""
+        return -float(np.max(self.v[1:] / self.w[1:]))
 
     def _cap_index(self, q):
         """(m, cap): the outer turning point m and the first index past which
@@ -279,17 +277,6 @@ class _ShootingProblem:
         cap = len(q) - 1
         return (bounds[-2] if neg[cap] else cap - 1), cap
 
-    def shoot(self, eps):
-        """Node count of the shot at eps up to its cap index, the cell at
-        the cap included (``_numerov_sweep``'s count)."""
-        nodes = self.shots.get(eps)
-        if nodes is None:
-            q = eps * self.w + self.v
-            end = max(self._cap_index(q)[1], 3)
-            y1, qy0 = _start(self.wall, eps, self.h)
-            nodes = self.shots[eps] = _numerov_sweep(q[: end + 1], self.h, 0.0, y1, qy0=qy0)[1]
-        return nodes
-
     def correct(self, eps):
         """(nodes, delta) of Cooley's matched shot at eps.
 
@@ -315,103 +302,62 @@ class _ShootingProblem:
         norm = float(np.dot(self.w[: end + 1], y * y))
         return n_out + n_in, -float(ym * r) / (self.h * self.h * norm)
 
-
-def _bracket(shoot, k, start, step, eps_hi):
-    """Bracket (lo, hi) of level k: the count reads at most k at lo and
-    more than k at hi.
-
-    Steps from start toward level k, by step first and each next step twice
-    the last, until the count changes side of k (a step up stops at eps_hi,
-    above level k).  The bracket may hold other levels too; ``_settle``
-    narrows it by Johnson's count.
-    """
-    up = shoot(start) <= k
-    near = start
-    for _ in range(_STEP_LIMIT):
-        far = min(near + step, eps_hi) if up else near - step
-        if (shoot(far) <= k) != up:
-            return (near, far) if up else (far, near)
-        near, step = far, 2.0 * step
-    raise ConvergenceError(f"level {k} not bracketed in {_STEP_LIMIT} steps from {start:g}")
-
-
-def _settle(correct, k, eps, lo, hi, bracketed):
-    """Level k by Cooley corrections from eps, stopping once a correction
-    is at most _SETTLE_RTOL |eps| and returning eps plus that correction.
-
-    Every step must read k nodes and stay inside (lo, hi).  From a seed
-    (bracketed False, hi = eps_hi) a step that does not returns None, and
-    so does the iteration cap.  Inside a count bracket such a step narrows
-    the bracket by Johnson's count (nodes, plus one where the correction is
-    negative, is the number of levels below eps) and the next shot is its
-    midpoint; a settled step with another count breaks the node theorem.
-    """
-    for _ in range(_CORRECTION_LIMIT):
-        nodes, delta = correct(eps)
-        settled = abs(delta) <= _SETTLE_RTOL * abs(eps)  # NaN is not
-        if nodes == k and settled:
-            return eps + delta
-        if nodes == k and lo < eps + delta < hi:
-            eps += delta
-        elif not bracketed:
-            return None
-        elif settled:
-            raise ConvergenceError(f"node theorem violated: level {k} converged with {nodes} nodes")
-        else:
-            if nodes + (delta < 0.0) <= k:
-                lo = eps
-            else:
-                hi = eps
-            eps = 0.5 * (lo + hi)
-    if bracketed:
-        raise ConvergenceError(f"level {k} not settled in {_CORRECTION_LIMIT} corrections")
-    return None
+    def count(self, eps):
+        """Johnson's count nodes + (delta < 0) of the shot at eps: the number
+        of levels below eps (J. Chem. Phys. 67 (1977) 4086)."""
+        nodes, delta = self.correct(eps)
+        return nodes + (delta < 0.0)
 
 
 def _eigensolve(problem: _ShootingProblem, k_levels: int, *, eps_hi=0.0, seeds=()):
-    """Hard-wall levels below eps_hi by Cooley's matched-shot correction
-    (``_ShootingProblem.correct``), with the node-count bracket as its
-    safeguard.
+    """Hard-wall levels below eps_hi, each by one search of matched shots
+    (``_ShootingProblem.correct``) inside a bracket (lo, hi).
 
-    Only eigenvalues below eps_hi are reported (eps_hi = 0 restricts to
-    bound states of the radial problem).  Level k (k nodes) is corrected
-    from seeds[k] until a correction is at most _SETTLE_RTOL |eps|
-    (``_settle``); on a window from r1 full-phase WKB seeds take about 3
-    correction shots per level.  A level with no usable seed (none, NaN, or not below
-    eps_hi), or whose corrections read a count other than k, leave eps_hi
-    or settle at or above it, is bracketed by ``_bracket`` from its seed,
-    first step 1e-3 |seed|, or from eps_hi, first step 1, and corrected
-    again from the bracket's midpoint inside it, where ``_settle`` narrows
-    the bracket by Johnson's count until a correction stays in it.  The
-    shot at eps_hi, which counts the levels below it, is taken only then;
-    when every requested level settles below eps_hi with its own count,
-    Sturm's theorem already says they are all there.
+    Level k's bracket runs from level k - 1 (from problem.floor for level
+    0) to eps_hi, and its first shot is seeds[k] if that lies inside, else
+    eps_hi.  A shot whose count (see ``_ShootingProblem.count``) is at most
+    k moves lo to it, any other hi.  The next shot is the step eps + delta
+    if the shot read k nodes and the step lands inside the bracket, else
+    eps_hi while no shot has tested it, else the bracket's midpoint.  A
+    level settles at eps + delta once a k-node step is at most
+    _SETTLE_RTOL |eps|; a count of at most k at eps_hi ends the search with
+    complete=False.
 
-    Raises ConvergenceError when a level is not bracketed, does not settle
-    or breaks the node theorem.
+    Raises ConvergenceError when a bracket closes to adjacent doubles (the
+    node theorem is violated) or a level does not settle in
+    _CORRECTION_LIMIT shots.
     """
-    total = None
     energies = []
+    lo = problem.floor
     for k in range(k_levels):
-        start = seeds[k] if k < len(seeds) else math.nan
-        step = 1e-3 * abs(start)
-        eps_k = None
-        if start < eps_hi:  # NaN fails
-            eps_k = _settle(problem.correct, k, start, -math.inf, eps_hi, False)
-            if eps_k is not None and not eps_k < eps_hi:
-                eps_k = None
-        else:
-            start, step = eps_hi, 1.0
-        if eps_k is None:
-            if total is None:
-                total = problem.shoot(eps_hi)
-            if k >= total:
+        hi, tested = eps_hi, False
+        eps = seeds[k] if k < len(seeds) and lo < seeds[k] < hi else eps_hi  # NaN fails
+        for _ in range(_CORRECTION_LIMIT):
+            nodes, delta = problem.correct(eps)
+            below = nodes + (delta < 0.0) <= k
+            if below and eps == eps_hi:
+                return BoundStates(energies=energies, nodes=list(range(k)), complete=False)
+            if nodes == k and abs(delta) <= _SETTLE_RTOL * abs(eps):  # NaN is not
                 break
-            lo, hi = _bracket(problem.shoot, k, start, step, eps_hi)
-            eps_k = _settle(problem.correct, k, 0.5 * (lo + hi), lo, hi, True)
-        energies.append(eps_k)
-    return BoundStates(energies=energies, nodes=list(range(len(energies))),
-                       complete=len(energies) == k_levels)
+            if below:
+                lo = eps
+            else:
+                hi, tested = eps, True
+            step = eps + delta
+            if nodes == k and lo < step < hi:
+                eps = step
+            elif not tested:
+                eps = eps_hi
+            else:
+                eps = 0.5 * (lo + hi)
+                if not lo < eps < hi:
+                    raise ConvergenceError(f"node theorem violated: level {k} has no "
+                                           f"{k}-node shot between {lo!r} and {hi!r}")
+        else:
+            raise ConvergenceError(f"level {k} not settled in {_CORRECTION_LIMIT} corrections")
+        lo = eps + delta
+        energies.append(lo)
+    return BoundStates(energies=energies, nodes=list(range(k_levels)), complete=True)
 
 
 def _uniform_grid(x_lo, x_hi, h):
@@ -428,7 +374,8 @@ def _langer_setup(potential, nu0, window, h):
     R = r1).
 
     The default step (h = None) is min(8e-4, 0.2/nu0): near the wall
-    h^2 Q ~ nu0 h, which then stays below the Numerov criterion 0.25.
+    h^2 Q ~ nu0 h, which then stays below the Numerov criterion 0.25.  The
+    window must end below R = e^_X_MAX ~ 1.34e154, where e^{2x} overflows.
     """
     _check_finite("nu0", nu0, positive=True)
     if h is None:
@@ -439,6 +386,7 @@ def _langer_setup(potential, nu0, window, h):
         raise DomainError("radial window must start at R >= r1 = 1")
     if window[1] <= window[0]:
         raise DomainError("empty radial window")
+    _check_x_range(math.log(window[1]))
     x = _uniform_grid(math.log(window[0]), math.log(window[1]), h)
     w = langer_w(potential)
     wx = np.zeros_like(x)
@@ -477,8 +425,8 @@ def bound_states_numerov(potential, nu0: float, window, k_levels: int,
 
     Returns up to k_levels energies in units hbar^2/(mu r1^2), ascending.
     If the window supports fewer negative-energy levels the result carries
-    complete=False.  Each level is bracketed from its full-phase WKB energy
-    (``_wkb_seeds``) by ``_eigensolve``.
+    complete=False.  ``_eigensolve`` finds each level by one search of
+    matched shots from its full-phase WKB energy (``_wkb_seeds``).
     Raises DomainError unless k_levels is an integer >= 1.
     """
     _check_levels(k_levels)
@@ -490,8 +438,9 @@ def bound_states_numerov(potential, nu0: float, window, k_levels: int,
 
 
 def count_negative_levels(potential, nu0: float, window, *, h: float | None = None) -> int:
-    """Number of E < 0 hard-wall levels: node count of the zero-energy shot."""
-    return _numerov_problem(potential, nu0, window, h).shoot(0.0)
+    """Number of E < 0 hard-wall levels: the count of the matched shot at
+    E = 0 (``_ShootingProblem.count``)."""
+    return _numerov_problem(potential, nu0, window, h).count(0.0)
 
 
 def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundStates:
@@ -505,7 +454,7 @@ def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundS
     problem = _ShootingProblem(x, np.ones_like(x), -u)
     eps_hi = 1.0
     for _ in range(200):
-        if problem.shoot(eps_hi) >= k_levels:
+        if problem.count(eps_hi) >= k_levels:
             break
         eps_hi *= 2.0
     return _eigensolve(problem, k_levels, eps_hi=eps_hi)

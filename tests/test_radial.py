@@ -261,17 +261,16 @@ def test_two_level_shots_bounded(monkeypatch, nu0, a1):
 
 
 def test_count_bracket_shot_budget_from_e(monkeypatch):
-    # from R = e the WKB seeds are 15-320% off and every level goes through
-    # the count bracket, which Johnson's count narrows inside _settle; a
-    # bisection on plain-shot counts to 1e-3 relative first took 17.8 plain
-    # shots and 22.0 shots in all per level on these windows
-    problems, corrections = [], []
-    solve, correct = radial._eigensolve, radial._ShootingProblem.correct
-    monkeypatch.setattr(radial, "_eigensolve",
-                        lambda problem, *args, **kw: problems.append(problem)
-                        or solve(problem, *args, **kw))
+    # from R = e the WKB seeds are 15-320% off, and most steps leave their
+    # label or the bracket.  A count bracket of memoized plain shots with
+    # corrections inside took 15.9 shots per level and 1,645,462 grid points
+    # on these windows; matched shots that each narrow the bracket by
+    # Johnson's count take 9.7 and 961,685
+    corrections = []
+    correct = radial._ShootingProblem.correct
     monkeypatch.setattr(radial._ShootingProblem, "correct",
                         lambda self, eps: corrections.append(eps) or correct(self, eps))
+    points = _count_shots(monkeypatch)
     levels = 0
     for nu0 in (20.0, 50.0, 100.0, 200.0, 300.0):
         for a1 in (30.0, 300.0, 3000.0):
@@ -279,19 +278,23 @@ def test_count_bracket_shot_budget_from_e(monkeypatch):
             res = radial.bound_states_numerov(U, nu0, window, 3)
             assert res.nodes == list(range(len(res.energies)))
             levels += len(res.energies)
-    plain = sum(len(problem.shots) for problem in problems)
     assert levels == 39
-    assert plain <= 12 * levels
-    assert plain + len(corrections) <= 18 * levels
+    assert len(corrections) <= 11 * levels
+    assert sum(points) <= 0.7 * 1_645_462
 
 
 def test_settled_seeds_take_no_zero_energy_shot(monkeypatch):
+    energies = []
+    correct = radial._ShootingProblem.correct
+    monkeypatch.setattr(radial._ShootingProblem, "correct",
+                        lambda self, eps: energies.append(eps) or correct(self, eps))
     shots = _count_shots(monkeypatch)
     window = (1.0, scattering.r1_range(100.0))
     res = radial.bound_states_numerov(U, 50.0, window, 2)
     assert res.complete and res.nodes == [0, 1]
     n_grid = len(radial._numerov_problem(U, 50.0, window, None).x)
     assert shots and max(shots) < n_grid
+    assert energies and max(energies) < 0.0
 
 
 @settings(max_examples=12, deadline=None)
@@ -308,13 +311,37 @@ def test_seeded_levels_match_bisection(nu0, a1, k, start):
     np.testing.assert_allclose(seeded.energies, [e / nu0 for e in plain.energies], rtol=1e-9)
 
 
+def _plain_count(problem, eps):
+    """Node count of the plain shot at eps: one outward sweep to the cap
+    index, the cell at the cap included."""
+    q = eps * problem.w + problem.v
+    end = max(problem._cap_index(q)[1], 3)
+    y1, qy0 = radial._start(problem.wall, eps, problem.h)
+    return radial._numerov_sweep(q[: end + 1], problem.h, 0.0, y1, qy0=qy0)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu0=st.floats(5.0, 300.0), a1=st.floats(10.0, 3000.0),
+       start=st.sampled_from([1.0, math.e, 1.5]), decades=st.floats(0.0, 12.0, exclude_min=True))
+@example(nu0=20.0, a1=30.0, start=math.e, decades=1.0)
+def test_johnson_count_matches_plain_count(nu0, a1, start, decades):
+    # nodes + (delta < 0) of the matched shot counts the levels below eps
+    # as the plain shot's nodes do, at eps between the floor and 0 and at 0;
+    # at the floor, where Q <= 0 past the wall, it reads 0
+    problem = radial._numerov_problem(U, nu0, (start, scattering.r1_range(a1)), None)
+    floor = problem.floor
+    assert floor < 0.0 and problem.count(floor) == 0
+    for eps in (floor * 10.0**-decades, 0.0):
+        assert problem.count(eps) == _plain_count(problem, eps), eps
+
+
 def _bisection_levels(nu0, window, k):
     """eps = nu0 E of the first min(k, count) levels by bisection on plain
     shot node counts alone, each to 1e-12 relative."""
     problem = radial._numerov_problem(U, nu0, window, None)
 
     def count(eps):
-        return problem.shoot(eps)
+        return _plain_count(problem, eps)
 
     floor = -1.0
     while count(floor) > 0:
@@ -409,59 +436,52 @@ def test_bad_level_count_rejected(k_levels):
 
 
 class _StubProblem:
-    """Shots from given functions of eps: the node count of a plain shot,
-    and the (nodes, correction) pair of a matched shot."""
+    """Matched shots from a given function of eps, which returns their
+    (nodes, correction) pair, above a floor at eps = -2."""
 
-    def __init__(self, nodes, correction):
-        self.nodes = nodes
+    floor = -2.0
+
+    def __init__(self, correction):
         self.correction = correction
-        self.corrections = 0
-
-    def shoot(self, eps):
-        return self.nodes(eps)
+        self.shots = []
 
     def correct(self, eps):
-        self.corrections += 1
+        self.shots.append(eps)
         return self.correction(eps)
-
-
-def _one_level_at(e0):
-    return lambda eps: int(eps > e0)
 
 
 def test_stub_problem_level():
     # Newton's correction for exp(eps + 1) - 1, which vanishes at eps = -1
-    problem = _StubProblem(_one_level_at(-1.0), lambda eps: (0, math.expm1(-(eps + 1.0))))
+    problem = _StubProblem(lambda eps: (0, math.expm1(-(eps + 1.0))))
     res = radial._eigensolve(problem, 1)
     assert res.complete and res.nodes == [0]
     assert res.energies[0] == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_node_theorem_violation_is_convergence_error():
-    # the counts bracket a level at -0.7, but the matched shot at the
-    # converged energy has three nodes
-    problem = _StubProblem(_one_level_at(-0.7),
-                           lambda eps: (3 if abs(eps + 0.7) < 1e-12 else 0, -0.7 - eps))
+    # Johnson's count puts a level at -0.7, but the matched shots within 1e-9
+    # of it have three nodes, and a 0-node step from further out is larger
+    # than 1e-10 |eps|: the bracket closes around -0.7 without a settled step
+    problem = _StubProblem(lambda eps: (3 if abs(eps + 0.7) < 1e-9 else 0, -0.7 - eps))
     with pytest.raises(ConvergenceError, match="node theorem"):
         radial._eigensolve(problem, 1)
 
 
 def test_unsettled_correction_is_convergence_error():
-    # the correction jumps across the level at -0.7 by 1e-7 forever: the
-    # seeded corrections give up, and so do those inside the count bracket
-    problem = _StubProblem(_one_level_at(-0.7),
-                           lambda eps: (0, 1e-7 if eps < -0.7 else -1e-7))
+    # the correction creeps toward the level at -0.7 by 1e-7 a shot: every
+    # step reads 0 nodes and stays inside the bracket, so the one search
+    # gives up after _CORRECTION_LIMIT shots
+    problem = _StubProblem(lambda eps: (0, 1e-7 if eps < -0.7 else -1e-7))
     with pytest.raises(ConvergenceError, match="not settled"):
-        radial._eigensolve(problem, 1, seeds=[-0.7 + 5e-8])
-    assert problem.corrections == 2 * radial._CORRECTION_LIMIT
+        radial._eigensolve(problem, 1, seeds=[-0.5])
+    assert len(problem.shots) == radial._CORRECTION_LIMIT
 
 
 def test_seeded_stub_takes_no_shot():
-    shots = []
-    problem = _StubProblem(lambda eps: shots.append(eps) or int(eps > -1.0),
-                           lambda eps: (0, math.expm1(-(eps + 1.0))))
+    # a seed that settles takes no shot at eps_hi = 0
+    problem = _StubProblem(lambda eps: (0, math.expm1(-(eps + 1.0))))
     res = radial._eigensolve(problem, 1, seeds=[-1.2])
-    assert res.complete and res.nodes == [0] and not shots
+    assert res.complete and res.nodes == [0] and 0.0 not in problem.shots
     assert res.energies[0] == pytest.approx(-1.0, rel=1e-12)
 
 
@@ -577,7 +597,7 @@ def test_shooting_problem_step_and_wall_are_python_floats(monkeypatch):
 
     monkeypatch.setattr(radial, "_numerov_sweep", spy)
     problem = radial._numerov_problem(U, 50.0, (1.0, scattering.r1_range(100.0)), None)
-    problem.shoot(np.float64(-40.0))
+    problem.correct(np.float64(-40.0))
     h, _, _, qy0 = seen[0]
     assert type(h) is float and type(qy0) is float
 
@@ -721,8 +741,10 @@ def test_bad_nu0_rejected(nu0):
 
 
 @pytest.mark.parametrize("window", [(math.nan, 3.0), (1.0, math.nan), (1.0, math.inf),
-                                    (math.inf, 3.0), (3.0, 2.0), (1.0, 0.5)])
+                                    (math.inf, 3.0), (3.0, 2.0), (1.0, 0.5),
+                                    (1.0, 1.35e154), (1.0, 1e200), (1.0, 1e250)])
 def test_bad_window_rejected(window):
+    # past R = e^{354.89} = 1.34e154, e^{2x} overflows and Q is NaN
     with pytest.raises(DomainError):
         radial.bound_states_numerov(U, 20.0, window, 1)
     with pytest.raises(DomainError):
@@ -737,6 +759,13 @@ def test_bad_step_rejected(h):
         radial.count_negative_levels(U, 20.0, (1.0, 3.0), h=h)
     with pytest.raises(DomainError):
         radial.bound_states_1d(lambda x: x * x, (-6.0, 6.0), 1, h=h)
+
+
+@pytest.mark.parametrize("x_hi", [355.0, 400.0])
+def test_numerov_grid_past_double_range_rejected(x_hi):
+    # e^{2x} overflows past x = ln(DBL_MAX)/2 = 354.89
+    with pytest.raises(DomainError):
+        radial.numerov_integrate(U, 0.0, np.linspace(300.0, x_hi, 2001), (0.0, 1e-3), nu0=1.0)
 
 
 @pytest.mark.parametrize("bad", _BAD)
