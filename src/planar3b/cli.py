@@ -106,7 +106,8 @@ _INI_KEYS = {
 
 def load_config(path: str | None) -> RunConfig:
     """The run configuration of an INI file (the defaults for None); a
-    section or key outside _INI_KEYS is a ConfigError, not ignored."""
+    section or key outside _INI_KEYS is a ConfigError, not ignored, and so
+    is [twobody] with both a1 and a1_inv."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -124,6 +125,8 @@ def load_config(path: str | None) -> RunConfig:
         for key in section:
             if key not in _INI_KEYS.get(name, ()):
                 raise ConfigError(f"unknown key {key!r} in [{name}] of {path}")
+    if parser.has_option("twobody", "a1") and parser.has_option("twobody", "a1_inv"):
+        raise ConfigError(f"[twobody] of {path} sets both a1 and a1_inv; give one of them")
     try:
         if parser.has_section("masses"):
             cfg.masses = MassConfig(

@@ -4,11 +4,11 @@ Brent, Ridders and adaptive Simpson work on scalar functions and need only
 the standard library.  The bracket scan ``scan_sign_changes`` evaluates its
 function once over a whole stack of grids as a numpy array (several
 functions may share one grid) and returns every bracket of every row; its
-grids (``scan_grid``) are numpy expressions, built with np.log and np.exp
-over the whole stack at once.  ``refine_brackets`` narrows many brackets at
-once, one array evaluation per step.  ``brent`` and ``refine_brackets``
-close a bracket by one rule: at adjacent doubles or an exact zero, keeping
-the end with the smaller |f|.
+log-spaced grids (``scan_grid``) are numpy expressions, built with np.log
+and np.exp over the whole stack at once.  ``refine_brackets`` narrows many
+brackets at once, one array evaluation per step.  ``brent`` and
+``refine_brackets`` close a bracket by one rule: at adjacent doubles or an
+exact zero, keeping the end with the smaller |f|.
 """
 
 from __future__ import annotations
@@ -94,27 +94,25 @@ class Brackets(NamedTuple):
     fx: np.ndarray
 
 
-def scan_grid(lo, hi, n=200, *, log=True):
-    """The (rows, n) array of scan grids over [lo, hi], one row per element
-    of lo and hi broadcast together (scalars give one row).
+def scan_grid(lo, hi, n=200):
+    """The (rows, n) array of log-spaced scan grids over [lo, hi], one row
+    per element of lo and hi broadcast together (scalars give one row).
 
-    Log grid points are np.exp(ln lo + (ln hi - ln lo) i/(n - 1)), with
-    np.log for the logarithms.  Each element is computed from its own row's
-    ends only, so a row's points do not depend on the other rows: a point
-    solve and the sweep row at the same ends scan the same grid.
+    Grid points are np.exp(ln lo + (ln hi - ln lo) i/(n - 1)), with np.log
+    for the logarithms.  Each element is computed from its own row's ends
+    only, so a row's points do not depend on the other rows: a point solve
+    and the sweep row at the same ends scan the same grid.
     """
     lo = np.asarray(lo, dtype=float).reshape(-1, 1)
     hi = np.asarray(hi, dtype=float).reshape(-1, 1)
-    if not log:
-        return lo + (hi - lo) * np.arange(n) / (n - 1)
     if not np.all(lo > 0):
         raise ValueError("log-spaced scan needs lo > 0")
     llo, lhi = np.log(lo), np.log(hi)
     return np.exp(llo + (lhi - llo) * np.arange(n) / (n - 1))
 
 
-def scan_sign_changes(f, lo, hi, n=200, *, log=True) -> Brackets:
-    """Every sign-change bracket of f on n-point grids over [lo, hi].
+def scan_sign_changes(f, lo, hi, n=200) -> Brackets:
+    """Every sign-change bracket of f on n-point log grids over [lo, hi].
 
     f is called once, with the (rows, n) array of grids (``scan_grid``), and
     returns its values there: shape (rows, n), or (m, rows, n) for m
@@ -124,7 +122,7 @@ def scan_sign_changes(f, lo, hi, n=200, *, log=True) -> Brackets:
     zero or the signs differ, so non-finite values break the brackets across
     them.
     """
-    x = scan_grid(lo, hi, n, log=log)
+    x = scan_grid(lo, hi, n)
     fx = np.asarray(f(x), dtype=float)
     v = fx.reshape(-1, n)
     left, right = v[:, :-1], v[:, 1:]

@@ -23,11 +23,11 @@ all R at once, and one array regula falsi (``refine_brackets``) closes every
 row of the table at adjacent doubles, one K0/K1 evaluation per step.  A row
 that misses the residual bound stays unconverged.
 
-The s+ bracket is closed form (``_splus_bracket``): with c = 2 e^-gamma R/a0
-it is [max(1 + 1e-15, 1/(2 sqrt(c))), max(2, 2/sqrt(c))], from the two
+Both s-wave brackets end at xi = 1, where ln xi = 0 and the residual is
+K0(c) >= 0 (``_swave_bracket``, with c = 2 e^-gamma R/a0): s- is (1e-280,
+1), and s+ is [max(1, 1/(2 sqrt(c))), max(2, 2/sqrt(c))], from the two
 inequalities K0(z) < ln(4/z) for z < 2 and, by the power series of K0
-(DLMF 10.31.2), K0(z) >= ln(2/z) - gamma for z < 1/4.  The s- bracket is
-(1e-280, 1 - ulp).
+(DLMF 10.31.2), K0(z) >= ln(2/z) - gamma for z < 1/4.
 
 The same zeros are reachable through the block determinants of the
 six-coefficient linear system (``determinant_residual``), which is the
@@ -85,6 +85,8 @@ PWAVE_BRANCHES = {
 #: sweep's sign map (chunks keep the K kernel's temporaries small)
 _N_SCAN = 200
 _SWEEP_CHUNK = 16
+#: the bound on |residual| of a converged root, in point solves and sweeps
+_RESIDUAL_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,63 +123,59 @@ def _check_R(R, name="R"):
 # s-wave branches (units: R/a0 and V/|eps0|)
 # --------------------------------------------------------------------------
 
-def _splus_bracket(c):
-    """The s+ bracket (lo, hi) of K0(c xi) = ln xi, for a float or an
+def _swave_bracket(sign, c):
+    """The bracket (lo, hi) of K0(c xi) = sign ln xi, for a float or an
     array c = 2 e^-gamma R/a0 > 0.
 
+    Both brackets end at 1, where ln xi = 0 and f = K0(c xi) - sign ln xi
+    is K0(c) >= 0 (an exact zero, the root, once K0 underflows).  s- is
+    (1e-280, 1): f(1e-280) is about -ln(R/a0), below 0 for R > a0.  s+ has
     hi = max(2, 2/sqrt(c)): for c >= 1, K0(2c) <= K0(2) < ln 2; below,
-    z = 2 sqrt(c) < 2 and K0(z) < ln(4/z) = ln hi.  lo = max(1 + 1e-15,
+    z = 2 sqrt(c) < 2 and K0(z) < ln(4/z) = ln hi.  Its lo = max(1,
     1/(2 sqrt(c))): for c < 1/4, z = sqrt(c)/2 and the power series of K0
-    (DLMF 10.31.2) gives K0(z) >= ln(2/z) - gamma > ln(1/(4z)) = ln lo.
-    K0 decreases, so the root lies within a factor 4 of either end; where
-    K0(c lo) has underflowed at lo = 1 + 1e-15 the root is pinned to 1.
+    (DLMF 10.31.2) gives K0(z) >= ln(2/z) - gamma > ln(1/(4z)) = ln lo.  K0
+    decreases, so the s+ root lies within a factor 4 of either end.
     """
+    if sign == -1:
+        one = np.ones_like(c)
+        return 1e-280 * one, one
     root_c = np.sqrt(c)
-    return np.maximum(1.0 + 1e-15, 0.5 / root_c), np.maximum(2.0, 2.0 / root_c)
+    return np.maximum(1.0, 0.5 / root_c), np.maximum(2.0, 2.0 / root_c)
 
 
 def solve_swave(R_over_a0: float, sign: int) -> RootResult:
-    """Root of K0((2 e^-gamma R/a0) xi) = sign * ln(xi).
+    """Root of K0((2 e^-gamma R/a0) xi) = sign * ln(xi), by Brent on
+    ``_swave_bracket``.
 
-    The + branch has a unique root above 1; the - branch a unique root in
-    (0, 1) that exists only for R > a0 (below, the solution is complex and
-    NoRealRootError is raised).
+    The + branch has a unique root at or above 1; the - branch a unique
+    root in (0, 1] that exists only for R > a0 (below, the solution is
+    complex and NoRealRootError is raised).  The residual is the one at the
+    returned xi.
     """
     _check_R(R_over_a0, "R/a0")
     if R_over_a0 <= 0:
         raise DomainError("R/a0 must be positive")
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
+    # f(0+) -> -ln(R/a0): no sign change (hence no real root) for R <= a0
+    if sign == -1 and R_over_a0 <= 1.0:
+        raise NoRealRootError(
+            f"s-wave '-' branch has no real root for R/a0 = {R_over_a0:g} <= 1",
+            window=(0.0, 1.0),
+        )
     c = _TWO_EXP_NEG_GAMMA * R_over_a0
 
-    if sign == +1:
-        def f(xi):
-            return bessel_k(0, c * xi) - math.log(xi)
+    def f(xi):
+        return bessel_k(0, c * xi) - sign * math.log(xi)
 
-        lo, hi = (float(end) for end in _splus_bracket(c))
-        if f(lo) <= 0.0:  # K0 underflowed; root is pinned to xi = 1
-            return RootResult(xi=1.0, residual=f(lo), bracket=(1.0, lo), converged=True)
-    else:
-        def f(xi):
-            return bessel_k(0, c * xi) + math.log(xi)
-
-        # f(0+) -> -ln(R/a0): no sign change (hence no real root) for R <= a0
-        if R_over_a0 <= 1.0:
-            raise NoRealRootError(
-                f"s-wave '-' branch has no real root for R/a0 = {R_over_a0:g} <= 1",
-                window=(0.0, 1.0),
-            )
-        lo, hi = 1e-280, math.nextafter(1.0, 0.0)
-        if f(hi) < 0.0:
-            # root within an ulp of 1: asymptotically xi = 1 - K0(c)
-            xi = 1.0 - bessel_k(0, c)
-            return RootResult(xi=xi, residual=f(xi), bracket=(hi, 1.0), converged=True)
-        if f(lo) > 0.0:
-            raise NoRealRootError(
-                f"s-wave '-' bracket failed at R/a0 = {R_over_a0:g}", window=(lo, hi)
-            )
-    root, res = brent(f, lo, hi)
-    return RootResult(xi=root, residual=res, bracket=(lo, hi), converged=abs(res) <= 1e-10)
+    lo, hi = (float(end) for end in _swave_bracket(sign, c))
+    try:
+        root, res = brent(f, lo, hi)
+    except NotABracketError:
+        raise NoRealRootError(f"s-wave bracket failed at R/a0 = {R_over_a0:g} "
+                              f"(sign {sign:+d})", window=(lo, hi)) from None
+    return RootResult(xi=root, residual=res, bracket=(lo, hi),
+                      converged=abs(res) <= _RESIDUAL_BOUND)
 
 
 def swave_asymptote(R_over_a0: float, sign: int, regime: str) -> float:
@@ -276,7 +274,7 @@ def _pwave_point(family, R, params, sign):
     a, b = float(scan.a[kept[0]]), float(scan.b[kept[0]])
     root, res = _polish(_scalar_residual(residual, R, needs_k0), a, b)
     return RootResult(xi=root, residual=res, bracket=(a, b),
-                      converged=abs(res) <= 1e-10, n_roots=int(count))
+                      converged=abs(res) <= _RESIDUAL_BOUND, n_roots=int(count))
 
 
 def _pwave_brackets(equations, R):
@@ -560,33 +558,17 @@ def _swave_brackets(sign, R):
     """The brackets of ``solve_swave`` at every R/a0 of the array R at once:
     the rows with a root and their brackets (rows, a, b, fa, fb).
 
-    The brackets are the point solver's, for all rows together: s+ the
-    closed-form ``_splus_bracket``, s- (1e-280, 1 - ulp).  The point
-    solver's closed-form roots, s+ pinned at 1 and s- within an ulp of 1,
-    are closed brackets [xi, xi] that carry the point solver's residual.
+    The brackets are the point solver's, ``_swave_bracket``, for all rows
+    together, and a row keeps its bracket, as ``brent`` does, when
+    fa * fb <= 0.
     """
     c = _TWO_EXP_NEG_GAMMA * R
     f = _table_function({0: _swave_residual(sign)}, np.zeros(len(R), dtype=int), c)
-    if sign == +1:
-        rows = np.flatnonzero(R > 0.0)
-        lo, hi = _splus_bracket(c[rows])
-        flo, fhi = f(lo, rows), f(hi, rows)
-        pinned = flo <= 0.0  # K0 underflowed; root is pinned to xi = 1
-        lo[pinned] = hi[pinned] = 1.0
-        fhi[pinned] = flo[pinned]
-        return rows, lo, hi, flo, fhi
     # f(0+) -> -ln(R/a0): no sign change (hence no real root) for R <= a0
-    rows = np.flatnonzero(R > 1.0)
-    hi = np.full(rows.size, math.nextafter(1.0, 0.0))
-    fhi = f(hi, rows)
-    near = fhi < 0.0
-    # root within an ulp of 1: asymptotically xi = 1 - K0(c)
-    lo = np.full(rows.size, 1e-280)
-    lo[near] = hi[near] = 1.0 - bessel_k01(c[rows[near]])[0]
-    fhi[near] = f(hi[near], rows[near])
-    flo = fhi.copy()
-    flo[~near] = f(lo[~near], rows[~near])
-    keep = near | ~(flo > 0.0)
+    rows = np.flatnonzero(R > (0.0 if sign == +1 else 1.0))
+    lo, hi = _swave_bracket(sign, c[rows])
+    flo, fhi = f(lo, rows), f(hi, rows)
+    keep = flo * fhi <= 0.0
     return tuple(v[keep] for v in (rows, lo, hi, flo, fhi))
 
 
@@ -601,8 +583,8 @@ def sweep_branches(jobs, R_grid) -> dict:
     (``_pwave_brackets``), each s-wave branch its brackets for all R at
     once (``_swave_brackets``), and one ``refine_brackets`` call closes
     every row; the asymptote is one array expression.  Points without a
-    root, or whose residual misses 1e-10, carry converged = False, and
-    those without a root V = NaN.
+    root, or whose residual misses _RESIDUAL_BOUND, carry converged =
+    False, and those without a root V = NaN.
     """
     jobs = list(jobs)
     grid = np.asarray(R_grid, dtype=float)
@@ -638,7 +620,7 @@ def sweep_branches(jobs, R_grid) -> dict:
     xi[job, at], res[job, at] = refine_brackets(_table_function(residuals, job, scale), *bracket)
     curves = {}
     for j, (branch, _) in enumerate(jobs):
-        ok = np.abs(res[j]) <= 1e-10
+        ok = np.abs(res[j]) <= _RESIDUAL_BOUND
         if branch in PWAVE_BRANCHES:
             v = -0.5 * xi[j] * xi[j]
         elif branch in S_BRANCHES:

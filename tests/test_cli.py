@@ -358,9 +358,11 @@ def test_cli_infinite_quad_tol_exit_2(tmp_path):
     ("[wbk]\ntheta = 0.5\n", "unknown section [wbk]"),
     ("[wkb]\nR_inner = 2.0\n", "unknown key 'R_inner' in [wkb]"),
     ("[DEFAULT]\na0 = 5.0\n", "unknown key 'a0' in [DEFAULT]"),
-], ids=["key", "section", "key-case", "default-section"])
+    ("[twobody]\na1 = 50\na1_inv = 0.0\n", "sets both a1 and a1_inv"),
+], ids=["key", "section", "key-case", "default-section", "a1-and-a1_inv"])
 def test_load_config_rejects_unknown_names(tmp_path, capsys, text, named):
-    # a misspelt section or key would otherwise run with the defaults
+    # a misspelt section or key would otherwise run with the defaults, and
+    # a1_inv would silently override a1
     ini = tmp_path / "typo.ini"
     ini.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(named)):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from planar3b import potentials as P
 from planar3b.errors import DomainError, NoRealRootError, TMatrixPoleError
-from planar3b.specfun import EULER_GAMMA, bessel_k
+from planar3b.specfun import EULER_GAMMA, bessel_k, bessel_k01
 from planar3b.twobody import TwoBodyParams, dimer_energies, t_matrix
 
 logging.getLogger("planar3b.potentials").setLevel(logging.ERROR)
@@ -84,34 +84,21 @@ def test_swave_plus_tiny_R_reaches_coulomb_limit():
     assert curve.converged[1] and curve.V[1] == pytest.approx(-1e300, rel=1e-10)
 
 
-def _r_pinned():
-    """log10 of the R/a0 above which the s+ root lies within 1e-15 of 1:
-    where K0(c lo) = ln lo at lo = 1 + 1e-15, in 30-digit mpmath."""
-    with mp.workdps(30):
-        lo = mp.mpf(1.0 + 1e-15)
-        z = mp.findroot(lambda z: mp.besselk(0, z) - mp.log(lo), 33)
-        return math.log10(z / lo / (2 * mp.exp(-mp.euler)))
-
-
-# just below the pinned edge, where f(lo) is still above 0
-_LOG10_R_PINNED = _r_pinned() - 1e-6
-
-
-@given(log10_R=st.floats(-320.0, _LOG10_R_PINNED))
+@given(log10_R=st.floats(-320.0, 300.0))
 @example(log10_R=-320.0)
-@example(log10_R=_LOG10_R_PINNED)
+@example(log10_R=300.0)
 @settings(max_examples=60, deadline=None)
 def test_splus_bracket_has_a_sign_change(log10_R):
-    # f(xi) = K0(c xi) - ln xi is positive at lo and negative at hi, in
+    # f(xi) = K0(c xi) - ln xi is non-negative at lo and negative at hi, in
     # 30-digit arithmetic at the very ends and c the solvers use
     c = P._TWO_EXP_NEG_GAMMA * 10.0 ** log10_R
-    lo, hi = (float(end) for end in P._splus_bracket(c))
+    lo, hi = (float(end) for end in P._swave_bracket(+1, c))
     with mp.workdps(30):
         def f(xi):
             return mp.besselk(0, mp.mpf(c) * mp.mpf(xi)) - mp.log(mp.mpf(xi))
 
-        assert f(lo) > 0 > f(hi), (c, lo, hi)
-    assert 1.0 < lo < hi <= 4.0 * lo
+        assert f(lo) >= 0 > f(hi), (c, lo, hi)
+    assert 1.0 <= lo < hi <= 4.0 * lo
 
 
 def test_splus_point_solve_k0_budget(monkeypatch):
@@ -149,9 +136,55 @@ def test_splus_sweep_brackets_in_two_table_calls(monkeypatch):
     monkeypatch.setattr(P, "_table_function", count_table)
     rows, lo, hi, flo, fhi = P._swave_brackets(+1, grid)
     assert calls == [400, 400]
-    pinned = lo == hi
-    assert rows.size == 400 and np.all(lo[pinned] == 1.0) and grid[pinned].min() > 25.0
-    assert np.all(flo[~pinned] > 0.0) and np.all(fhi[~pinned] < 0.0)
+    assert rows.size == 400 and np.all(flo >= 0.0) and np.all(fhi < 0.0)
+    # f(1) = K0(c) is an exact zero, closing the bracket, where K0 underflows
+    at_one = lo == 1.0
+    k0_at_one = bessel_k01(P._TWO_EXP_NEG_GAMMA * grid[at_one])[0]
+    assert np.array_equal(flo[at_one] == 0.0, k0_at_one == 0.0) and np.all(flo[~at_one] > 0.0)
+    assert 0 < np.count_nonzero(flo == 0.0) and grid[flo == 0.0].min() > 500.0
+
+
+def _mp_splus_root(c):
+    """The s+ root just above 1 at the double c, in 30-digit mpmath."""
+    with mp.workdps(30):
+        return mp.findroot(lambda xi: mp.besselk(0, mp.mpf(c) * xi) - mp.log(xi), mp.mpf(1))
+
+
+_S_DRAWS = st.one_of(
+    st.tuples(st.just(+1), st.floats(-300.0, 4.0).map(lambda e: 10.0 ** e)),
+    st.tuples(st.just(-1), st.floats(1.0, 1e4, exclude_min=True)))
+
+
+@given(sign_R=_S_DRAWS)
+@example(sign_R=(+1, 29.5))
+@example(sign_R=(+1, 30.0))
+@example(sign_R=(+1, 31.0))
+@example(sign_R=(+1, 174.0))
+@example(sign_R=(+1, 1000.0))
+@example(sign_R=(-1, 29.5))
+@example(sign_R=(-1, 30.0))
+@example(sign_R=(-1, 31.0))
+@example(sign_R=(-1, 174.0))
+@example(sign_R=(-1, 1000.0))
+@settings(max_examples=80, deadline=None)
+def test_swave_residual_is_taken_at_the_root(sign_R):
+    # the residual of a point solve is f at the xi it returns, and a sweep
+    # row at xi = 1 (V = -1) carries f(1) = K0(c); near R/a0 = 30 the s+
+    # root, within an ulp of 1, is the double next to the exact one
+    sign, R = sign_R
+    branch = P.Branch.SWAVE_PLUS if sign == +1 else P.Branch.SWAVE_MINUS
+    c = P._TWO_EXP_NEG_GAMMA * R
+    curve = P.sweep_branch(branch, PARAMS_100, np.array([R]))
+    try:
+        r = P.solve_swave(R, sign)
+    except NoRealRootError:  # s- at R/a0 within rounding of 1
+        assert sign == -1 and not curve.converged[0] and math.isnan(curve.V[0])
+        return
+    assert r.converged and r.residual == bessel_k(0, c * r.xi) - sign * math.log(r.xi)
+    if curve.V[0] == -1.0:
+        assert curve.residual[0] == bessel_k01(np.array([c]))[0][0]
+    if sign == +1 and R in (29.5, 30.0, 31.0):
+        assert abs(mp.mpf(r.xi) - _mp_splus_root(c)) <= math.ulp(1.0)
 
 
 def test_swave_asymptote_forms():
@@ -406,8 +439,8 @@ def test_vectorized_scan_matches_scalar_loop(family, sign, a0, log10_a1, log10_R
     R = 10.0 ** log10_R
     scans = []
 
-    def spy(f, lo, hi, n=200, *, log=True):
-        result = scan(f, lo, hi, n, log=log)
+    def spy(f, lo, hi, n=200):
+        result = scan(f, lo, hi, n)
         scans.append((np.asarray(lo).item(), np.asarray(hi).item(), n,
                       list(zip(result.a.tolist(), result.b.tolist()))))
         return result
@@ -434,12 +467,12 @@ def test_point_solve_scans_its_sweep_row(family, sign, log10_R, pick):
     R = float(grid[pick % grid.size])
     scans = []
 
-    def spy(f, lo, hi, n=200, *, log=True):
+    def spy(f, lo, hi, n=200):
         def record(x):
             lows = np.broadcast_to(lo, x.shape[:1])
             scans.extend((low, row) for low, row in zip(lows.tolist(), x.tolist()))
             return f(x)
-        return scan(record, lo, hi, n, log=log)
+        return scan(record, lo, hi, n)
 
     scan = P.scan_sign_changes
     solve = P.solve_pwave_I if family == "I" else P.solve_pwave_II
@@ -780,13 +813,13 @@ def test_sweep_branches_scan_once_per_chunk_and_cap():
     shapes = []
     scan = P.scan_sign_changes
 
-    def spy(f, lo, hi, n=200, *, log=True):
+    def spy(f, lo, hi, n=200):
         def stacked(x):
             fx = f(x)
             shapes.append(fx.shape)
             return fx
 
-        return scan(stacked, lo, hi, n, log=log)
+        return scan(stacked, lo, hi, n)
 
     grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
     with pytest.MonkeyPatch.context() as mp_ctx:
