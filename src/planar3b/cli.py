@@ -226,11 +226,14 @@ def cmd_potentials(cfg: RunConfig, branches):
     emitted unconverged.
     """
     sweeps = [_sweep_for_branch(cfg, branch) for branch in branches]
-    curves = {}
+    curves, r_cells = {}, {}
     for sweep in {id(s): s for s in sweeps}.values():
         jobs = [(branch, _branch_params(cfg, branch))
                 for branch, s in zip(branches, sweeps) if s is sweep]
-        curves.update(potentials.sweep_branches(jobs, sweep.grid()))
+        grid = sweep.grid()
+        curves.update(potentials.sweep_branches(jobs, grid))
+        cells = _cells(grid)  # the R column of every branch on this grid
+        r_cells.update((branch, cells) for branch, _ in jobs)
     failures = total = 0
     for branch in branches:
         curve = curves[branch]
@@ -243,7 +246,7 @@ def cmd_potentials(cfg: RunConfig, branches):
         _write_csv(
             os.path.join(cfg.output_dir, f"potential_{tag}.csv"),
             _header(cfg, "potentials"),
-            {"R": curve.R_grid, "V": np.where(ok, curve.V, math.nan),
+            {"R": r_cells[branch], "V": np.where(ok, curve.V, math.nan),
              "branch": [branch.value] * ok.size, "converged": ok,
              "residual": np.where(ok, curve.residual, math.nan)},
         )

@@ -409,8 +409,9 @@ def _check_levels(k_levels):
 
 def _wkb_seeds(potential, nu0, window, k_levels):
     """eps = nu0 E of the full-phase WKB levels n = 1..k_levels with the
-    inner wall at window[0] (level n seeds node count n - 1); the levels WKB
-    drops are missing, and none are given when it fails."""
+    inner wall at window[0] (level n seeds node count n - 1), from the one
+    Newton solve of ``quantize_spectrum`` (about five array phases); the
+    levels WKB drops are missing, and none are given when it fails."""
     cfg = WkbConfig(phase_mode="full", R_inner=window[0])
     try:
         spec = quantize_spectrum((1, k_levels), nu0, cfg, potential)

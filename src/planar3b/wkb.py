@@ -13,7 +13,8 @@ turning point and a possible inner 1/x singularity is removed by quadratic
 substitutions, which leave smooth integrands; these are summed on a fixed
 32-node Gauss-Legendre rule (DLMF 3.5(v)), three panels per phase, so the
 phases of many turning points are one array expression and full-phase
-quantization solves for all levels at once with ``refine_brackets``.  The
+quantization solves for all levels at once by a safeguarded Newton
+iteration, the phase's slope summed on the same nodes.  The
 energy correction Phi (``phi_correction``) is summed on the same rule, so
 no WKB quantity has a tolerance to set.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NoTurningPointError
-from .numerics import brent, refine_brackets
+from .numerics import brent
 # perfbench/layers.py traces wkb.adaptive_simpson (numerics.simpson_*
 # metrics); the name stays bound until the counters module of ROADMAP
 # item 2 lands
@@ -131,6 +132,11 @@ def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
     return math.exp(x_e)
 
 
+# a solve takes 4-8 phases; the cap also covers plain bisection of
+# [0, ln DBL_MAX] down to adjacent doubles at roots above x = 1
+_NEWTON_MAXITER = 64
+
+
 @functools.cache
 def _phase_rule():
     # 32-node Gauss-Legendre rule mapped to [0, 1].  Built on first use, so
@@ -139,12 +145,13 @@ def _phase_rule():
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _phase_integrals(x, x_eps, w, energy_term):
-    # int_x^{x_eps} sqrt(W(x') - W(x_eps) e^{2(x'-x_eps)}) dx' for 1-D arrays
-    # x < x_eps, on three panels of the rule: the left half in y = sqrt(x')
-    # (regularizes a 1/x' singularity at x' -> 0) and the right half in
-    # u = sqrt(x_eps - x') (regularizes the turning point), split at
-    # u_s = min(u_b, 6) because e^{-2u^2} < e^-72 beyond it
+def _phase_integrals(x, x_eps, w, energy_term, slope=False):
+    # int_x^{x_eps} sqrt(W(x') - W(x_eps) e^{2(x'-x_eps)}) dx' for a 1-D array
+    # x_eps and x < x_eps (a float or a like array), on three panels of the
+    # rule: the left half in y = sqrt(x') (regularizes a 1/x' singularity at
+    # x' -> 0) and the right half in u = sqrt(x_eps - x') (regularizes the
+    # turning point), split at u_s = min(u_b, 6) because e^{-2u^2} < e^-72
+    # beyond it.  With ``slope`` (energy term only) also its x_eps-derivative
     t, weights = _phase_rule()
     x_mid = 0.5 * (x + x_eps)
     u_b = np.sqrt(x_eps - x_mid)
@@ -156,16 +163,28 @@ def _phase_integrals(x, x_eps, w, energy_term):
     width[1] = lo[2] = np.minimum(u_b, 6.0)
     width[2] = u_b - lo[2]
     v = lo[..., None] + width[..., None] * t  # (panel, row, node)
-    # the left integrand is analytic with vanishing slope at y = 0; nudging
-    # the evaluation point dodges W(0) without measurable error
-    np.maximum(v[0], 1e-8, out=v[0])
+    # the left integrand is analytic with vanishing slope at y = 0; a floor
+    # below the nodes of any range x_eps > 1e-290 dodges W(0)
+    np.maximum(v[0], 1e-150, out=v[0])
     xp = v * v
     np.subtract(x_eps[:, None], xp[1:], out=xp[1:])
     p_sq = w(xp)
     if energy_term:
-        p_sq = p_sq - w(x_eps)[:, None] * np.exp(2.0 * (xp - x_eps[:, None]))
-    integrand = v * np.sqrt(np.maximum(p_sq, 0.0))
-    return 2.0 * (integrand @ weights * width).sum(axis=0)
+        w_eps = w(x_eps)
+        decay = np.exp(2.0 * (xp - x_eps[:, None]))
+        p_sq = p_sq - w_eps[:, None] * decay
+    root = np.sqrt(np.maximum(p_sq, 0.0))
+    phase = 2.0 * ((v * root) @ weights * width).sum(axis=0)
+    if not slope:
+        return phase
+    # d/dx_eps of p_sq is (2 W - W')(x_eps) e^{2(x'-x_eps)}, so the slope is
+    # int (2 W - W') e^{2(x'-x_eps)} / (2 root) dx', where the u panels turn
+    # 1/root into the finite v/root; W' is a central difference
+    ends = x_eps * np.array([[1.0 + 2.0**-17], [1.0 - 2.0**-17]])
+    w_up, w_down = w(ends)
+    gain = 2.0 * w_eps - (w_up - w_down) / (ends[0] - ends[1])
+    ratio = np.divide(v * decay, root, out=np.zeros_like(root), where=root > 0.0)
+    return phase, gain * (ratio @ weights * width).sum(axis=0)
 
 
 def wkb_phase_langer(x, x_eps, nu0: float, w, theta: float, *,
@@ -277,37 +296,51 @@ def phi_correction(x: float, x_eps: float, nu0: float) -> float:
 
 
 def _full_phase_roots(targets, nu0, w, x_inner, x_cap):
-    """x_n with wkb_phase_langer(x_inner, x_n) = target for every target, as
-    one array solve: each upper bracket end starts near the closed-form
-    level and doubles until the phase reaches its target (NaN once it
-    passes x_cap), the last end below it becoming the lower end; then one
-    ``refine_brackets`` call narrows all brackets.
+    """x_n with wkb_phase_langer(x_inner, x_n) = target for every target
+    (NaN for a level beyond x_cap), by a safeguarded Newton solve (rtsafe,
+    Numerical Recipes 9.4) whose every step is one array phase of the open
+    levels, its slope (half the classical period) summed on the same nodes.
+
+    Each level starts at its closed form and keeps a bracket; a step out of
+    it goes to its midpoint, and a step past x_cap to x_cap, where a phase
+    short of the target drops the level.  A level closes on a step of at
+    most 4 ulp: Newton nears its root from one side, so a second bracket
+    end would cost phases for nothing.  Where the phase's rounding keeps
+    the step above that, the bracket narrows to adjacent doubles instead.
     """
-    target = np.array(targets, dtype=float)
-    # the phase is exactly 0 at x_inner
-    lo, f_lo = np.full(target.shape, x_inner), -target
-    hi = x_inner + np.maximum(1.0, (0.5 * target / math.sqrt(nu0)) ** 2)
-    f_hi = np.empty_like(target)
-    rows = np.arange(target.size)
-    while rows.size:
-        f_hi[rows] = wkb_phase_langer(x_inner, hi[rows], nu0, w, 0.0) - target[rows]
-        rows = rows[f_hi[rows] < 0.0]
-        lo[rows], f_lo[rows] = hi[rows], f_hi[rows]
-        hi[rows] *= 2.0
-        hi[rows[hi[rows] > x_cap]] = math.nan
-        rows = rows[hi[rows] <= x_cap]
-    if np.any(np.isnan(f_hi) & ~np.isnan(hi)):
-        raise ConvergenceError("full WKB phase is not finite at a bracket end")
-    found = np.flatnonzero(f_hi >= 0.0)
-
-    def f(x, rows):
-        return wkb_phase_langer(x_inner, x, nu0, w, 0.0) - target[found[rows]]
-
-    x_n = np.full(target.shape, math.nan)
-    x_n[found], _ = refine_brackets(f, lo[found], hi[found], f_lo[found], f_hi[found])
-    if np.any(np.isnan(x_n[found])):
-        raise ConvergenceError("full WKB phase is not finite inside a bracket")
-    return x_n.tolist()
+    sqrt_nu0 = math.sqrt(nu0)
+    # the closed-form levels, written so that they cannot round below x_inner
+    x = [min(x_inner + a * (a + 2.0 * math.sqrt(x_inner)), x_cap)
+         for a in (0.5 * target / sqrt_nu0 for target in targets)]
+    # the phase is exactly 0 at x_inner; no upper end until a phase passes
+    lo, hi, x_n = [x_inner] * len(x), [math.inf] * len(x), [math.nan] * len(x)
+    rows = range(len(x))
+    for _ in range(_NEWTON_MAXITER):
+        if not rows:
+            return x_n
+        phase, slope = _phase_integrals(x_inner, np.array([x[k] for k in rows]), w, True,
+                                        slope=True)
+        still_open = []
+        for k, p, dp in zip(rows, (sqrt_nu0 * phase).tolist(), (sqrt_nu0 * slope).tolist()):
+            f = p - targets[k]
+            if not math.isfinite(f):
+                raise ConvergenceError("full WKB phase is not finite")
+            if f < 0.0 and x[k] == x_cap:  # the level lies beyond the cap
+                continue
+            (lo if f < 0.0 else hi)[k] = x[k]
+            step = -f / dp if dp > 0.0 else math.inf
+            nxt = x[k] + step
+            if abs(step) > 4.0 * math.ulp(x[k]):
+                nxt = min(nxt, x_cap)
+                if not lo[k] < nxt < hi[k]:
+                    nxt = 0.5 * (lo[k] + min(hi[k], x_cap))
+                if nxt != x[k]:  # else the bracket holds adjacent doubles
+                    x[k] = nxt
+                    still_open.append(k)
+                    continue
+            x_n[k] = nxt
+        rows = still_open
+    raise ConvergenceError(f"full WKB levels not settled in {_NEWTON_MAXITER} Newton steps")
 
 
 def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
@@ -316,8 +349,10 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
 
     In 'approx' mode the rule inverts in closed form,
     rho_n = exp([(pi n - theta)/(2 sqrt(nu0)) + sqrt(ln R_inner)]^2); in
-    'full' mode all rho_n are root-found together on the quadrature phase.
-    E_n = V(rho_n).  Levels whose rho_n exceeds cfg.R_max are dropped.  The
+    'full' mode one safeguarded Newton solve on the quadrature phase finds
+    all rho_n together, starting from the closed form (``_full_phase_roots``).
+    E_n = V(rho_n).  Levels whose rho_n exceeds cfg.R_max are dropped: in
+    'full' mode exactly those whose phase at R_max falls short of pi n.  The
     fit summary is the least-squares line of ln(n^2 |E_n|) against n^2, whose
     theoretical slope is -pi^2/(2 nu0).
     """
@@ -347,7 +382,7 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
         x_ns = _full_phase_roots([target for _, target in wanted], nu0, w, x_inner, x_cap)
     levels = []
     for (n, _), x_n in zip(wanted, x_ns):
-        if not x_n <= x_cap:  # beyond R_max (NaN: the bracket search passed it)
+        if not x_n <= x_cap:  # beyond R_max (NaN: the phase at the cap fell short)
             continue
         rho_n = math.exp(x_n)
         e_n = -w(x_n) * math.exp(-2.0 * x_n)  # V(rho_n) through the log form

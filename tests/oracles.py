@@ -4,7 +4,9 @@ Everything here is coded directly from the defining power series and the
 large-argument (Hankel / modified) asymptotic expansions, evaluated in
 mpmath arbitrary-precision arithmetic.  It deliberately shares no code with
 ``planar3b`` and does not call mpmath's own Bessel routines, so agreement
-between the two is a genuine two-route check.
+between the two is a genuine two-route check.  The one exception is
+``full_phase_roots``, a reference root finder for full-phase WKB levels,
+which searches planar3b's own quadrature phase by a route of its own.
 
 Run ``python tests/oracles.py`` to regenerate the frozen reference tables in
 ``src/planar3b/_refvals.py``.
@@ -13,6 +15,7 @@ Run ``python tests/oracles.py`` to regenerate the frozen reference tables in
 from __future__ import annotations
 
 import functools
+import math
 
 import mpmath as mp
 
@@ -186,6 +189,48 @@ def j1_first_zero():
             else:
                 lo = mid
         return (lo + hi) / 2
+
+
+# ----------------------------------------------------------------------
+# Reference full-phase WKB levels: the same quadrature phase as planar3b,
+# solved by an independent root finder (doubling brackets, then regula falsi
+# to adjacent doubles)
+# ----------------------------------------------------------------------
+
+def full_phase_roots(targets, nu0, w, x_inner, x_cap):
+    """x_n with wkb_phase_langer(x_inner, x_n) = target for every target, as
+    one array solve: each upper bracket end starts near the closed-form
+    level and doubles until the phase reaches its target (NaN once it
+    passes x_cap), the last end below it becoming the lower end; then one
+    ``refine_brackets`` call narrows all brackets.  NaN also marks the
+    levels this search misses between its last end and x_cap.
+    """
+    import numpy as np
+
+    from planar3b.numerics import refine_brackets
+    from planar3b.wkb import wkb_phase_langer
+
+    target = np.array(targets, dtype=float)
+    # the phase is exactly 0 at x_inner
+    lo, f_lo = np.full(target.shape, x_inner), -target
+    hi = x_inner + np.maximum(1.0, (0.5 * target / math.sqrt(nu0)) ** 2)
+    f_hi = np.empty_like(target)
+    rows = np.arange(target.size)
+    while rows.size:
+        f_hi[rows] = wkb_phase_langer(x_inner, hi[rows], nu0, w, 0.0) - target[rows]
+        rows = rows[f_hi[rows] < 0.0]
+        lo[rows], f_lo[rows] = hi[rows], f_hi[rows]
+        hi[rows] *= 2.0
+        hi[rows[hi[rows] > x_cap]] = math.nan
+        rows = rows[hi[rows] <= x_cap]
+    found = np.flatnonzero(f_hi >= 0.0)
+
+    def f(x, rows):
+        return wkb_phase_langer(x_inner, x, nu0, w, 0.0) - target[found[rows]]
+
+    x_n = np.full(target.shape, math.nan)
+    x_n[found], _ = refine_brackets(f, lo[found], hi[found], f_lo[found], f_hi[found])
+    return x_n.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -187,6 +188,17 @@ def test_cmd_spectrum_summary(tmp_path):
     ratio3 = float(rows[2][3])
     want = math.exp(-math.pi**2 * (n3 + 0.5) / nu0) * (n3 / (n3 + 1.0)) ** 2
     assert ratio3 == pytest.approx(want, rel=1e-12)
+
+
+def test_full_phase_spectrum_keeps_every_level(tmp_path):
+    # at the default nu0 = 10.5 and R_max = 1e150, levels 28-30 lie at
+    # ln rho = 184-212, below the cap at 345
+    cfg = cli.default_config()
+    cfg.wkb = dataclasses.replace(cfg.wkb, phase_mode="full")
+    cfg.output_dir = str(tmp_path)
+    cli.cmd_spectrum(cfg, 30)
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[4:]] == list(range(1, 31))
 
 
 def test_cmd_resonances_with_cross_section(tmp_path, capsys):

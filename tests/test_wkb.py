@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from planar3b import numerics, wkb
-from planar3b.errors import DomainError, NoTurningPointError
+from planar3b.errors import ConvergenceError, DomainError, NoTurningPointError
 from planar3b.potentials import UnifiedPotential
 
 U = UnifiedPotential()
@@ -273,14 +274,36 @@ class _CountingPotential(UnifiedPotential):
         return super().langer_w(x)
 
 
-def test_full_mode_work_bound():
-    # every level's phase is one array expression on fixed nodes, refined
-    # together: tens of W calls, not tens of thousands
-    pot = _CountingPotential()
-    spec = wkb.quantize_spectrum((1, 6), 200.0, wkb.WkbConfig(phase_mode="full"), pot)
-    assert len(spec.levels) == 6
-    assert pot.calls <= 100
-    assert pot.elements <= 12_000
+def _spy_phases(monkeypatch):
+    """The x_eps array of every phase evaluation, in order."""
+    seen = []
+    integrals = wkb._phase_integrals
+
+    def spy(x, x_eps, *args, **kwargs):
+        seen.append(np.array(x_eps))
+        return integrals(x, x_eps, *args, **kwargs)
+
+    monkeypatch.setattr(wkb, "_phase_integrals", spy)
+    return seen
+
+
+def test_full_mode_work_bound(monkeypatch):
+    # one Newton solve from the closed-form levels: each phase evaluation is
+    # one array expression on fixed nodes with three W calls (the nodes,
+    # x_eps, and the central difference at x_eps), and at most eight settle
+    # six levels (five, once the phase's rounding lets a last step fall
+    # within 4 ulp)
+    seen = _spy_phases(monkeypatch)
+    for nu0, R_inner, theta in [(200.0, 1.0, 0.0), (20.0, 1.0, 0.0), (200.0, 1.0, 0.7),
+                                (200.0, math.e, -0.9)]:
+        seen.clear()
+        pot = _CountingPotential()
+        cfg = wkb.WkbConfig(phase_mode="full", R_inner=R_inner, theta=theta)
+        spec = wkb.quantize_spectrum((1, 6), nu0, cfg, pot)
+        assert len(spec.levels) == 6
+        assert len(seen) <= 8
+        assert pot.calls == 3 * len(seen) + 6  # and one W per level for E_n
+        assert pot.elements <= 3_500
 
 
 def test_full_mode_drops_levels_beyond_rmax():
@@ -288,6 +311,74 @@ def test_full_mode_drops_levels_beyond_rmax():
     spec = wkb.quantize_spectrum((1, 40), 5.0, cfg)
     assert spec.levels and spec.levels[-1][0] < 40
     assert all(rho <= 1e10 for _, rho, _ in spec.levels)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6, -2.0])
+def test_full_mode_keeps_every_level_below_rmax(theta):
+    # the levels are exactly those whose target the phase reaches by R_max;
+    # at nu0 = 5 the phase there is 6.79 pi, and levels 5 and 6 lie below it
+    cfg = wkb.WkbConfig(R_max=1e10, phase_mode="full", theta=theta)
+    spec = wkb.quantize_spectrum((1, 40), 5.0, cfg)
+    at_cap = wkb.wkb_phase_langer(0.0, math.log(1e10), 5.0, U.langer_w, 0.0)
+    assert [n for n, _, _ in spec.levels] == [
+        n for n in range(1, 41) if at_cap >= math.pi * n - theta]
+    for n, rho, _ in spec.levels:
+        phase = wkb.wkb_phase_langer(0.0, math.log(rho), 5.0, U.langer_w, 0.0)
+        assert phase == pytest.approx(math.pi * n - theta, rel=1e-13)
+
+
+def test_levels_past_the_cap_take_one_phase_there(monkeypatch):
+    # at theta = 0.6 level 7's closed form lies below the cap and its first
+    # step passes it; levels 8-40 start past it.  Each is dropped after one
+    # phase at x_cap, with no search toward the cap
+    seen = _spy_phases(monkeypatch)
+    x_cap = math.log(1e10)
+    cfg = wkb.WkbConfig(R_max=1e10, phase_mode="full", theta=0.6)
+    assert wkb.quantize_spectrum((7, 7), 5.0, cfg).levels == []
+    assert len(seen) == 2 and seen[0] < x_cap and seen[1].tolist() == [x_cap]
+    seen.clear()
+    spec = wkb.quantize_spectrum((1, 40), 5.0, cfg)
+    assert [n for n, _, _ in spec.levels] == [1, 2, 3, 4, 5, 6]
+    assert sum(int((xe == x_cap).sum()) for xe in seen) == 34
+    assert len(seen) <= 6
+
+
+class _NanPotential(_CountingPotential):
+    def langer_w(self, x):
+        return np.where(np.asarray(x) > 0.2, math.nan, super().langer_w(x))
+
+
+def test_nan_phase_is_convergence_error():
+    # level 4 starts at x = 0.197 and lies at x = 0.285, past the point where
+    # W turns NaN: the second phase is not finite, and the solve stops there
+    pot = _NanPotential()
+    with pytest.raises(ConvergenceError, match="not finite"):
+        wkb.quantize_spectrum((1, 4), 200.0, wkb.WkbConfig(phase_mode="full"), pot)
+    assert pot.calls == 2 * 3
+
+
+def test_unsettled_newton_solve_is_convergence_error(monkeypatch):
+    # the solve has a fixed step cap; six levels need more than two steps
+    monkeypatch.setattr(wkb, "_NEWTON_MAXITER", 2)
+    with pytest.raises(ConvergenceError, match="not settled in 2"):
+        wkb.quantize_spectrum((1, 6), 200.0, wkb.WkbConfig(phase_mode="full"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_nu0=st.floats(math.log(0.5), math.log(2000.0)),
+       R_inner=st.floats(1.0, math.exp(3.0)), theta=st.floats(-math.pi, math.pi),
+       n_top=st.integers(1, 40))
+def test_newton_levels_match_bracketed_reference(log_nu0, R_inner, theta, n_top):
+    # every level that both solvers keep agrees; the reference's doubling
+    # search may drop levels just below the cap
+    nu0, x_inner, x_cap = math.exp(log_nu0), math.log(R_inner), math.log(1e150)
+    targets = [math.pi * n - theta for n in range(1, n_top + 1) if math.pi * n - theta > 0]
+    got = wkb._full_phase_roots(targets, nu0, U.langer_w, x_inner, x_cap)
+    want = oracles.full_phase_roots(targets, nu0, U.langer_w, x_inner, x_cap)
+    for g, w in zip(got, want):
+        if not math.isnan(w):
+            assert not math.isnan(g)
+            assert g == pytest.approx(w, rel=1e-14)
 
 
 def test_levels_beyond_rmax_are_dropped():
