@@ -145,6 +145,13 @@ def _phase_rule():
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
+def _gain(w, x, w_x):
+    # (2 W - W')(x) for an array x and w_x = W(x), W' by a central difference
+    ends = x * np.array([[1.0 + 2.0**-17], [1.0 - 2.0**-17]])
+    w_up, w_down = w(ends)
+    return 2.0 * w_x - (w_up - w_down) / (ends[0] - ends[1])
+
+
 def _phase_integrals(x, x_eps, w, energy_term, slope=False):
     # int_x^{x_eps} sqrt(W(x') - W(x_eps) e^{2(x'-x_eps)}) dx' for a 1-D array
     # x_eps and x < x_eps (a float or a like array), on three panels of the
@@ -179,10 +186,8 @@ def _phase_integrals(x, x_eps, w, energy_term, slope=False):
         return phase
     # d/dx_eps of p_sq is (2 W - W')(x_eps) e^{2(x'-x_eps)}, so the slope is
     # int (2 W - W') e^{2(x'-x_eps)} / (2 root) dx', where the u panels turn
-    # 1/root into the finite v/root; W' is a central difference
-    ends = x_eps * np.array([[1.0 + 2.0**-17], [1.0 - 2.0**-17]])
-    w_up, w_down = w(ends)
-    gain = 2.0 * w_eps - (w_up - w_down) / (ends[0] - ends[1])
+    # 1/root into the finite v/root
+    gain = _gain(w, x_eps, w_eps)
     ratio = np.divide(v * decay, root, out=np.zeros_like(root), where=root > 0.0)
     return phase, gain * (ratio @ weights * width).sum(axis=0)
 
@@ -301,17 +306,30 @@ def _full_phase_roots(targets, nu0, w, x_inner, x_cap):
     Numerical Recipes 9.4) whose every step is one array phase of the open
     levels, its slope (half the classical period) summed on the same nodes.
 
-    Each level starts at its closed form and keeps a bracket; a step out of
-    it goes to its midpoint, and a step past x_cap to x_cap, where a phase
-    short of the target drops the level.  A level closes on a step of at
+    Each level starts at its closed form or, past a wall at x_inner > 0,
+    where the phase grows as (2/3) sqrt(nu0 g) (x - x_inner)^{3/2} with
+    g = (2 W - W')(x_inner), at the root of that law where it lies higher:
+    the closed form is linear in x - x_inner there, and a level within
+    about 1e-10 of the wall started at the wall and took 31-35 phases.
+    Each level keeps a bracket; a step out of it goes to its midpoint, and
+    a step past x_cap to x_cap, where a phase short of the target drops the
+    level.  A level closes on a step of at
     most 4 ulp: Newton nears its root from one side, so a second bracket
     end would cost phases for nothing.  Where the phase's rounding keeps
     the step above that, the bracket narrows to adjacent doubles instead.
     """
     sqrt_nu0 = math.sqrt(nu0)
     # the closed-form levels, written so that they cannot round below x_inner
-    x = [min(x_inner + a * (a + 2.0 * math.sqrt(x_inner)), x_cap)
+    x = [x_inner + a * (a + 2.0 * math.sqrt(x_inner))
          for a in (0.5 * target / sqrt_nu0 for target in targets)]
+    if x_inner > 0.0:
+        wall = np.array([x_inner])
+        gain = float(_gain(w, wall, w(wall))[0])
+        if gain > 0.0:
+            scale = 1.5 / (sqrt_nu0 * math.sqrt(gain))
+            x = [max(xk, x_inner + (scale * target) ** (2.0 / 3.0))
+                 for xk, target in zip(x, targets)]
+    x = [min(xk, x_cap) for xk in x]
     # the phase is exactly 0 at x_inner; no upper end until a phase passes
     lo, hi, x_n = [x_inner] * len(x), [math.inf] * len(x), [math.nan] * len(x)
     rows = range(len(x))

@@ -214,6 +214,16 @@ def test_default_step_matches_fine_step():
     np.testing.assert_allclose(coarse.energies, fine.energies, rtol=2e-6)
 
 
+def test_shallow_level_steady_under_fine_steps():
+    # level 1 at (nu0, a1) = (6.71, 29.56) lies 1e-3 below threshold; the
+    # direct-form recurrence drifted by 8e-10 between h = 8e-4 and 1e-4, and
+    # at h = 2.5e-5 its roundoff broke the node theorem (ConvergenceError)
+    window = (1.0, scattering.r1_range(29.56))
+    levels = [radial.bound_states_numerov(U, 6.71, window, 2, h=h).energies[1]
+              for h in (None, 4e-4, 1e-4, 2.5e-5)]
+    np.testing.assert_allclose(levels, levels[0], rtol=1e-11, atol=0.0)
+
+
 def test_default_step_at_large_nu0():
     # at nu0 = 2000 a step of 8e-4 puts nu0 h = 1.6 at the first grid point,
     # beyond the Numerov criterion, and the deepest level was 2% off
@@ -488,29 +498,25 @@ def test_seeded_stub_takes_no_shot():
 # ------------------------------------------------------------- sweep kernel
 
 def _reference_sweep(q, h, y0, y1, qy0=None):
-    """Step-by-step array form of the Numerov recurrence."""
+    """Step-by-step summed form: Y = (1 + t) y and its first difference D,
+    renormalised where |Y| passes the limit; y = Y/(1 + t) past the start."""
     t = (h * h / 12.0) * np.asarray(q, dtype=float)
+    grow = 1.0 + t
     y = np.empty(len(q))
     y[0], y[1] = y0, y1
+    big = y1 * grow[1]
+    diff = big - ((h * h / 12.0) * qy0 if qy0 is not None else y0 * grow[0])
     nodes, scale_log = 0, 0.0
-    ya, yb = y1, y0
-    ta, tb = t[1], t[0]
     for i in range(2, len(q)):
-        tc = t[i]
-        if i == 2 and qy0 is not None:
-            lead = (h * h / 12.0) * qy0
-        else:
-            lead = yb * (1.0 + tb)
-        yc = (2.0 * ya * (1.0 - 5.0 * ta) - lead) / (1.0 + tc)
-        yb, ya = ya, yc
-        tb, ta = ta, tc
-        if abs(yc) > 1e250:
-            f = abs(yc)
-            yb /= f
-            ya /= f
+        diff -= (12.0 * t[i - 1] / grow[i - 1]) * big
+        big += diff
+        if abs(big) > radial._RENORM_LIMIT:
+            f = abs(big)
+            big /= f
+            diff /= f
             y[:i] /= f
             scale_log += math.log(f)
-        y[i] = ya
+        y[i] = big / grow[i]
         if y[i - 1] * y[i] < 0.0:
             nodes += 1
     if y[0] * y[1] < 0.0:
@@ -518,20 +524,55 @@ def _reference_sweep(q, h, y0, y1, qy0=None):
     return y, nodes, scale_log
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("case", ["regular", "wall", "renormalised"])
-def test_sweep_matches_reference_bit_for_bit(seed, case):
+def _direct_sweep(q, h, y0, y1, qy0=None):
+    """The direct form of the recurrence, (1 + t[n+1]) y[n+1] =
+    2 (1 - 5 t[n]) y[n] - (1 + t[n-1]) y[n-1], step by step: the accuracy
+    oracle of the summed form."""
+    t = (h * h / 12.0) * np.asarray(q, dtype=float)
+    y = np.empty(len(q))
+    y[0], y[1] = y0, y1
+    nodes = 0
+    ya, yb = y1, y0
+    for i in range(2, len(q)):
+        if i == 2 and qy0 is not None:
+            lead = (h * h / 12.0) * qy0
+        else:
+            lead = yb * (1.0 + t[i - 2])
+        yc = (2.0 * ya * (1.0 - 5.0 * t[i - 1]) - lead) / (1.0 + t[i])
+        yb, ya = ya, yc
+        if abs(yc) > radial._RENORM_LIMIT:
+            f = abs(yc)
+            yb /= f
+            ya /= f
+            y[:i] /= f
+        y[i] = ya
+        if y[i - 1] * y[i] < 0.0:
+            nodes += 1
+    if y[0] * y[1] < 0.0:
+        nodes += 1
+    return y, nodes
+
+
+def _sweep_case(seed, case):
+    """(q, h, y0, y1, qy0) of a random sweep: a regular start, a 1/x wall
+    start, or a growth of ~e^2 a step renormalised every ~290 steps, with
+    single allowed points that flip signs."""
     rng = np.random.default_rng(seed)
     h = 0.01
     if case == "renormalised":
-        # |q| h^2 ~ 4: growth by ~e^2 a step, renormalised every ~290 steps,
-        # with single allowed points that flip signs
         q = -4e4 * rng.uniform(0.5, 1.5, 2000)
         q[rng.integers(0, 2000, 40)] *= -1.0
     else:
         q = rng.uniform(-3e3, 3e3, 1500)
     y0, y1 = (0.0, h) if case != "regular" else (rng.normal(), rng.normal())
     qy0 = rng.uniform(1.0, 300.0) if case == "wall" else None
+    return q, h, y0, y1, qy0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["regular", "wall", "renormalised"])
+def test_sweep_matches_reference_bit_for_bit(seed, case):
+    q, h, y0, y1, qy0 = _sweep_case(seed, case)
     got = radial._numerov_sweep(q, h, y0, y1, qy0=qy0)
     with np.errstate(over="ignore"):
         want = _reference_sweep(q, h, y0, y1, qy0)
@@ -539,6 +580,45 @@ def test_sweep_matches_reference_bit_for_bit(seed, case):
     assert got[1] == want[1]
     if case == "renormalised":
         assert want[2] > 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["regular", "wall", "renormalised"])
+def test_summed_form_agrees_with_direct_form(seed, case):
+    # the two forms of the recurrence differ only by roundoff (8e-12 at
+    # most on these cases); renormalised values differ by a scale factor
+    q, h, y0, y1, qy0 = _sweep_case(seed, case)
+    got = radial._numerov_sweep(q, h, y0, y1, qy0=qy0)
+    with np.errstate(over="ignore"):
+        direct = _direct_sweep(q, h, y0, y1, qy0)
+    assert got[1] == direct[1]
+    if case != "renormalised":
+        assert np.max(np.abs(got[0] - direct[0])) <= 1e-10 * np.max(np.abs(direct[0]))
+
+
+def test_single_value_past_the_limit_reruns_guarded(monkeypatch):
+    # steady growth whose last value alone passes the limit: the unguarded
+    # steps see it, and the guarded re-run renormalises at that one point
+    h = 0.01
+    q = np.full(400, -1e4)
+    probe = radial._numerov_sweep(q, h, 0.0, h)[0]
+    y1 = h * 1.5 * radial._RENORM_LIMIT / (probe[-1] * (1.0 + h * h * q[-1] / 12.0))
+    calls = []
+    guarded = radial._guarded_sweep
+
+    def spy(*args):
+        bigs, renorms = guarded(*args)
+        calls.append([i for i, _ in renorms])
+        return bigs, renorms
+
+    monkeypatch.setattr(radial, "_guarded_sweep", spy)
+    got = radial._numerov_sweep(q, h, 0.0, y1)
+    with np.errstate(over="ignore"):
+        want = _reference_sweep(q, h, 0.0, y1)
+    assert calls == [[len(q) - 1]]
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1] == 0
+    assert want[2] > 0.0
 
 
 class _NoArithmetic(np.float64):

@@ -292,7 +292,8 @@ def test_full_mode_work_bound(monkeypatch):
     # one array expression on fixed nodes with three W calls (the nodes,
     # x_eps, and the central difference at x_eps), and at most eight settle
     # six levels (five, once the phase's rounding lets a last step fall
-    # within 4 ulp)
+    # within 4 ulp); a wall at R_inner > 1 adds two W calls (W and W' there)
+    # for the start of the levels next to it
     seen = _spy_phases(monkeypatch)
     for nu0, R_inner, theta in [(200.0, 1.0, 0.0), (20.0, 1.0, 0.0), (200.0, 1.0, 0.7),
                                 (200.0, math.e, -0.9)]:
@@ -302,8 +303,24 @@ def test_full_mode_work_bound(monkeypatch):
         spec = wkb.quantize_spectrum((1, 6), nu0, cfg, pot)
         assert len(spec.levels) == 6
         assert len(seen) <= 8
-        assert pot.calls == 3 * len(seen) + 6  # and one W per level for E_n
+        assert pot.calls == 3 * len(seen) + 6 + 2 * (R_inner > 1.0)  # and one W per level for E_n
         assert pot.elements <= 3_500
+
+
+@pytest.mark.parametrize("R_inner", [math.e, math.e**3])
+@pytest.mark.parametrize("nu0", [20.0, 200.0, 2000.0])
+def test_level_next_to_the_wall_takes_few_phases(monkeypatch, nu0, R_inner):
+    # at theta just below pi the level lies within about 1e-10 of the wall,
+    # where the phase grows as (x - x_inner)^(3/2); the closed-form start
+    # rounded to the wall, and the solve took 31-35 phases
+    seen = _spy_phases(monkeypatch)
+    cfg = wkb.WkbConfig(theta=math.nextafter(math.pi, 0.0), phase_mode="full",
+                        R_inner=R_inner)
+    spec = wkb.quantize_spectrum((1, 1), nu0, cfg)
+    assert len(seen) <= 8
+    x_n = math.log(spec.levels[0][1])
+    phase = wkb.wkb_phase_langer(math.log(R_inner), x_n, nu0, U.langer_w, 0.0)
+    assert phase == pytest.approx(math.pi - cfg.theta, rel=1e-6)
 
 
 def test_full_mode_drops_levels_beyond_rmax():
