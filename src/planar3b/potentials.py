@@ -11,17 +11,25 @@ light-particle binding momentum xi at fixed heavy-pair separation R:
 * p-wave branch II (s+p superpositions), the product form
   [K2 + K0 +/- (a1_inv/xi^2 + ln xi)] [K0 -/+ ln(xi e^gamma a0/2)] = 2 K1^2.
 
+Each equation is coded once, as a residual(xi, z, log_xi, k0, k1) that
+works on floats and on numpy arrays alike (``_swave_residual``,
+``_pwave_equation``); its caller supplies ln xi, K0 and K1, so the p-wave
+residuals write the pole function a1_inv/xi^2 + ln xi
+(``twobody.pole_function``) on the given ln xi.
 Each p-wave solve scans xi on a 200-point log grid with
 ``scan_sign_changes``, which returns every bracket, and keeps the smallest
 root (``_kept_brackets``).  A single point (``solve_swave``,
-``solve_pwave_I``, ``solve_pwave_II``) scans one row and refines its bracket
-with scalar Brent.  A sweep (``sweep_branches``) solves all the branches
-asked for on one grid as one bracket table: the p-wave branches add the
-brackets they keep from one shared R x xi sign map (K0 and K1 are evaluated
-once per scan window), the s-wave branches the point solver's brackets for
-all R at once, and one array regula falsi (``refine_brackets``) closes every
-row of the table at adjacent doubles, one K0/K1 evaluation per step.  A row
-that misses the residual bound stays unconverged.
+``solve_pwave_I``, ``solve_pwave_II``) takes its bracket from
+``_swave_bracket`` or from a scan of one row and closes it by scalar Brent
+on ``_scalar_residual``: one ln xi and one (K0, K1) pair of
+``bessel_k01_float`` per step.  A sweep (``sweep_branches``) solves all the
+branches asked for on one grid as one bracket table: the p-wave branches
+add the brackets they keep from one shared R x xi sign map (K0 and K1 are
+evaluated once per scan window), the s-wave branches the point solver's
+brackets for all R at once, and one array regula falsi
+(``refine_brackets``) closes every row of the table at adjacent doubles,
+one K0/K1 evaluation per step.  A row that misses the residual bound stays
+unconverged.
 
 Both s-wave brackets end at xi = 1, where ln xi = 0 and the residual is
 K0(c) >= 0 (``_swave_bracket``, with c = 2 e^-gamma R/a0): s- is (1e-280,
@@ -53,8 +61,9 @@ import numpy as np
 
 from .errors import DomainError, NoRealRootError, NotABracketError
 from .numerics import brent, refine_brackets, scan_sign_changes
-from .specfun import EULER_GAMMA, bessel_k, bessel_k01
-from .twobody import TwoBodyParams, pole_minimum, t_matrix
+from .specfun import EULER_GAMMA, bessel_k, bessel_k01, bessel_k01_float
+# pole_function is read here by validation and the tests
+from .twobody import TwoBodyParams, pole_function, pole_minimum, t_matrix  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -119,9 +128,29 @@ def _check_R(R, name="R"):
         raise DomainError(f"{name} must be finite, got {R}")
 
 
+def _scalar_residual(residual, scale):
+    """A branch residual(xi, z, log_xi, k0, k1) as a function of one float
+    xi, for the Brent polish of a point solve: z = xi * scale, ln xi by
+    ``math.log`` and (K0, K1) as one ``bessel_k01_float`` pair."""
+    def f(xi):
+        z = xi * scale
+        return residual(xi, z, math.log(xi), *bessel_k01_float(z))
+
+    return f
+
+
 # --------------------------------------------------------------------------
 # s-wave branches (units: R/a0 and V/|eps0|)
 # --------------------------------------------------------------------------
+
+def _swave_residual(sign):
+    """The s-wave equation K0(z) = sign ln xi in the form of the p-wave
+    residuals, with z = (2 e^-gamma R/a0) xi."""
+    def residual(xi, z, log_xi, k0, k1):
+        return k0 - sign * log_xi
+
+    return residual
+
 
 def _swave_bracket(sign, c):
     """The bracket (lo, hi) of K0(c xi) = sign ln xi, for a float or an
@@ -145,7 +174,7 @@ def _swave_bracket(sign, c):
 
 def solve_swave(R_over_a0: float, sign: int) -> RootResult:
     """Root of K0((2 e^-gamma R/a0) xi) = sign * ln(xi), by Brent on
-    ``_swave_bracket``.
+    ``_swave_bracket`` with the residual of the sweeps, ``_swave_residual``.
 
     The + branch has a unique root at or above 1; the - branch a unique
     root in (0, 1] that exists only for R > a0 (below, the solution is
@@ -164,13 +193,9 @@ def solve_swave(R_over_a0: float, sign: int) -> RootResult:
             window=(0.0, 1.0),
         )
     c = _TWO_EXP_NEG_GAMMA * R_over_a0
-
-    def f(xi):
-        return bessel_k(0, c * xi) - sign * math.log(xi)
-
     lo, hi = (float(end) for end in _swave_bracket(sign, c))
     try:
-        root, res = brent(f, lo, hi)
+        root, res = brent(_scalar_residual(_swave_residual(sign), c), lo, hi)
     except NotABracketError:
         raise NoRealRootError(f"s-wave bracket failed at R/a0 = {R_over_a0:g} "
                               f"(sign {sign:+d})", window=(lo, hi)) from None
@@ -203,17 +228,6 @@ def swave_asymptote(R_over_a0: float, sign: int, regime: str) -> float:
 # --------------------------------------------------------------------------
 # p-wave branches (natural units)
 # --------------------------------------------------------------------------
-
-def _scalar_residual(residual, R, needs_k0):
-    """The branch residual at one R as a function of a float xi, through
-    scalar ``bessel_k`` and ``math.log`` (k0 = None unless ``needs_k0``)."""
-    def f(xi):
-        z = xi * R
-        return residual(xi, z, math.log(xi), bessel_k(0, z) if needs_k0 else None,
-                        bessel_k(1, z))
-
-    return f
-
 
 def _polish(f, a, b):
     """Brent on the scan bracket [a, b]: (root, residual)."""
@@ -254,11 +268,11 @@ def _kept_brackets(scan, rows):
 
 def _pwave_point(family, R, params, sign):
     """``solve_pwave_I`` or ``solve_pwave_II``: scan one row of xi, then
-    Brent on the smallest bracket with scalar K and math.log."""
+    Brent on the smallest bracket (``_scalar_residual``)."""
     _check_R(R)
     if R <= 1.0:
         raise DomainError(f"branch {family} needs R > r1, got R = {R:g}")
-    residual, hi, needs_k0, label = _pwave_equation(family, params, sign)
+    residual, hi, label = _pwave_equation(family, params, sign)
     scan = _scan_pwave([residual], np.array([R]), hi)
     (count,), kept = _kept_brackets(scan, 1)
     if not count:
@@ -272,7 +286,7 @@ def _pwave_point(family, R, params, sign):
         log.debug("%s: %d roots at R=%g; keeping smallest, others in %s",
                   label, count, R, others)
     a, b = float(scan.a[kept[0]]), float(scan.b[kept[0]])
-    root, res = _polish(_scalar_residual(residual, R, needs_k0), a, b)
+    root, res = _polish(_scalar_residual(residual, R), a, b)
     return RootResult(xi=root, residual=res, bracket=(a, b),
                       converged=abs(res) <= _RESIDUAL_BOUND, n_roots=int(count))
 
@@ -305,16 +319,11 @@ def _pwave_brackets(equations, R):
     return count.reshape(len(equations), len(R)), (owner, at, *np.concatenate(brackets, axis=1))
 
 
-def pole_function(xi: float, a1_inv: float) -> float:
-    """a1_inv/xi^2 + ln xi, the real p-wave inverse-T combination."""
-    return a1_inv / (xi * xi) + math.log(xi)
-
-
 def _pwave_equation(family, params, sign):
-    """(residual, scan cap, needs_k0, label) of p-wave branch I or II.
+    """(residual, scan cap, label) of p-wave branch I or II.
 
-    residual(xi, z, log_xi, k0, k1) works on floats and on numpy arrays
-    alike (see ``_pwave_point``).
+    residual(xi, z, log_xi, k0, k1), with z = xi R, works on floats and on
+    numpy arrays alike (see ``_scalar_residual`` and ``_scan_pwave``).
     """
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -328,7 +337,7 @@ def _pwave_equation(family, params, sign):
         # unphysical second zero of the pole function the residual is
         # negative, so the scan ends at the minimum between the two
         hi = pole_minimum(a1_inv) if sign == -1 and a1_inv > 0.0 else None
-        return residual, hi, False, label
+        return residual, hi, label
     log_ga0 = EULER_GAMMA + math.log(0.5 * params.a0)
 
     def residual(xi, z, log_xi, k0, k1):
@@ -337,7 +346,7 @@ def _pwave_equation(family, params, sign):
         second = k0 - sign * (log_xi + log_ga0)
         return first * second - 2.0 * k1 * k1
 
-    return residual, None, True, label
+    return residual, None, label
 
 
 def solve_pwave_I(R: float, params: TwoBodyParams, sign: int) -> RootResult:
@@ -414,7 +423,7 @@ class UnifiedPotential:
 
     @staticmethod
     def langer_w(x):
-        if (np.asarray(x) <= 0.0).any():
+        if not (np.asarray(x) > 0.0).all():  # NaN fails too
             raise DomainError("langer_w needs x = ln R > 0")
         return 1.0 / x
 
@@ -524,15 +533,6 @@ def branch_existence(branch: Branch, params: TwoBodyParams) -> tuple:
 
 def resonance_params(params: TwoBodyParams) -> TwoBodyParams:
     return TwoBodyParams(a0=params.a0, a1_inv=0.0, r0=params.r0)
-
-
-def _swave_residual(sign):
-    """The s-wave equation in the form of the p-wave residuals, with
-    z = (2 e^-gamma R/a0) xi."""
-    def residual(xi, z, log_xi, k0, k1):
-        return k0 - sign * log_xi
-
-    return residual
 
 
 def _table_function(residuals, job, scale):

@@ -78,7 +78,6 @@ as the cap, and the matching point is where that forbidden run begins
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,14 +87,12 @@ from .errors import ConvergenceError, DomainError, StepSizeError
 # the name stays bound until the counters module of ROADMAP item 2 lands
 from .numerics import ridders  # noqa: F401
 from .specfun import bessel_j, bessel_y
-from .wkb import WkbConfig, langer_w, quantize_spectrum
+from .wkb import _X_MAX, WkbConfig, _check_index, langer_w, quantize_spectrum
 
 _FORBIDDEN_ACTION_CAP = 35.0
 _CAP_PIECE = 1024
 _RENORM_LIMIT = 1e250
 _CORRECTION_LIMIT = 60
-#: e^{2x} overflows past this x = ln(DBL_MAX)/2 (R ~ 1.34e154)
-_X_MAX = 0.5 * math.log(np.finfo(float).max)
 #: a level settles once a Cooley correction is at most this times |eps|
 _SETTLE_RTOL = 1e-10
 
@@ -440,11 +437,6 @@ def _numerov_problem(potential, nu0, window, h):
     return _ShootingProblem(x, np.exp(2.0 * x), vx, wall)
 
 
-def _check_levels(k_levels):
-    if isinstance(k_levels, bool) or not isinstance(k_levels, numbers.Integral) or k_levels < 1:
-        raise DomainError(f"k_levels must be an integer >= 1, got {k_levels!r}")
-
-
 def _wkb_seeds(potential, nu0, window, k_levels):
     """eps = nu0 E of the full-phase WKB levels n = 1..k_levels with the
     inner wall at window[0] (level n seeds node count n - 1), from the one
@@ -468,7 +460,7 @@ def bound_states_numerov(potential, nu0: float, window, k_levels: int,
     matched shots from its full-phase WKB energy (``_wkb_seeds``).
     Raises DomainError unless k_levels is an integer >= 1.
     """
-    _check_levels(k_levels)
+    _check_index(k_levels, "k_levels")
     problem = _numerov_problem(potential, nu0, window, h)
     res = _eigensolve(problem, k_levels, seeds=_wkb_seeds(potential, nu0, window, k_levels))
     return BoundStates(
@@ -485,7 +477,7 @@ def count_negative_levels(potential, nu0: float, window, *, h: float | None = No
 def bound_states_1d(u_of_x, window, k_levels: int, *, h: float = 1e-3) -> BoundStates:
     """Plain 1D hard-wall problem chi'' + (E - U(x)) chi = 0 (solver self-test),
     solved by ``_eigensolve`` without seeds."""
-    _check_levels(k_levels)
+    _check_index(k_levels, "k_levels")
     _check_finite("window[0]", window[0])
     _check_finite("window[1]", window[1])
     x = _uniform_grid(window[0], window[1], h)

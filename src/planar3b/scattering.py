@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, TMatrixPoleError
 from .specfun import EULER_GAMMA
-from .wkb import count_bound_states
+from .wkb import count_bound_states, level_indices
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,13 @@ def resonance_positions(n_range, nu0: float) -> ResonanceTable:
     together with the leading asymptotic form exp(pi^2 n^2/(2 nu0)) for
     comparison.  A0 is reported at the inter-resonance midpoint (integer
     N_b = n + 1), where it equals R1 exactly.  Overflowing entries are
-    returned capped at inf.
+    returned capped at inf.  n_range is a tuple (first, last) or an
+    iterable of indices (``wkb.level_indices``).
     """
     if not 0.0 < nu0 < math.inf:  # NaN fails too
         raise DomainError(f"nu0 must be positive and finite, got {nu0}")
-    if isinstance(n_range, tuple):
-        ns = range(n_range[0], n_range[1] + 1)
-    else:
-        ns = n_range
     rows = []
-    for n in ns:
-        if n < 1:
-            raise DomainError("resonance index starts at n = 1")
+    for n in level_indices(n_range):
         arg = math.pi**2 * (n + 0.5) ** 2 / (2.0 * nu0)
         arg_mid = math.pi**2 * (n + 1.0) ** 2 / (2.0 * nu0)
         arg_asym = math.pi**2 * n**2 / (2.0 * nu0)

@@ -24,14 +24,16 @@ one evaluation scheme per regime:
 * ``K2`` always goes through the upward recurrence K2 = K0 + 2 K1/x
   (cancellation-free: all terms positive).
 
-K has two loops over its tables.  ``bessel_k`` takes one float at a time:
-the Brent polish of point solves calls it thousands of times so, and a
-numpy call would cost several times more per argument.  ``bessel_k01``
-takes a whole numpy array, for the sign maps and array refinement of the
-p-wave solvers and for wavefunction grids.  The two agree to 8 ulp.  J and
-Y have one loop, over arrays: their only many-point caller,
-``radial.zero_energy_exact``, passes a whole grid, and a float is evaluated
-as a one-element array, which gives it the bits it has inside any array.
+K has two loops over its tables, each returning K0 and K1 together.
+``bessel_k01_float`` takes one float: the Brent polish of every point solve
+takes one such pair per residual evaluation, where a numpy call would cost
+several times more per argument, and ``bessel_k`` returns one order (or
+K2) of the same pair.  ``bessel_k01`` takes a whole numpy array, for the
+sign maps and array refinement of the branch solvers and for wavefunction
+grids.  The two loops agree to 8 ulp.  J and Y have one loop, over arrays:
+their only many-point caller, ``radial.zero_energy_exact``, passes a whole
+grid, and a float is evaluated as a one-element array, which gives it the
+bits it has inside any array.
 
 Phases of the Hankel expansion are evaluated as cos(x - pi/4) =
 (cos x + sin x)/sqrt(2) etc., so no accuracy is lost subtracting pi/4 from a
@@ -93,7 +95,7 @@ _K_ASYMP_K = np.arange(1.0, 35.0)
 _K_ASYMP_RATIOS = np.array([(mu - (2.0 * _K_ASYMP_K - 1.0) ** 2) / (8.0 * _K_ASYMP_K)
                             for mu in (0.0, 4.0)])[:, :, None]
 #: The same tables as Python floats, for the one-argument loop of
-#: ``_k01_float``: the series' columns in Horner order, the rule's
+#: ``bessel_k01_float``: the series' columns in Horner order, the rule's
 #: (cosh t_j - 1) and its node pairs, and the asymptotic ratios per order.
 _K_SERIES_COLS = tuple(map(tuple, _K_SERIES[:, ::-1].T.tolist()))
 _K_TRAP_W = (-_K_TRAP_NEG_W).tolist()
@@ -104,9 +106,14 @@ _K_ASYMP_ROWS = tuple(map(tuple, _K_ASYMP_RATIOS[:, :, 0].tolist()))
 _HANKEL_SIGNS = np.resize([1.0, -1.0, -1.0, 1.0], _K_ASYMP_K.size)
 
 
-def _k01_float(x):
-    # (K0, K1) at one float x > 0: the scheme of bessel_k01's three kernels
-    # below, on the same tables, one float at a time.
+def bessel_k01_float(x: float) -> tuple:
+    """(K0, K1) at one float x > 0, from one evaluation.
+
+    The scalar loop of ``bessel_k01``'s three regimes, on the same tables,
+    one float at a time; ``bessel_k`` returns one order of this pair.
+    """
+    if not x > 0.0:  # also rejects NaN; +inf underflows to 0.0 below
+        raise DomainError(f"bessel_k01_float: x must be > 0, got {x}")
     if x <= _K_SERIES_MAX:
         q = 0.25 * x * x
         p0 = p1 = p2 = p3 = 0.0
@@ -186,10 +193,10 @@ def _k01_asymp(x):
 def bessel_k01(x):
     """K0 and K1 at every element of an array x > 0, as two arrays.
 
-    The array form of ``bessel_k``, on the same three regimes and tables:
-    the power series for x <= 2 as one fixed-degree Horner pass, the
+    The array form of ``bessel_k01_float``, on the same three regimes and
+    tables: the power series for x <= 2 as one fixed-degree Horner pass, the
     trapezoidal rule for 2 < x < 16 and the optimally truncated asymptotic
-    series for x >= 16.  Agrees with ``bessel_k`` to 8 ulp or better and
+    series for x >= 16.  Agrees with the float loop to 8 ulp or better and
     underflows to 0.0 the same way.
     """
     x = np.asarray(x, dtype=float)
@@ -333,7 +340,7 @@ def bessel_k(order: int, x: float) -> float:
     _check_order(order, (0, 1, 2), "bessel_k")
     if not x > 0.0:  # also rejects NaN; +inf underflows to 0.0 below
         raise DomainError(f"bessel_k: x must be > 0, got {x}")
-    k0, k1 = _k01_float(x)
+    k0, k1 = bessel_k01_float(x)
     if order == 0:
         return k0
     if order == 1:

@@ -106,13 +106,19 @@ def cot_delta0(kappa: float, a0: float) -> float:
     return (2.0 / math.pi) * (EULER_GAMMA + math.log(0.5 * kappa * a0))
 
 
+def pole_function(kappa: float, a1_inv: float) -> float:
+    """a1_inv/kappa^2 + ln kappa, the real p-wave inverse-T combination
+    (pi/2 cot_delta1), whose smallest zero is the pole of T1."""
+    return a1_inv / (kappa * kappa) + math.log(kappa)
+
+
 def cot_delta1(kappa: float, a1_inv: float) -> float:
     """p-wave effective-range form: (2/pi) [a1_inv/kappa^2 + ln kappa]."""
     if not 0.0 < kappa < math.inf:  # NaN fails too
         raise DomainError("cot_delta1 needs finite kappa > 0")
     if not 0.0 <= a1_inv < math.inf:
         raise DomainError("a1_inv must be finite and >= 0")
-    return (2.0 / math.pi) * (a1_inv / (kappa * kappa) + math.log(kappa))
+    return (2.0 / math.pi) * pole_function(kappa, a1_inv)
 
 
 def t_matrix(order: int, kappa: float, params: TwoBodyParams) -> float:
@@ -134,8 +140,7 @@ def t_matrix(order: int, kappa: float, params: TwoBodyParams) -> float:
 
 
 def pole_minimum(a1_inv: float) -> float:
-    """kappa* = sqrt(2 a1_inv), where the pole function a1_inv/kappa^2 +
-    ln kappa takes its minimum.
+    """kappa* = sqrt(2 a1_inv), where ``pole_function`` takes its minimum.
 
     T1 has its pole kappa1 below kappa* and the function's second zero above
     it only where the minimum is negative, that is for a1 > 2e; otherwise
@@ -146,8 +151,7 @@ def pole_minimum(a1_inv: float) -> float:
     if a1_inv == 0.0:
         raise NoPoleError("exact resonance: T1 pole sits at kappa = 0")
     k_star = math.sqrt(2.0 * a1_inv)
-    f_star = a1_inv / (k_star * k_star) + math.log(k_star)
-    if f_star >= 0.0:
+    if pole_function(k_star, a1_inv) >= 0.0:
         raise NoPoleError(
             f"no p-wave bound state for a1 = {1.0 / a1_inv:g} (need a1 > 2e)"
         )
@@ -155,7 +159,7 @@ def pole_minimum(a1_inv: float) -> float:
 
 
 def pwave_pole(a1_inv: float) -> float:
-    """Smallest positive kappa with a1_inv/kappa^2 + ln kappa = 0 (pole of T1).
+    """Smallest positive zero of ``pole_function`` (the pole of T1).
 
     Bracketed bisection/Brent between kappa -> 0+ (where the centrifugal term
     dominates) and the minimum of the pole function (``pole_minimum``).
@@ -163,7 +167,7 @@ def pwave_pole(a1_inv: float) -> float:
     k_star = pole_minimum(a1_inv)
 
     def f(kappa):
-        return a1_inv / (kappa * kappa) + math.log(kappa)
+        return pole_function(kappa, a1_inv)
 
     lo = k_star
     while f(lo) < 0.0:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,14 +37,40 @@ from .numerics import adaptive_simpson  # noqa: F401
 from .potentials import UnifiedPotential
 
 _DEF_POTENTIAL = UnifiedPotential()
+#: e^{2x} overflows past this x = ln(DBL_MAX)/2 (R ~ 1.34e154)
+_X_MAX = 0.5 * math.log(np.finfo(float).max)
+
+
+def _check_index(value, name):
+    """DomainError unless value is an integer >= 1 (bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def level_indices(n_range):
+    """The level indices of ``n_range``: a tuple (first, last) is the
+    inclusive range first..last, anything else an iterable of indices.
+    Every index, and each end of a range, must be an integer >= 1."""
+    if isinstance(n_range, tuple):
+        if len(n_range) != 2:
+            raise DomainError(f"an n_range tuple is (first, last), got {n_range!r}")
+        for end in n_range:
+            _check_index(end, "each end of n_range")
+        return range(n_range[0], n_range[1] + 1)
+    ns = list(n_range)
+    for n in ns:
+        _check_index(n, "a level index n")
+    return ns
 
 
 @dataclass(frozen=True)
 class WkbConfig:
     """Short-range phase theta (|theta| <= pi), inner matching radius
-    R_inner, outer search limit R_max, and phase_mode, the quantization
-    phase ('approx' = energy-free closed form, 'full' = the fixed
-    Gauss-Legendre quadrature, which has no tolerance)."""
+    R_inner, outer search limit R_max (at most e^_X_MAX ~ 1.34e154, past
+    which e^{2x} overflows and the level energies -W(x) e^{-2x} leave the
+    normal range), and phase_mode, the quantization phase ('approx' =
+    energy-free closed form, 'full' = the fixed Gauss-Legendre quadrature,
+    which has no tolerance)."""
 
     theta: float = 0.0
     R_inner: float = 1.0
@@ -58,6 +85,9 @@ class WkbConfig:
             raise DomainError("R_inner must be finite and >= r1 = 1")
         if not self.R_max > self.R_inner:
             raise DomainError("R_max must exceed R_inner")
+        if not self.R_max <= math.exp(_X_MAX):
+            raise DomainError(f"R_max must be at most e^{_X_MAX:.6g} ~ "
+                              f"{math.exp(_X_MAX):.3g}, got {self.R_max!r}")
         if self.phase_mode not in ("approx", "full"):
             raise DomainError("phase_mode must be 'approx' or 'full'")
 
@@ -103,7 +133,8 @@ def langer_w(potential):
 
 def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
                   R_max: float = 1e150) -> float:
-    """Outer turning point R_E with V(R_E) = E, by bracketed bisection in ln R.
+    """Outer turning point R_E with V(R_E) = E, in x = ln R: doubling steps
+    x_lo + 2^k until V passes E, then Brent between the last two points.
 
     Requires E < 0 and V monotone increasing toward 0 on the search domain.
     """
@@ -116,10 +147,11 @@ def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
     x_lo = math.log(R_lo)
     if potential(math.exp(x_lo)) >= E:
         raise NoTurningPointError(f"E = {E:g} below the potential at R = {R_lo:g}")
-    x_hi = x_lo + 1.0
+    # V(e^x_below) < E <= V(e^x_hi): the doubling keeps its last point below E
+    x_below, x_hi = x_lo, x_lo + 1.0
     x_cap = math.log(R_max)
     while potential(math.exp(x_hi)) < E:
-        x_hi = x_lo + 2.0 * (x_hi - x_lo)
+        x_below, x_hi = x_hi, x_lo + 2.0 * (x_hi - x_lo)
         if x_hi > x_cap:
             raise NoTurningPointError(
                 f"turning point beyond R_max = {R_max:g} for E = {E:g}"
@@ -128,7 +160,7 @@ def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
     def g(x):
         return potential(math.exp(x)) - E
 
-    x_e, _ = brent(g, max(x_lo, x_hi - 2.0 * (x_hi - x_lo)), x_hi)
+    x_e, _ = brent(g, x_below, x_hi)
     return math.exp(x_e)
 
 
@@ -365,7 +397,8 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
                       potential=None) -> SpectrumResult:
     """Quasi-Coulomb spectrum by the quantization rule phi(R_inner, rho_n) = pi n.
 
-    In 'approx' mode the rule inverts in closed form,
+    n_range is a tuple (first, last) or an iterable of indices
+    (``level_indices``).  In 'approx' mode the rule inverts in closed form,
     rho_n = exp([(pi n - theta)/(2 sqrt(nu0)) + sqrt(ln R_inner)]^2); in
     'full' mode one safeguarded Newton solve on the quadrature phase finds
     all rho_n together, starting from the closed form (``_full_phase_roots``).
@@ -378,18 +411,12 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
         raise DomainError(f"nu0 must be positive and finite, got {nu0}")
     if potential is None:
         potential = _DEF_POTENTIAL
-    if isinstance(n_range, tuple):
-        ns = range(n_range[0], n_range[1] + 1)
-    else:
-        ns = n_range
     w = langer_w(potential)
     x_inner = math.log(cfg.R_inner)
     x_cap = math.log(cfg.R_max)
     sqrt_nu0 = math.sqrt(nu0)
     wanted = []  # (n, pi n - theta) of the levels with a positive target
-    for n in ns:
-        if n < 1:
-            raise DomainError("levels are indexed from n = 1")
+    for n in level_indices(n_range):
         target = math.pi * n - cfg.theta
         if target > 0:
             wanted.append((n, target))

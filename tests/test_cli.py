@@ -463,6 +463,20 @@ def test_spectrum_slope_invariant_under_theta(tmp_path):
 
 # ------------------------------------------------------------- benchmark hooks
 
+def test_wkb_r_max_past_overflow_exit_2(tmp_path, capsys):
+    # past R_max = e^354.89 ~ 1.34e154 the spectrum crashed: an
+    # OverflowError at r_max = inf, levels with E_n = -0.0 dividing the
+    # ratio_next column at r_max = 1e308
+    for r_max in ("inf", "1e308"):
+        ini = tmp_path / f"r_max_{r_max}.ini"
+        ini.write_text(f"[model]\nnu0 = 1.5\n[wkb]\nr_max = {r_max}\n")
+        out = tmp_path / r_max
+        assert cli.main(["spectrum", "--config", str(ini), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "R_max" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_benchmark_wrapped_names_resolve():
     # perfbench/layers.py wraps these module attributes in traced runs and
     # reports the metrics of a missing one as null, so each must exist

@@ -78,7 +78,7 @@ def test_scan_min_abs_ignores_non_finite(monkeypatch):
             return out
         return 5.0
 
-    monkeypatch.setattr(P, "_pwave_equation", lambda *args: (residual, None, True, "stub"))
+    monkeypatch.setattr(P, "_pwave_equation", lambda *args: (residual, None, "stub"))
     for given, min_abs in (([math.inf, -3.0, math.nan, 2.0, -math.inf], 2.0),
                            ([math.nan, math.inf] * 100, math.inf)):
         values[:] = given

@@ -105,16 +105,16 @@ def test_splus_point_solve_k0_budget(monkeypatch):
     # the closed-form bracket sits within a factor 4 of the root, about
     # 1e100 here; doubling up from 2 took 342 K0 evaluations
     calls = []
-    k = P.bessel_k
+    k01 = P.bessel_k01_float
 
-    def count_k(order, x):
+    def count_k(x):
         calls.append(x)
-        return k(order, x)
+        return k01(x)
 
-    monkeypatch.setattr(P, "bessel_k", count_k)
+    monkeypatch.setattr(P, "bessel_k01_float", count_k)
     r = P.solve_swave(1e-200, +1)
     assert r.converged
-    assert len(calls) <= 20
+    assert 0 < len(calls) <= 20
 
 
 def test_splus_sweep_brackets_in_two_table_calls(monkeypatch):
@@ -388,13 +388,44 @@ def test_scan_and_brent_disagreement_does_not_abort(monkeypatch):
             return xi - xi[0, 100]
         return (xi - grid_point[0]) - 1e-15 * grid_point[0]
 
-    monkeypatch.setattr(P, "_pwave_equation", lambda *args: (residual, None, True, "stub"))
+    monkeypatch.setattr(P, "_pwave_equation", lambda *args: (residual, None, "stub"))
     r = P.solve_pwave_I(10.0, PARAMS_100, +1)
     c = grid_point[0]
     assert r.bracket[0] < r.bracket[1] == c
     assert (r.xi, r.residual) == (c, -1e-15 * c)
     assert r.xi == pytest.approx(c, rel=1e-14)
     assert r.converged and abs(r.residual) <= 1e-10 * c
+
+
+@pytest.mark.parametrize("params, sign", [(PARAMS_100, +1), (PARAMS_100, -1),
+                                          (PARAMS_RES, +1)], ids=["II+", "II-", "II0"])
+def test_branch_II_polish_takes_one_k_pair_per_residual(monkeypatch, params, sign):
+    # the Brent polish evaluates the residual on one (K0, K1) pair per
+    # step; one bessel_k call per order computed the pair twice
+    counts = {"evals": 0, "pairs": 0, "orders": 0}
+    brent, pair, k = P.brent, P.bessel_k01_float, P.bessel_k
+
+    def count_brent(f, a, b):
+        def counted(x):
+            counts["evals"] += 1
+            return f(x)
+
+        return brent(counted, a, b)
+
+    def count_pair(x):
+        counts["pairs"] += 1
+        return pair(x)
+
+    def count_order(order, x):
+        counts["orders"] += 1
+        return k(order, x)
+
+    monkeypatch.setattr(P, "brent", count_brent)
+    monkeypatch.setattr(P, "bessel_k01_float", count_pair)
+    monkeypatch.setattr(P, "bessel_k", count_order)
+    r = P.solve_pwave_II(20.0, params, sign)
+    assert r.converged and counts["evals"] > 5
+    assert counts["pairs"] == counts["evals"] and counts["orders"] == 0
 
 
 def _scalar_scan_reference(f, lo, hi, n):
@@ -847,7 +878,7 @@ def test_sweep_branches_is_one_refinement():
     grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
     with pytest.MonkeyPatch.context() as mp_ctx:
         mp_ctx.setattr(P, "refine_brackets", count_refine)
-        for name in ("brent", "solve_swave", "bessel_k"):
+        for name in ("brent", "solve_swave", "bessel_k", "bessel_k01_float"):
             mp_ctx.setattr(P, name, scalar)
         curves = P.sweep_branches(_ALL_JOBS, grid)
     assert len(refinements) == 1
@@ -869,21 +900,21 @@ def test_sweep_logs_extra_roots_at_info(caplog):
 
 
 def test_sweep_is_one_array_problem():
+    # "k" counts the scalar K calls, of one order or of the pair
     calls = {"k01": 0, "k": 0}
-    k01, k = P.bessel_k01, P.bessel_k
 
-    def count_k01(x):
-        calls["k01"] += 1
-        return k01(x)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
 
-    def count_k(order, x):
-        calls["k"] += 1
-        return k(order, x)
+        return wrapper
 
     grid = np.logspace(math.log10(1.2), math.log10(60.0), 100)
     with pytest.MonkeyPatch.context() as mp_ctx:
-        mp_ctx.setattr(P, "bessel_k01", count_k01)
-        mp_ctx.setattr(P, "bessel_k", count_k)
+        mp_ctx.setattr(P, "bessel_k01", counted("k01", P.bessel_k01))
+        mp_ctx.setattr(P, "bessel_k", counted("k", P.bessel_k))
+        mp_ctx.setattr(P, "bessel_k01_float", counted("k", P.bessel_k01_float))
         curve = P.sweep_branch(P.Branch.PWAVE_II_PLUS, PARAMS_100, grid)
     assert curve.converged.all()
     assert calls["k01"] < 100 and calls["k"] < 200

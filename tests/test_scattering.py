@@ -170,6 +170,11 @@ def test_resonance_rows_increasing(n, nu0):
     lambda: S.r1_range(math.nan),
     lambda: S.r1_range(math.inf),
     lambda: S.resonance_positions((1, 3), math.nan),
+    # resonance indices are integers >= 1, as the level indices of wkb
+    lambda: S.resonance_positions([1.5], 20.0),
+    lambda: S.resonance_positions([math.nan], 20.0),
+    lambda: S.resonance_positions((1, 2.5), 20.0),
+    lambda: S.resonance_positions([0], 20.0),
 ])
 def test_scattering_rejects_non_finite(call):
     with pytest.raises(DomainError):

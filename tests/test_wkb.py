@@ -35,6 +35,25 @@ def test_turning_point_threshold_cap():
         wkb.turning_point(-1e6, U, R_lo=2.0)
 
 
+@pytest.mark.parametrize("E", [-1e-3, -1e-9, -1e-40, -1e-200])
+def test_turning_point_brent_starts_at_last_point_below(monkeypatch, E):
+    # the doubling steps x_lo + 2^k end at the first point at or above E;
+    # Brent starts at the one before it, not back at x_lo
+    brackets = []
+    brent = wkb.brent
+
+    def record(f, a, b):
+        brackets.append((a, b))
+        return brent(f, a, b)
+
+    monkeypatch.setattr(wkb, "brent", record)
+    r_e = wkb.turning_point(E, U)
+    ((a, b),) = brackets
+    x_lo = math.log(1.0 + 1e-12)
+    assert b - x_lo == pytest.approx(2.0 * (a - x_lo), rel=1e-12)  # adjacent doublings
+    assert U(math.exp(a)) < E <= U(math.exp(b)) and a < math.log(r_e) <= b
+
+
 # ------------------------------------------------------------- phases
 
 def test_phase_at_turning_point_is_theta():
@@ -144,7 +163,8 @@ def test_langer_w_maps_scalar_potential_over_arrays():
     np.testing.assert_allclose(w(x), 1.0 / x, rtol=1e-14)
     assert w(2.0) == pytest.approx(0.5, rel=1e-14)
     assert U.langer_w(4.0) == 0.25 and isinstance(U.langer_w(4.0), float)
-    for bad in (0.0, np.array([1.0, 0.0]), np.array([-1.0])):
+    for bad in (0.0, np.array([1.0, 0.0]), np.array([-1.0]), math.nan,
+                np.array([1.0, math.nan])):
         with pytest.raises(DomainError):
             U.langer_w(bad)
 
@@ -438,7 +458,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         wkb.WkbConfig(phase_mode="other")
     for kw in ({"theta": math.nan}, {"R_inner": math.nan}, {"R_inner": math.inf},
-               {"R_max": math.nan}, {"R_max": 0.5}):
+               {"R_max": math.nan}, {"R_max": 0.5}, {"R_max": math.inf},
+               {"R_max": 1e308}):
         with pytest.raises(DomainError):
             wkb.WkbConfig(**kw)
     with pytest.raises(TypeError):  # Phi has no tolerance left to set
@@ -475,6 +496,13 @@ def test_quantize_spectrum_rejects_bad_nu0():
     lambda: wkb.phi_correction(2.0, 1e4, -1.0),
     lambda: wkb.phi_correction(2.0, math.inf, 10.0),
     lambda: wkb.phi_correction(2.0, 1e4, math.inf),
+    # level indices are integers >= 1, in a list or at the ends of a range
+    lambda: wkb.quantize_spectrum([1.5, 2], 10.0, wkb.WkbConfig()),
+    lambda: wkb.quantize_spectrum([math.nan], 10.0, wkb.WkbConfig()),
+    lambda: wkb.quantize_spectrum((1, 2.5), 10.0, wkb.WkbConfig()),
+    lambda: wkb.quantize_spectrum([True], 10.0, wkb.WkbConfig()),
+    lambda: wkb.quantize_spectrum((0, 3), 10.0, wkb.WkbConfig()),
+    lambda: wkb.quantize_spectrum((1, 2, 3), 10.0, wkb.WkbConfig()),
 ])
 def test_wkb_rejects_bad_inputs(call):
     with pytest.raises(DomainError):
