@@ -21,7 +21,6 @@ from .potentials import (
     solve_pwave_II,
     solve_swave,
     swave_asymptote,
-    sweep_branch,
     v_unified,
     xi_I0_closed,
     xi_II0_closed,
@@ -57,9 +56,6 @@ from .wkb import (
     n_max,
     phi_correction,
     quantize_spectrum,
-    turning_point,
-    wkb_phase,
-    wkb_phase_approx,
 )
 
 __all__ = [
@@ -99,12 +95,8 @@ __all__ = [
     "solve_pwave_II",
     "solve_swave",
     "swave_asymptote",
-    "sweep_branch",
     "t_matrix",
-    "turning_point",
     "v_unified",
-    "wkb_phase",
-    "wkb_phase_approx",
     "xi_I0_closed",
     "xi_II0_closed",
     "zero_energy_exact",

@@ -303,22 +303,17 @@ def cmd_resonances(cfg: RunConfig, n_max: int, k: float | None = None):
                "a1_n_asymptotic": [row.a1_asymptotic for row in rows],
                "A0_midpoint": [row.A0_midpoint for row in rows]}
     if k is not None:
-        sigma = []
-        for row in rows:
-            sigma.append(
-                scattering.cross_section(k, row.A0_midpoint)
-                if math.isfinite(row.A0_midpoint)
-                else None
-            )
-            if math.isfinite(row.a1_exact):
-                r1 = scattering.r1_range(row.a1_exact)
-                if k * r1 >= 0.1:
-                    print(
-                        f"warning: k R1 = {k * r1:.3g} >= 0.1 at n = {row.n}; "
-                        "the low-energy cross-section form is unreliable there",
-                        file=sys.stderr,
-                    )
-        columns["sigma0_at_k"] = sigma
+        columns["sigma0_at_k"] = [scattering.cross_section(k, row.A0_midpoint)
+                                  if math.isfinite(row.A0_midpoint) else None
+                                  for row in rows]
+        columns["kR1_at_k"] = kr1 = [k * scattering.r1_range(row.a1_exact)
+                                     if math.isfinite(row.a1_exact) else None
+                                     for row in rows]
+        wide = [row.n for row, v in zip(rows, kr1) if v is not None and v >= 0.1]
+        if wide:
+            print(f"warning: k R1 >= 0.1 in {len(wide)} of {len(rows)} rows, first at n = "
+                  f"{wide[0]}; the low-energy cross-section form is unreliable there",
+                  file=sys.stderr)
     _write_csv(
         os.path.join(cfg.output_dir, "resonances.csv"),
         _header(cfg, "resonances"),

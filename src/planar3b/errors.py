@@ -27,10 +27,6 @@ class NoRealRootError(RuntimeError):
         self.min_abs_residual = min_abs_residual
 
 
-class NoTurningPointError(RuntimeError):
-    """Energy outside the range of the potential on the search domain."""
-
-
 class TMatrixPoleError(RuntimeError):
     """Evaluation requested at (or numerically on top of) a T-matrix pole."""
 

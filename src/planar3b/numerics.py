@@ -1,14 +1,16 @@
 """Numerical kernels: bracket scan, bracketed root finding, adaptive quadrature.
 
 Brent, Ridders and adaptive Simpson work on scalar functions and need only
-the standard library.  The bracket scan ``scan_sign_changes`` evaluates its
-function once over a whole stack of grids as a numpy array (several
-functions may share one grid) and returns every bracket of every row; its
-log-spaced grids (``scan_grid``) are numpy expressions, built with np.log
-and np.exp over the whole stack at once.  ``refine_brackets`` narrows many
-brackets at once, one array evaluation per step.  ``brent`` and
-``refine_brackets`` close a bracket by one rule: at adjacent doubles or an
-exact zero, keeping the end with the smaller |f|.
+the standard library.  ``ridders`` and ``adaptive_simpson`` have no caller
+in the package: the benchmark harness traces them through the ``radial``
+and ``wkb`` bindings until ROADMAP item 1 removes those.  The bracket scan
+``scan_sign_changes`` evaluates its function once over a whole stack of
+grids as a numpy array (several functions may share one grid) and returns
+every bracket of every row; its log-spaced grids (``scan_grid``) are numpy
+expressions, built with np.log and np.exp over the whole stack at once.
+``refine_brackets`` narrows many brackets at once, one array evaluation per
+step.  ``brent`` and ``refine_brackets`` close a bracket by one rule: at
+adjacent doubles or an exact zero, keeping the end with the smaller |f|.
 """
 
 from __future__ import annotations

@@ -62,8 +62,7 @@ import numpy as np
 from .errors import DomainError, NoRealRootError, NotABracketError
 from .numerics import brent, refine_brackets, scan_sign_changes
 from .specfun import EULER_GAMMA, bessel_k, bessel_k01, bessel_k01_float
-# pole_function is read here by validation and the tests
-from .twobody import TwoBodyParams, pole_function, pole_minimum, t_matrix  # noqa: F401
+from .twobody import TwoBodyParams, pole_minimum, t_matrix
 
 log = logging.getLogger(__name__)
 
@@ -473,7 +472,9 @@ def light_wavefunction(branch: str, sign: int, kappa: float, R: float,
     branch 'II' additionally mixes K0 s-waves through the T0-dependent
     amplitude, so it needs `params`.  Heavy particles sit at (-R/2, 0) and
     (+R/2, 0); points within 1e-6 of either center sample as NaN (K1
-    diverges there).
+    diverges there).  Past kappa R ~ 709 the branch II amplitude
+    (2 t0 K0 + sign)/(2 t0 K1) at kappa R leaves the double range (K1
+    underflows to 0 near 745), which is a DomainError.
     """
     if branch not in ("I", "II"):
         raise DomainError("branch must be 'I' or 'II'")
@@ -500,7 +501,10 @@ def light_wavefunction(branch: str, sign: int, kappa: float, R: float,
         out[ok] = np.sin(phi_p[ok]) * k1_p + sign * np.sin(phi_m[ok]) * k1_m
         return out
     t0 = t_matrix(0, kappa, params)
-    amp = (2.0 * t0 * bessel_k(0, kappa * R) + sign) / (2.0 * t0 * bessel_k(1, kappa * R))
+    k0_R, k1_R = bessel_k(0, kappa * R), bessel_k(1, kappa * R)
+    amp = (2.0 * t0 * k0_R + sign) / (2.0 * t0 * k1_R) if k1_R else math.inf
+    if not math.isfinite(amp):
+        raise DomainError(f"branch II amplitude is not finite at kappa R = {kappa * R:.6g}")
     out[ok] = (k0_p + sign * k0_m
                - amp * (np.cos(phi_p[ok]) * k1_p - sign * np.cos(phi_m[ok]) * k1_m))
     return out

@@ -83,8 +83,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StepSizeError
-# perfbench/layers.py traces radial.ridders (numerics.ridders_* metrics);
-# the name stays bound until the counters module of ROADMAP item 2 lands
+# perfbench/layers.py traces radial.ridders (numerics.ridders_* metrics),
+# which nothing here calls; the name stays bound until the harness change
+# of ROADMAP item 1 removes it
 from .numerics import ridders  # noqa: F401
 from .specfun import bessel_j, bessel_y
 from .wkb import _X_MAX, WkbConfig, _check_index, langer_w, quantize_spectrum

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _refvals, potentials, radial, scattering, specfun, wkb
 from .errors import NoRealRootError, TMatrixPoleError
-from .twobody import TwoBodyParams, dimer_energies
+from .twobody import TwoBodyParams, dimer_energies, pole_function
 
 _UNIFIED = potentials.UnifiedPotential()
 
@@ -151,7 +151,7 @@ def check_determinant_consistency(cfg) -> CheckResult:
                         continue
                     xi = root.xi
                     gf = abs(
-                        potentials.pole_function(xi, a1_inv)
+                        pole_function(xi, a1_inv)
                         * (math.log(xi) + specfun.EULER_GAMMA + math.log(0.5 * a0))
                     )
                     if gf < 3e-7:  # det ~ F/(g f): 1e-8 unreachable in double

@@ -28,12 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NoTurningPointError
-from .numerics import brent
-# perfbench/layers.py traces wkb.adaptive_simpson (numerics.simpson_*
-# metrics); the name stays bound until the counters module of ROADMAP
-# item 2 lands
-from .numerics import adaptive_simpson  # noqa: F401
+from .errors import ConvergenceError, DomainError
+# perfbench/layers.py traces wkb.adaptive_simpson and wkb.brent
+# (numerics.simpson_* and brent_* metrics), which nothing here calls; the
+# names stay bound until the harness change of ROADMAP item 1 removes them
+from .numerics import adaptive_simpson, brent  # noqa: F401
 from .potentials import UnifiedPotential
 
 _DEF_POTENTIAL = UnifiedPotential()
@@ -131,39 +130,6 @@ def langer_w(potential):
     return w_mapped
 
 
-def turning_point(E: float, potential, *, R_lo: float = 1.0 + 1e-12,
-                  R_max: float = 1e150) -> float:
-    """Outer turning point R_E with V(R_E) = E, in x = ln R: doubling steps
-    x_lo + 2^k until V passes E, then Brent between the last two points.
-
-    Requires E < 0 and V monotone increasing toward 0 on the search domain.
-    """
-    # written so that NaN fails every check
-    if not (math.isfinite(E) and 0.0 < R_lo < R_max):
-        raise DomainError(f"turning point needs finite E and 0 < R_lo < R_max, got "
-                          f"E = {E}, R_lo = {R_lo}, R_max = {R_max}")
-    if E >= 0:
-        raise NoTurningPointError("turning point requires E < 0")
-    x_lo = math.log(R_lo)
-    if potential(math.exp(x_lo)) >= E:
-        raise NoTurningPointError(f"E = {E:g} below the potential at R = {R_lo:g}")
-    # V(e^x_below) < E <= V(e^x_hi): the doubling keeps its last point below E
-    x_below, x_hi = x_lo, x_lo + 1.0
-    x_cap = math.log(R_max)
-    while potential(math.exp(x_hi)) < E:
-        x_below, x_hi = x_hi, x_lo + 2.0 * (x_hi - x_lo)
-        if x_hi > x_cap:
-            raise NoTurningPointError(
-                f"turning point beyond R_max = {R_max:g} for E = {E:g}"
-            )
-
-    def g(x):
-        return potential(math.exp(x)) - E
-
-    x_e, _ = brent(g, x_below, x_hi)
-    return math.exp(x_e)
-
-
 # a solve takes 4-8 phases; the cap also covers plain bisection of
 # [0, ln DBL_MAX] down to adjacent doubles at roots above x = 1
 _NEWTON_MAXITER = 64
@@ -184,13 +150,13 @@ def _gain(w, x, w_x):
     return 2.0 * w_x - (w_up - w_down) / (ends[0] - ends[1])
 
 
-def _phase_integrals(x, x_eps, w, energy_term, slope=False):
+def _phase_integrals(x, x_eps, w, slope=False):
     # int_x^{x_eps} sqrt(W(x') - W(x_eps) e^{2(x'-x_eps)}) dx' for a 1-D array
     # x_eps and x < x_eps (a float or a like array), on three panels of the
     # rule: the left half in y = sqrt(x') (regularizes a 1/x' singularity at
     # x' -> 0) and the right half in u = sqrt(x_eps - x') (regularizes the
     # turning point), split at u_s = min(u_b, 6) because e^{-2u^2} < e^-72
-    # beyond it.  With ``slope`` (energy term only) also its x_eps-derivative
+    # beyond it.  With ``slope`` also its x_eps-derivative
     t, weights = _phase_rule()
     x_mid = 0.5 * (x + x_eps)
     u_b = np.sqrt(x_eps - x_mid)
@@ -207,11 +173,9 @@ def _phase_integrals(x, x_eps, w, energy_term, slope=False):
     np.maximum(v[0], 1e-150, out=v[0])
     xp = v * v
     np.subtract(x_eps[:, None], xp[1:], out=xp[1:])
-    p_sq = w(xp)
-    if energy_term:
-        w_eps = w(x_eps)
-        decay = np.exp(2.0 * (xp - x_eps[:, None]))
-        p_sq = p_sq - w_eps[:, None] * decay
+    w_eps = w(x_eps)
+    decay = np.exp(2.0 * (xp - x_eps[:, None]))
+    p_sq = w(xp) - w_eps[:, None] * decay
     root = np.sqrt(np.maximum(p_sq, 0.0))
     phase = 2.0 * ((v * root) @ weights * width).sum(axis=0)
     if not slope:
@@ -224,61 +188,28 @@ def _phase_integrals(x, x_eps, w, energy_term, slope=False):
     return phase, gain * (ratio @ weights * width).sum(axis=0)
 
 
-def wkb_phase_langer(x, x_eps, nu0: float, w, theta: float, *,
-                     energy_term: bool = True):
+def wkb_phase_langer(x, x_eps, nu0: float, w, theta: float):
     """Phase accumulated between x and the turning point x_eps, log coordinate.
 
-    w is the log-space potential W(x) = -e^(2x) V(e^x), called on arrays;
-    with ``energy_term=False`` the energy under the square root is dropped
-    entirely (the E = 0 phase up to a cap at x_eps).  x and x_eps may be
-    arrays (broadcast together, one phase per element); floats give a float.
+    w is the log-space potential W(x) = -e^(2x) V(e^x), called on arrays.
+    x and x_eps may be arrays (broadcast together, one phase per element);
+    floats give a float.  Needs 0 <= x <= x_eps < inf (x = 0 is R = r1),
+    finite nu0 > 0 and finite theta.
     """
+    # written so that NaN fails every check
+    if not (0.0 < nu0 < math.inf and math.isfinite(theta)):
+        raise DomainError(f"need finite nu0 > 0 and finite theta, got {nu0}, {theta}")
     xs, xe = np.asarray(x, dtype=float), np.asarray(x_eps, dtype=float)
-    if not (xs <= xe).all():
-        raise DomainError("need x <= x_eps")
+    if not ((0.0 <= xs) & (xs <= xe) & (xe < math.inf)).all():
+        raise DomainError("need 0 <= x <= x_eps < inf")
     live = xs < xe
     phase = np.zeros(live.shape)
     if live.any():
         xs, xe = (v if v.shape == live.shape else np.broadcast_to(v, live.shape)
                   for v in (xs, xe))
-        phase[live] = _phase_integrals(xs[live], xe[live], w, energy_term)
+        phase[live] = _phase_integrals(xs[live], xe[live], w)
     phase = math.sqrt(nu0) * phase + theta
     return float(phase) if phase.ndim == 0 else phase
-
-
-def wkb_phase(R: float, E: float, potential, cfg: WkbConfig,
-              nu0: float, R_cap: float | None = None) -> float:
-    """Full WKB phase between R and the outer turning point (or R_cap at E=0)."""
-    # written so that NaN fails every check
-    if not 0.0 < nu0 < math.inf:
-        raise DomainError(f"nu0 must be positive and finite, got {nu0}")
-    if not 1.0 <= R < math.inf:
-        raise DomainError(f"wkb_phase needs finite R >= 1, got {R}")
-    if not E <= 0:
-        raise DomainError("wkb_phase needs E <= 0")
-    if E == 0.0:
-        if R_cap is None or not 0.0 < R_cap < math.inf:
-            raise DomainError("E = 0 phase diverges; supply a finite R_cap")
-        x_e = math.log(R_cap)
-        energy_term = False
-    else:
-        x_e = math.log(turning_point(E, potential, R_max=cfg.R_max))
-        energy_term = True
-    x = math.log(R)
-    if x > x_e:
-        raise DomainError("R beyond the outer turning point")
-    return wkb_phase_langer(x, x_e, nu0, langer_w(potential), cfg.theta,
-                            energy_term=energy_term)
-
-
-def wkb_phase_approx(R: float, R_E: float, nu0: float, theta: float) -> float:
-    """Energy-free closed form 2 sqrt(nu0) [sqrt(ln R_E) - sqrt(ln R)] + theta."""
-    # written so that NaN fails every check
-    if not 1.0 <= R <= R_E < math.inf:
-        raise DomainError("need 1 <= R <= R_E < inf")
-    if not (0.0 < nu0 < math.inf and math.isfinite(theta)):
-        raise DomainError(f"need finite nu0 > 0 and finite theta, got {nu0}, {theta}")
-    return 2.0 * math.sqrt(nu0) * (math.sqrt(math.log(R_E)) - math.sqrt(math.log(R))) + theta
 
 
 def phi_correction(x: float, x_eps: float, nu0: float) -> float:
@@ -368,7 +299,7 @@ def _full_phase_roots(targets, nu0, w, x_inner, x_cap):
     for _ in range(_NEWTON_MAXITER):
         if not rows:
             return x_n
-        phase, slope = _phase_integrals(x_inner, np.array([x[k] for k in rows]), w, True,
+        phase, slope = _phase_integrals(x_inner, np.array([x[k] for k in rows]), w,
                                         slope=True)
         still_open = []
         for k, p, dp in zip(rows, (sqrt_nu0 * phase).tolist(), (sqrt_nu0 * slope).tolist()):

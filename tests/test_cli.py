@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planar3b import cli, potentials
+from planar3b import cli, potentials, scattering
 from planar3b.errors import ConfigError
 from planar3b.potentials import Branch
 
@@ -205,12 +205,44 @@ def test_cmd_resonances_with_cross_section(tmp_path, capsys):
     cfg = cli.default_config()
     cfg.nu0 = 100.0
     cfg.output_dir = str(tmp_path)
-    cli.cmd_resonances(cfg, 5, k=1e-4)
+    table = cli.cmd_resonances(cfg, 5, k=0.1)
     lines = (tmp_path / "resonances.csv").read_text().splitlines()
-    assert lines[1] == "n,a1_n_exact,a1_n_asymptotic,A0_midpoint,sigma0_at_k"
+    assert lines[1] == "n,a1_n_exact,a1_n_asymptotic,A0_midpoint,sigma0_at_k,kR1_at_k"
     row = lines[2].split(",")
     assert float(row[1]) == pytest.approx(2.0 * math.exp(math.pi**2 * 2.25 / 200.0), rel=1e-12)
     assert float(row[4]) > 0
+    kr1 = [float(line.split(",")[5]) for line in lines[2:]]
+    assert kr1 == [0.1 * scattering.r1_range(r.a1_exact) for r in table.rows]
+    # rows 3, 4 and 5 have k R1 >= 0.1: one summary line, not one per row
+    assert [r.n for r, v in zip(table.rows, kr1) if v >= 0.1] == [3, 4, 5]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning:")
+    assert "3 of 5 rows" in err[0] and "n = 3" in err[0]
+
+
+def test_cmd_resonances_k_r1_empty_where_a1_overflows(tmp_path, capsys):
+    # at nu0 = 0.5 the resonance a1 of n = 8, 9 and 10 overflows
+    cfg = cli.default_config()
+    cfg.nu0 = 0.5
+    cfg.output_dir = str(tmp_path)
+    table = cli.cmd_resonances(cfg, 10, k=1e-4)
+    lines = (tmp_path / "resonances.csv").read_text().splitlines()
+    cells = [line.split(",")[5] for line in lines[2:]]
+    assert [c == "" for c in cells] == [not math.isfinite(r.a1_exact) for r in table.rows]
+    assert cells.count("") == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_cli_wavefunction_II_beyond_doubles_exit_2(tmp_path, capsys):
+    # kappa R ~ 750 at the default parameters: K1 underflows to 0, which
+    # was a ZeroDivisionError traceback (exit 1); branch I runs there
+    out = tmp_path / "out"
+    assert cli.main(["wavefunction", "--branch", "II", "--separation", "12600",
+                     "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "kappa R" in err
+    assert not out.exists()
+    assert cli.main(["wavefunction", "--separation", "12600", "--output", str(out)]) == 0
 
 
 def test_cmd_wavefunction(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from planar3b import potentials as P
 from planar3b.errors import DomainError, NoRealRootError, TMatrixPoleError
 from planar3b.specfun import EULER_GAMMA, bessel_k, bessel_k01
-from planar3b.twobody import TwoBodyParams, dimer_energies, t_matrix
+from planar3b.twobody import TwoBodyParams, dimer_energies, pole_function, t_matrix
 
 logging.getLogger("planar3b.potentials").setLevel(logging.ERROR)
 
@@ -453,9 +453,9 @@ def _scalar_pwave_residual(family, sign, R, params):
     def f(xi):
         z = xi * R
         if family == "I":
-            return -2.0 * bessel_k(1, z) / z - sign * P.pole_function(xi, a1_inv)
+            return -2.0 * bessel_k(1, z) / z - sign * pole_function(xi, a1_inv)
         k0, k1 = bessel_k(0, z), bessel_k(1, z)
-        first = k0 + 2.0 * k1 / z + k0 + sign * P.pole_function(xi, a1_inv)
+        first = k0 + 2.0 * k1 / z + k0 + sign * pole_function(xi, a1_inv)
         return first * (k0 - sign * (math.log(xi) + log_ga0)) - 2.0 * k1 * k1
 
     return f
@@ -721,6 +721,18 @@ def test_psi_II_needs_params():
         P.light_wavefunction("II", +1, 0.1, 10.0, np.array([[0.0, 1.0]]))
     vals = P.light_wavefunction("II", +1, 0.1, 10.0, np.array([[0.0, 1.0]]), PARAMS_100)
     assert np.isfinite(vals).all()
+
+
+@pytest.mark.parametrize("R", [12000.0, 12600.0])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_psi_II_amplitude_beyond_doubles_is_domain_error(R, sign):
+    # the branch II amplitude (2 t0 K0 + sign)/(2 t0 K1) at kappa R = 720
+    # overflows (it was -inf everywhere), and at 756 K1 underflows to 0 (it
+    # was a ZeroDivisionError)
+    pts = np.array([[0.0, 1.0], [3.0, 2.0]])
+    with pytest.raises(DomainError, match="kappa R"):
+        P.light_wavefunction("II", sign, 0.06, R, pts, PARAMS_100)
+    assert np.isfinite(P.light_wavefunction("I", sign, 0.06, R, pts)).all()
 
 
 # ------------------------------------------------------------------ sweeps

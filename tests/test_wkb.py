@@ -8,89 +8,24 @@ from hypothesis import strategies as st
 
 import oracles
 from planar3b import numerics, wkb
-from planar3b.errors import ConvergenceError, DomainError, NoTurningPointError
+from planar3b.errors import ConvergenceError, DomainError
 from planar3b.potentials import UnifiedPotential
 
 U = UnifiedPotential()
 
 
-# ------------------------------------------------------------- turning point
-
-def test_turning_point_exact_inverse():
-    assert wkb.turning_point(-math.exp(-2.0), U) == pytest.approx(math.e, rel=1e-12)
-
-
-def test_turning_point_round_trip():
-    E = U(1e3)
-    assert wkb.turning_point(E, U) == pytest.approx(1e3, rel=1e-9)
-
-
-def test_turning_point_threshold_cap():
-    with pytest.raises(NoTurningPointError):
-        wkb.turning_point(-1e-300, U, R_max=1e20)
-    with pytest.raises(NoTurningPointError):
-        wkb.turning_point(0.0, U)
-    with pytest.raises(NoTurningPointError):
-        # below the potential everywhere right of the probe radius
-        wkb.turning_point(-1e6, U, R_lo=2.0)
-
-
-@pytest.mark.parametrize("E", [-1e-3, -1e-9, -1e-40, -1e-200])
-def test_turning_point_brent_starts_at_last_point_below(monkeypatch, E):
-    # the doubling steps x_lo + 2^k end at the first point at or above E;
-    # Brent starts at the one before it, not back at x_lo
-    brackets = []
-    brent = wkb.brent
-
-    def record(f, a, b):
-        brackets.append((a, b))
-        return brent(f, a, b)
-
-    monkeypatch.setattr(wkb, "brent", record)
-    r_e = wkb.turning_point(E, U)
-    ((a, b),) = brackets
-    x_lo = math.log(1.0 + 1e-12)
-    assert b - x_lo == pytest.approx(2.0 * (a - x_lo), rel=1e-12)  # adjacent doublings
-    assert U(math.exp(a)) < E <= U(math.exp(b)) and a < math.log(r_e) <= b
-
-
 # ------------------------------------------------------------- phases
 
 def test_phase_at_turning_point_is_theta():
-    cfg = wkb.WkbConfig(theta=0.4)
-    E = U(50.0)
-    r_e = wkb.turning_point(E, U)
-    assert wkb.wkb_phase(r_e, E, U, cfg, nu0=100.0) == pytest.approx(0.4, abs=1e-9)
+    x_eps = math.log(50.0)
+    assert wkb.wkb_phase_langer(x_eps, x_eps, 100.0, U.langer_w, 0.4) == 0.4
 
 
 def test_phase_nu0_scaling():
-    cfg = wkb.WkbConfig(theta=0.0)
-    E = U(200.0)
-    p1 = wkb.wkb_phase(5.0, E, U, cfg, nu0=50.0)
-    p2 = wkb.wkb_phase(5.0, E, U, cfg, nu0=200.0)
+    x, x_eps = math.log(5.0), math.log(200.0)
+    p1 = wkb.wkb_phase_langer(x, x_eps, 50.0, U.langer_w, 0.0)
+    p2 = wkb.wkb_phase_langer(x, x_eps, 200.0, U.langer_w, 0.0)
     assert p2 / p1 == pytest.approx(2.0, rel=1e-9)
-
-
-def test_phase_approx_closed_form():
-    nu0, R, R_E = 500.0, 10.0, 1e4
-    want = 2.0 * math.sqrt(nu0) * (math.sqrt(math.log(R_E)) - math.sqrt(math.log(R)))
-    assert wkb.wkb_phase_approx(R, R_E, nu0, 0.0) == pytest.approx(want, rel=1e-14)
-    assert wkb.wkb_phase_approx(1.0, R_E, nu0, 0.3) == pytest.approx(
-        2.0 * math.sqrt(nu0) * math.sqrt(math.log(R_E)) + 0.3, rel=1e-14
-    )
-    assert wkb.wkb_phase_approx(R_E, R_E, nu0, 0.3) == 0.3
-    with pytest.raises(DomainError):
-        wkb.wkb_phase_approx(0.5, 10.0, nu0, 0.0)
-
-
-def test_zero_energy_phase_matches_approx_within_phi():
-    # E = 0 with a cap: phase equals the closed form exactly (no energy term)
-    nu0, cfg = 500.0, wkb.WkbConfig()
-    r, r_cap = 10.0, 1e5
-    full = wkb.wkb_phase(r, 0.0, U, cfg, nu0=nu0, R_cap=r_cap)
-    assert full == pytest.approx(wkb.wkb_phase_approx(r, r_cap, nu0, 0.0), abs=1e-8)
-    with pytest.raises(DomainError):
-        wkb.wkb_phase(r, 0.0, U, cfg, nu0=nu0)  # missing cap
 
 
 # ------------------------------------------------------------- Phi correction
@@ -473,25 +408,27 @@ def test_quantize_spectrum_rejects_bad_nu0():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: wkb.turning_point(math.nan, U),
-    lambda: wkb.turning_point(-math.inf, U),
     lambda: wkb.count_bound_states(math.nan, 10.0),
     lambda: wkb.count_bound_states(math.inf, 10.0),
     lambda: wkb.count_bound_states(100.0, math.nan),
     lambda: wkb.count_bound_states(100.0, math.inf),
     lambda: wkb.n_max(math.nan),
     lambda: wkb.n_max(math.inf),
-    lambda: wkb.wkb_phase_approx(math.nan, 10.0, 10.0, 0.0),
-    lambda: wkb.wkb_phase_approx(2.0, math.nan, 10.0, 0.0),
-    lambda: wkb.wkb_phase_approx(2.0, math.inf, 10.0, 0.0),
-    lambda: wkb.wkb_phase_approx(2.0, 10.0, math.nan, 0.0),
-    lambda: wkb.wkb_phase_approx(2.0, 10.0, math.inf, 0.0),
-    lambda: wkb.wkb_phase_approx(2.0, 10.0, -1.0, 0.0),
-    lambda: wkb.wkb_phase_approx(2.0, 10.0, 10.0, math.nan),
-    lambda: wkb.wkb_phase(5.0, -0.01, U, wkb.WkbConfig(), nu0=math.nan),
-    lambda: wkb.wkb_phase(5.0, -0.01, U, wkb.WkbConfig(), nu0=math.inf),
-    lambda: wkb.wkb_phase(5.0, 0.0, U, wkb.WkbConfig(), nu0=10.0, R_cap=math.inf),
-    lambda: wkb.wkb_phase(0.5, -0.01, U, wkb.WkbConfig(), nu0=10.0),
+    lambda: wkb.n_max(-1.0),
+    lambda: wkb.count_bound_states(100.0, 0.0),
+    # the phase: 0 <= x <= x_eps < inf (x = 0 is R = r1), finite nu0 > 0
+    # and finite theta
+    lambda: wkb.wkb_phase_langer(math.nan, 5.0, 10.0, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(1.0, math.nan, 10.0, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(1.0, math.inf, 10.0, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(math.log(0.5), 5.0, 10.0, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(np.array([1.0, -1.0]), 5.0, 10.0, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(6.0, 5.0, 10.0, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(1.0, 5.0, math.nan, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(1.0, 5.0, math.inf, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(1.0, 5.0, 0.0, U.langer_w, 0.0),
+    lambda: wkb.wkb_phase_langer(1.0, 5.0, 10.0, U.langer_w, math.nan),
+    lambda: wkb.wkb_phase_langer(1.0, 5.0, 10.0, U.langer_w, math.inf),
     lambda: wkb.phi_correction(2.0, 1e4, math.nan),
     lambda: wkb.phi_correction(2.0, 1e4, -1.0),
     lambda: wkb.phi_correction(2.0, math.inf, 10.0),
