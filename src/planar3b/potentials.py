@@ -239,12 +239,27 @@ def _polish(f, a, b):
         return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
 
 
-def _scan_window(R, hi):
-    """The xi window (lo, hi) of the p-wave scans at separation R."""
-    return np.minimum(1e-7 / R, 1e-7), 1.0 - 1e-12 if hi is None else hi
+def _scan_floor(a1_inv):
+    """The lowest xi of the p-wave scans.
+
+    Off resonance it is where the pole term a1_inv/xi^2 reaches 1e304, with
+    xi^2 kept above 1e-322 (and the floor at most 1e-7).  Below it the pole
+    term fixes the residual's sign, so no root lies there, and above it
+    every residual, branch II's product included, stays finite.  It is
+    above the scans' 1e-7/R only past R = 1e145/sqrt(a1_inv) (or 1e154).
+    At exact resonance the residuals have no pole term (see
+    ``_pwave_equation``), and there is no floor.
+    """
+    return min(max(1e-152 * math.sqrt(a1_inv), 1e-161), 1e-7) if a1_inv else 0.0
 
 
-def _scan_pwave(residuals, R, hi):
+def _scan_window(R, floor, hi):
+    """The xi window (lo, hi) of the p-wave scans at separation R > r1: lo
+    is 1e-7/R or the floor (``_scan_floor``), hi the cap or 1 - 1e-12."""
+    return np.maximum(1e-7 / R, floor), 1.0 - 1e-12 if hi is None else hi
+
+
+def _scan_pwave(residuals, R, floor, hi):
     """``scan_sign_changes`` of the branch residuals on the xi window of
     each separation of the array R (one grid row per R), with ln xi, K0 and
     K1 evaluated once, by one ``bessel_k01`` call, for all of them."""
@@ -253,7 +268,7 @@ def _scan_pwave(residuals, R, hi):
         args = (xi, z, np.log(xi), *bessel_k01(z))
         return np.array([residual(*args) for residual in residuals])
 
-    lo, hi = _scan_window(R, hi)
+    lo, hi = _scan_window(R, floor, hi)
     return scan_sign_changes(f, lo, hi, _N_SCAN)
 
 
@@ -272,10 +287,11 @@ def _pwave_point(family, R, params, sign):
     if R <= 1.0:
         raise DomainError(f"branch {family} needs R > r1, got R = {R:g}")
     residual, hi, label = _pwave_equation(family, params, sign)
-    scan = _scan_pwave([residual], np.array([R]), hi)
+    floor = _scan_floor(params.a1_inv)
+    scan = _scan_pwave([residual], np.array([R]), floor, hi)
     (count,), kept = _kept_brackets(scan, 1)
     if not count:
-        lo, hi = (float(end) for end in _scan_window(R, hi))
+        lo, hi = (float(end) for end in _scan_window(R, floor, hi))
         min_abs = float(np.abs(scan.fx[np.isfinite(scan.fx)]).min(initial=math.inf))
         raise NoRealRootError(f"{label}: no sign change for xi in [{lo:.3g}, {hi:.3g}] at "
                               f"R = {R:g} (min |F| = {min_abs:.3g})",
@@ -294,22 +310,24 @@ def _pwave_brackets(equations, R):
     """The scans of ``_pwave_point`` for several p-wave equations at every
     separation of the array R at once.
 
-    equations holds (residual, hi) per branch.  The scans form one sign map
-    on R x xi, one ``_scan_pwave`` per chunk of _SWEEP_CHUNK rows and
-    distinct cap hi.  Returns the number of brackets of each equation at
-    each R, as an (equations, R) array, and the kept brackets as arrays
-    (equation, R index, a, b, fa, fb).
+    equations holds (residual, floor, hi) per branch.  The scans form one
+    sign map on R x xi, one ``_scan_pwave`` per chunk of _SWEEP_CHUNK rows
+    and distinct window (floor, hi); a floor below 1e-7/R at every R leaves
+    the scans as they are, and counts as 0.  Returns the number of brackets
+    of each equation at each R, as an (equations, R) array, and the kept
+    brackets as arrays (equation, R index, a, b, fa, fb).
     """
-    caps = {}
-    for j, (_, hi) in enumerate(equations):
-        caps.setdefault(hi, []).append(j)
+    low = 1e-7 / R.max()
+    windows = {}
+    for j, (_, floor, hi) in enumerate(equations):
+        windows.setdefault((floor if floor > low else 0.0, hi), []).append(j)
     # id j * len(R) + i stands for equation j at separation R[i]
     count = np.zeros(len(equations) * len(R), dtype=int)
     ids, brackets = [], []
     for start in range(0, len(R), _SWEEP_CHUNK):
         rows = np.arange(start, min(start + _SWEEP_CHUNK, len(R)))
-        for hi, members in caps.items():
-            scan = _scan_pwave([equations[j][0] for j in members], R[rows], hi)
+        for window, members in windows.items():
+            scan = _scan_pwave([equations[j][0] for j in members], R[rows], *window)
             where = (np.asarray(members)[:, None] * len(R) + rows).ravel()
             count[where], kept = _kept_brackets(scan, where.size)
             ids.append(where[scan.row[kept]])
@@ -322,7 +340,10 @@ def _pwave_equation(family, params, sign):
     """(residual, scan cap, label) of p-wave branch I or II.
 
     residual(xi, z, log_xi, k0, k1), with z = xi R, works on floats and on
-    numpy arrays alike (see ``_scalar_residual`` and ``_scan_pwave``).
+    numpy arrays alike (see ``_scalar_residual`` and ``_scan_pwave``).  At
+    exact resonance it leaves out the pole term a1_inv/xi^2, which is 0
+    there and would be 0/0 where the scan's xi^2 underflows to 0 (R past
+    about 5e154).
     """
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -330,7 +351,7 @@ def _pwave_equation(family, params, sign):
     label = f"pwave_{family}({'+' if sign > 0 else '-'})"
     if family == "I":
         def residual(xi, z, log_xi, k0, k1):
-            return -2.0 * k1 / z - sign * (a1_inv / (xi * xi) + log_xi)
+            return -2.0 * k1 / z - sign * (a1_inv / (xi * xi) + log_xi if a1_inv else log_xi)
 
         # the '-' roots lie below the pole kappa1; from kappa1 up to the
         # unphysical second zero of the pole function the residual is
@@ -341,7 +362,7 @@ def _pwave_equation(family, params, sign):
 
     def residual(xi, z, log_xi, k0, k1):
         k2 = k0 + 2.0 * k1 / z
-        first = k2 + k0 + sign * (a1_inv / (xi * xi) + log_xi)
+        first = k2 + k0 + sign * (a1_inv / (xi * xi) + log_xi if a1_inv else log_xi)
         second = k0 - sign * (log_xi + log_ga0)
         return first * second - 2.0 * k1 * k1
 
@@ -598,21 +619,22 @@ def sweep_branches(jobs, R_grid) -> dict:
         if not np.all(np.isfinite(grid)):
             raise DomainError(f"{branch.value}: every R of the sweep must be finite")
     inside = grid > 1.0  # R > r1 (natural units), as the point solvers require
-    residuals, caps = {}, {}  # job -> residual, and the p-wave jobs' scan caps
+    residuals, windows = {}, {}  # job -> residual, and the p-wave jobs' scan windows
     for j, (branch, params) in enumerate(jobs):
         if branch in PWAVE_BRANCHES:
             family, sign = PWAVE_BRANCHES[branch]
-            residuals[j], caps[j] = _pwave_equation(family, params, sign)[:2]
+            residuals[j], hi = _pwave_equation(family, params, sign)[:2]
+            windows[j] = _scan_floor(params.a1_inv), hi
     # the bracket table: row k solves residuals[job[k]] at R = grid[at[k]]
     # with z = xi * scale[k], on [a[k], b[k]] with f values fa[k], fb[k]
     table = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 5]
     n_roots = np.ones((len(jobs), grid.size), dtype=int)
-    if caps and inside.any():
+    if windows and inside.any():
         counts, (owner, at, *bracket) = _pwave_brackets(
-            [(residuals[j], hi) for j, hi in caps.items()], grid[inside])
-        n_roots[np.ix_(list(caps), inside)] = np.maximum(counts, 1)
+            [(residuals[j], *window) for j, window in windows.items()], grid[inside])
+        n_roots[np.ix_(list(windows), inside)] = np.maximum(counts, 1)
         at = np.flatnonzero(inside)[at]
-        table.append((np.array(list(caps))[owner], at, grid[at], *bracket))
+        table.append((np.array(list(windows))[owner], at, grid[at], *bracket))
     for j, (branch, _) in enumerate(jobs):
         if branch in S_BRANCHES:
             sign = +1 if branch is Branch.SWAVE_PLUS else -1

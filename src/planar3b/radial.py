@@ -231,10 +231,12 @@ def zero_energy_exact(x_grid, nu0: float, A: float, B: float) -> WavefunctionSam
 
     chi0(x) = sqrt(x) [A J1(2 sqrt(nu0 x)) + B Y1(2 sqrt(nu0 x))],
 
-    with J1 and Y1 each taken in one array call over the whole grid.  This is
-    the only many-point use of J/Y, which is why ``specfun`` gives them one
-    array loop (on K's tables: power series for z <= 4, Gauss-Legendre
-    quadrature below z = 16, Hankel expansion above) and no scalar one.
+    with J1 and Y1 each taken in one array call over the whole grid; each
+    call computes only its own function.  This is the only many-point use
+    of J/Y, which is why ``specfun`` gives them one array loop (on K's
+    tables: power series for z <= 4, Gauss-Legendre quadrature on the
+    folded 32-pair rule below z = 16, Hankel expansion above) and no scalar
+    one.
     """
     _check_finite("nu0", nu0, positive=True)
     _check_finite("A", A)

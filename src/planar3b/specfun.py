@@ -19,8 +19,13 @@ one evaluation scheme per regime:
   Hankel expansion (DLMF 10.17.3-4) for x >= 16 sums K's asymptotic terms
   with the signs + + - - from the zeroth on.  On the gap the series would
   lose ~e^x to cancellation, so there Bessel's integrals (DLMF 10.9.1,
-  10.9.7) are evaluated by 64-node Gauss-Legendre quadrature, which returns
-  J and Y together to a few 1e-15 absolute.
+  10.9.7) are evaluated by a 64-node Gauss-Legendre rule on [0, pi],
+  folded onto its 32 mirror pairs theta <-> pi - theta (they share sin
+  theta and the weight), so that an element takes one cosine or sine per
+  pair; Y adds its tail integral on a 64-node rule.  Both are good to a
+  few 1e-15 absolute.  Each kernel computes only the function asked for:
+  J's series is one Horner row, Y's two (its sum contains J), and J's
+  quadrature has no tail.
 * ``K2`` always goes through the upward recurrence K2 = K0 + 2 K1/x
   (cancellation-free: all terms positive).
 
@@ -214,63 +219,76 @@ def bessel_k01(x):
     return k0.reshape(x.shape), k1.reshape(x.shape)
 
 
-# The J/Y kernels below take an order and a 1-d array and return (J, Y) as
-# arrays.  Each element is reduced on its own (a row's sum over axis 1), so
-# its bits do not depend on the other elements of the array.
+# The J/Y kernels below take an order, a 1-d array and the flag y, and
+# return J (y false) or Y (y true) as an array, computing only that
+# function.  Each element is reduced on its own (a row's sum over axis 1),
+# so its bits do not depend on the other elements of the array.
 
-def _jy_series(order, x):
-    # DLMF 10.8.1-2: J_n's series and Y_n's sum are rows `order` and
-    # `order + 2` of _K_SERIES_TABLE taken at -q instead of q, evaluated
-    # together by one Horner pass.
+def _jy_series(order, x, y):
+    # DLMF 10.8.1-2: J_n's series is row `order` of _K_SERIES_TABLE taken at
+    # -q instead of q, one Horner row.  Y_n's sum contains J_n and also
+    # needs row `order + 2`, so Y evaluates both rows by one Horner pass.
     neg_q = -0.25 * x * x
-    cols = _K_SERIES_TABLE[order::2, ::-1].T[:, :, None]
-    p = np.empty((2, x.size))
+    cols = _K_SERIES_TABLE[order:order + 1 + 2 * y:2, ::-1].T[:, :, None]
+    p = np.empty((cols.shape[1], x.size))
     p[:] = cols[0]
     for c in cols[1:]:
         p *= neg_q
         p += c
-    a, b = p
     half = 0.5 * x
-    if order:
-        a, b = half * a, 0.5 * half * b
-    # at x = 0, where only J is asked for, Y comes out -inf or NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = (2.0 / math.pi) * ((np.log(half) + EULER_GAMMA) * a - order / x - b)
-    return a, y
+    j = half * p[0] if order else p[0]
+    if not y:
+        return j
+    b = 0.5 * half * p[1] if order else p[1]
+    return (2.0 / math.pi) * ((np.log(half) + EULER_GAMMA) * j - order / x - b)
 
 
 @functools.cache
 def _jy_rule():
-    # 64-node Gauss-Legendre rule mapped to theta in [0, pi] and to t in
-    # [0, T] with x sinh T >= 40 for every x >= 4, beyond which the Y tail
-    # integral is below e^-40.  Built on first use, so that runs which never
-    # reach the band do not load numpy.polynomial and LAPACK (about 2 MB).
+    # The 64-node Gauss-Legendre rule on theta in [0, pi], folded onto its
+    # 32 mirror pairs theta <-> pi - theta, which share sin theta and the
+    # weight; and the 64-node rule on t in [0, T] with x sinh T >= 40 for
+    # every x >= 4, beyond which the Y tail integral is below e^-40.  Built
+    # on first use, so that runs which never reach the band do not load
+    # numpy.polynomial and LAPACK (about 2 MB).
     nodes, weights = np.polynomial.legendre.leggauss(64)
-    theta = 0.5 * math.pi * (nodes + 1.0)
+    # leggauss returns its nodes and weights mirrored exactly
+    sin_theta = np.sin(0.5 * math.pi * (nodes[:32] + 1.0))
+    pair_weights = (weights[:32], weights[:32] * sin_theta)  # per order
     t_max = math.asinh(40.0 / _JY_SERIES_MAX)
     sinh_t = np.sinh(0.5 * t_max * (nodes + 1.0))
-    tail_weights = (t_max * weights, t_max * weights * sinh_t)  # times e^nt + (-1)^n e^-nt
-    return theta, np.sin(theta), 0.5 * math.pi * weights, sinh_t, tail_weights
+    w_t = (t_max / math.pi) * weights
+    tail_weights = (w_t, w_t * sinh_t)  # times e^nt + (-1)^n e^-nt, over pi
+    return sin_theta, pair_weights, sinh_t, tail_weights
 
 
-def _jy_quadrature(order, x):
+def _jy_quadrature(order, x, y):
     # DLMF 10.9.1 and 10.9.7 by Gauss-Legendre quadrature, for 4 < x < 16:
     # pi J_n = int_0^pi cos(x sin th - n th) dth,
     # pi Y_n = int_0^pi sin(x sin th - n th) dth
     #          - int_0^inf (e^{nt} + (-1)^n e^{-nt}) e^{-x sinh t} dt.
-    # Both integrands are entire, so the rules converge geometrically.
-    theta, sin_theta, w_theta, sinh_t, tail_weights = _jy_rule()
-    phase = np.multiply.outer(x, sin_theta) - order * theta
-    tail = tail_weights[order] * np.exp(-np.multiply.outer(x, sinh_t))
-    j_val = (w_theta * np.cos(phase)).sum(axis=1) / math.pi
-    y_val = ((w_theta * np.sin(phase)).sum(axis=1) - tail.sum(axis=1)) / math.pi
-    return j_val, y_val
+    # Both integrands are entire, so the rules converge geometrically.  On
+    # the folded rule (weights w summing to 1, s = sin th) the first
+    # integrals are J0 = sum w cos(x s), J1 = sum w s sin(x s), and for Y0
+    # and Y1 sum w sin(x s) and -sum w s cos(x s): one trig function per
+    # pair.  Only Y takes the tail integral.
+    sin_theta, pair_weights, sinh_t, tail_weights = _jy_rule()
+    xs = np.multiply.outer(x, sin_theta)
+    # J0 and Y1 take the cosine, J1 and Y0 the sine
+    trig = (np.sin if order != y else np.cos)(xs, out=xs)
+    trig *= pair_weights[order]
+    main = trig.sum(axis=1)
+    if not y:
+        return main
+    tail = np.exp(-np.multiply.outer(x, sinh_t))
+    tail *= tail_weights[order]
+    return (-main if order else main) - tail.sum(axis=1)
 
 
-def _jy_asymp(order, x):
+def _jy_asymp(order, x, y):
     # DLMF 10.17.3-4: P and Q sum the terms of K's asymptotic series with
     # _HANKEL_SIGNS, each element stopped where its terms start to grow, as
-    # in _k01_asymp.
+    # in _k01_asymp.  J = amp (P cos w - Q sin w), Y = amp (P sin w + Q cos w).
     ratios = _K_ASYMP_RATIOS[order, :, 0]
     terms = np.cumprod(ratios / x[:, None], axis=1)
     terms[np.abs(ratios) >= x[:, None]] = 0.0
@@ -285,7 +303,9 @@ def _jy_asymp(order, x):
     else:
         cosw = (s - c) * _INV_SQRT2  # cos(x - 3*pi/4)
         sinw = -(s + c) * _INV_SQRT2
-    return amp * (p * cosw - q * sinw), amp * (p * sinw + q * cosw)
+    if y:
+        return amp * (p * sinw + q * cosw)
+    return amp * (p * cosw - q * sinw)
 
 
 def _check_order(order, allowed, name):
@@ -308,7 +328,7 @@ def _jy(order, x, y):
     for where, kernel in ((small, _jy_series), (~(small | large), _jy_quadrature),
                           (large, _jy_asymp)):
         if where.any():
-            out[where] = kernel(order, flat[where])[y]
+            out[where] = kernel(order, flat[where], y)
     if xs.ndim == 0:
         return float(out[0])
     return out.reshape(xs.shape)

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -371,6 +372,45 @@ def test_pwave_II_branches_merge_with_I_at_large_R():
         gap = max(abs(viip - vip), abs(viim - vim)) / scale
         assert gap < cap and gap < prev
         prev = gap
+
+
+# ------------------------------------------------------------------ huge R
+
+@pytest.mark.parametrize("R", [1e200, 1e300])
+@pytest.mark.parametrize("solve, closed", [(P.solve_pwave_I, P.xi_I0_closed),
+                                           (P.solve_pwave_II, P.xi_II0_closed)],
+                         ids=["I0", "II0"])
+def test_zero_branches_converge_at_huge_R(solve, closed, R):
+    # the scan reaches xi = 1e-7/R, whose square underflows: the pole term
+    # a1_inv/xi^2 must not turn into 0/0 there, which hid the I0 root and
+    # left II0 the s-like root 2 e^-gamma/a0
+    r = solve(R, PARAMS_RES, +1)
+    assert r.converged
+    assert r.xi == pytest.approx(closed(R), rel=1e-3)
+
+
+@pytest.mark.parametrize("R", [1e150, 1e160, 1e200, 1e250, 1e300])
+def test_pwave_point_solves_warning_free_at_huge_R(R):
+    # off resonance the pole term overflowed or divided by zero at the low
+    # end of the scan; the roots themselves sit at the dimer pole, as at
+    # R = 1e140
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (P.solve_pwave_I, P.solve_pwave_II):
+            for sign in (+1, -1):
+                r = solve(R, PARAMS_100, sign)
+                assert r.converged
+                assert r.xi == solve(1e140, PARAMS_100, sign).xi
+
+
+def test_pwave_sweep_warning_free_to_1e300():
+    grid = np.geomspace(1.2, 1e300, 120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = P.sweep_branches(_PWAVE_JOBS, grid)
+    far = grid > 1e150
+    for branch in (P.Branch.PWAVE_II_PLUS, P.Branch.PWAVE_II_MINUS, P.Branch.PWAVE_I_ZERO):
+        assert curves[branch].converged[far].all()
 
 
 # ------------------------------------------------------------------ bracket scan

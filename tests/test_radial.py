@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -67,6 +68,20 @@ def test_zero_energy_one_bessel_call_each(monkeypatch):
     assert got.tobytes() == want.tobytes()
     z = 2.0 * np.sqrt(NU0 * x)
     assert z.min() < 4.0 and z.max() > 16.0
+
+
+def test_zero_energy_matches_mpmath_in_every_regime():
+    # z = 2 sqrt(nu0 x) runs through the power series (z <= 4), the folded
+    # quadrature band and the Hankel expansion (z >= 16), A and B non-zero
+    z = np.sort(np.concatenate([np.linspace(0.2, 30.0, 297), [4.0, 16.0, math.nextafter(16.0, 0.0)]]))
+    x = z * z / (4.0 * NU0)
+    a_coef, b_coef = 0.7, -0.4
+    got = radial.zero_energy_exact(x, NU0, a_coef, b_coef).values
+    z = 2.0 * np.sqrt(NU0 * x)  # the arguments the function takes
+    with mp.workdps(30):
+        for xi, zi, g in zip(x, z, got):
+            want = mp.sqrt(xi) * (a_coef * mp.besselj(1, zi) + b_coef * mp.bessely(1, zi))
+            assert abs(g - want) <= 1e-14 * (abs(a_coef) + abs(b_coef)) * math.sqrt(xi)
 
 
 def test_zero_energy_domain():
