@@ -207,7 +207,9 @@ def swave_asymptote(R_over_a0: float, sign: int, regime: str) -> float:
 
     regime 'small' is the short-distance form (R << a0 for '+', R >~ a0 for
     '-'); 'large' is the long-distance form shared apart from the sign of
-    the exponential correction.
+    the exponential correction.  Where the form leaves the double range
+    (R/a0 below about 3e-153 for 'small' '-', near the smallest doubles
+    otherwise), DomainError.
     """
     if not 0.0 < R_over_a0 < math.inf:  # NaN fails too
         raise DomainError("R/a0 must be positive and finite")
@@ -216,12 +218,17 @@ def swave_asymptote(R_over_a0: float, sign: int, regime: str) -> float:
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
     x = R_over_a0
-    if regime == "small":
-        if sign == +1:
-            return -1.0 / x
-        return -math.exp(2.0 * EULER_GAMMA) * math.log(x) / (x * x)
-    tail = math.sqrt(math.pi * math.exp(EULER_GAMMA) / x) * math.exp(-_TWO_EXP_NEG_GAMMA * x)
-    return -(1.0 + tail) if sign == +1 else -(1.0 - tail)
+    if regime == "small" and sign == +1:
+        v = -1.0 / x
+    elif regime == "small":
+        x_sq = x * x
+        v = -math.exp(2.0 * EULER_GAMMA) * math.log(x) / x_sq if x_sq else math.inf
+    else:
+        tail = math.sqrt(math.pi * math.exp(EULER_GAMMA) / x) * math.exp(-_TWO_EXP_NEG_GAMMA * x)
+        v = -(1.0 + tail) if sign == +1 else -(1.0 - tail)
+    if not math.isfinite(v):
+        raise DomainError(f"the {regime!r} s-wave form overflows at R/a0 = {x!r}")
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +365,11 @@ def _pwave_equation(family, params, sign):
         # negative, so the scan ends at the minimum between the two
         hi = pole_minimum(a1_inv) if sign == -1 and a1_inv > 0.0 else None
         return residual, hi, label
-    log_ga0 = EULER_GAMMA + math.log(0.5 * params.a0)
+    half_a0 = 0.5 * params.a0
+    if not half_a0:
+        raise DomainError(f"branch II needs ln(a0/2), but a0/2 underflows to 0 at "
+                          f"a0 = {params.a0!r}")
+    log_ga0 = EULER_GAMMA + math.log(half_a0)
 
     def residual(xi, z, log_xi, k0, k1):
         k2 = k0 + 2.0 * k1 / z
@@ -412,7 +423,8 @@ def xi_II0_closed(R: float) -> float:
     """Closed-form resonance momentum of branch II for R >> r1."""
     if not 0.0 < R < math.inf:  # NaN fails too
         raise DomainError("R must be positive and finite")
-    denom = math.log(0.5 * R) + EULER_GAMMA + 1.5
+    half = 0.5 * R
+    denom = math.log(half) + EULER_GAMMA + 1.5 if half else -math.inf
     if denom <= 0:
         raise DomainError(f"closed form bracket non-positive at R = {R:g}")
     return math.sqrt(2.0 / denom) / R
@@ -434,8 +446,8 @@ class UnifiedPotential:
     """Callable wrapper for the asymptotic potential with its log-space form.
 
     ``langer_w(x)`` returns -e^(2x) V(e^x) = 1/x exactly, which stays finite
-    where e^(2x) overflows; the WKB machinery prefers it when present.  It
-    takes a float (and returns a float) or an array.
+    where e^(2x) overflows; ``radial`` and ``wkb`` read every potential
+    through it.  It takes a float (and returns a float) or an array.
     """
 
     def __call__(self, R: float) -> float:
@@ -463,22 +475,34 @@ def determinant_residual(xi: float, R: float, params: TwoBodyParams, block: str)
     det M0 = 1 - (4 t1 K1(z)/z)^2,
 
     and a converged branch root makes the matching one vanish.  M0 does not
-    involve T0.
+    involve T0.  A determinant that leaves the double range (where K1 or
+    K1/z overflows at small kappa R) is a DomainError.
     """
     if block not in ("plus", "minus", "zero"):
         raise DomainError("block must be 'plus', 'minus' or 'zero'")
     if not (0.0 < xi < math.inf and 0.0 < R < math.inf):  # NaN fails too
         raise DomainError("determinant_residual needs finite kappa > 0 and R > 0")
     z = xi * R
+    if not z > 5e-324:  # K0 takes ln(z/2), which underflows to ln 0 there
+        raise DomainError(f"kappa R = {z!r} is below the range of K0 and K1")
     t1 = t_matrix(1, xi, params)
     k1 = bessel_k(1, z)
     if block == "zero":
-        return 1.0 - (4.0 * t1 * k1 / z) ** 2
-    s = 1.0 if block == "plus" else -1.0
-    t0 = t_matrix(0, xi, params)
-    k0 = bessel_k(0, z)
-    k2 = k0 + 2.0 * k1 / z
-    return (1.0 + 2.0 * s * t0 * k0) * (1.0 - 2.0 * s * t1 * (k0 + k2)) + 8.0 * t0 * t1 * k1 * k1
+        try:
+            det = 1.0 - (4.0 * t1 * k1 / z) ** 2
+        except OverflowError:
+            det = -math.inf
+    else:
+        s = 1.0 if block == "plus" else -1.0
+        t0 = t_matrix(0, xi, params)
+        k0 = bessel_k(0, z)
+        k2 = k0 + 2.0 * k1 / z
+        det = ((1.0 + 2.0 * s * t0 * k0) * (1.0 - 2.0 * s * t1 * (k0 + k2))
+               + 8.0 * t0 * t1 * k1 * k1)
+    if not math.isfinite(det):
+        raise DomainError(f"the {block!r} determinant leaves the double range at "
+                          f"kappa = {xi!r}, R = {R!r}")
+    return det
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +546,7 @@ def light_wavefunction(branch: str, sign: int, kappa: float, R: float,
         out[ok] = np.sin(phi_p[ok]) * k1_p + sign * np.sin(phi_m[ok]) * k1_m
         return out
     t0 = t_matrix(0, kappa, params)
-    k0_R, k1_R = bessel_k(0, kappa * R), bessel_k(1, kappa * R)
+    k0_R, k1_R = bessel_k01_float(kappa * R)
     amp = (2.0 * t0 * k0_R + sign) / (2.0 * t0 * k1_R) if k1_R else math.inf
     if not math.isfinite(amp):
         raise DomainError(f"branch II amplitude is not finite at kappa R = {kappa * R:.6g}")

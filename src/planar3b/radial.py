@@ -6,9 +6,10 @@ the radial equation takes the form chi'' + Q(x) chi = 0 with
 
     Q(x) = eps e^{2x} + nu0 W(x),      eps = nu0 * E,
 
-W(x) = -e^{2x} V(e^x) (equal to 1/x for the shared asymptotic potential) and
-no first-derivative term, so the fourth-order Numerov recurrence applies
-directly.  Eigenvalues come from hard-wall shooting.  A shot is truncated
+W(x) = -e^{2x} V(e^x), the potential's ``langer_w`` (1/x for the shared
+asymptotic potential, ``UnifiedPotential``), and no first-derivative term,
+so the fourth-order Numerov recurrence applies directly.  Eigenvalues come
+from hard-wall shooting.  A shot is truncated
 once the solution has grown by e^35 inside the classically forbidden
 region, which shifts eigenvalues by ~e^-70 and keeps the recurrence inside
 double range (this also makes the levels independent of the outer wall
@@ -88,7 +89,7 @@ from .errors import ConvergenceError, DomainError, StepSizeError
 # of ROADMAP item 1 removes it
 from .numerics import ridders  # noqa: F401
 from .specfun import bessel_j, bessel_y
-from .wkb import _X_MAX, WkbConfig, _check_index, langer_w, quantize_spectrum
+from .wkb import _X_MAX, WkbConfig, _check_index, quantize_spectrum
 
 _FORBIDDEN_ACTION_CAP = 35.0
 _CAP_PIECE = 1024
@@ -100,10 +101,8 @@ _SETTLE_RTOL = 1e-10
 
 @dataclass
 class WavefunctionSample:
-    grid: np.ndarray
     values: np.ndarray
     node_count: int
-    norm_const: float
 
 
 @dataclass
@@ -214,16 +213,14 @@ def numerov_integrate(potential, E: float, grid, bc, *, nu0: float) -> Wavefunct
     if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0.0):
         raise DomainError("grid must be uniform in x")
     _check_x_range(x.max())
-    w = langer_w(potential)
     eps = nu0 * E
-    q = np.array([eps * math.exp(2.0 * xi) for xi in x.tolist()]) + nu0 * w(x)
+    q = np.array([eps * math.exp(2.0 * v) for v in x.tolist()]) + nu0 * potential.langer_w(x)
     if np.max(h * h * np.abs(q)) > 0.25:
         raise StepSizeError(
             f"step h = {h:g} too coarse: max h^2|Q| = {np.max(h*h*np.abs(q)):.3g}"
         )
     y, nodes = _numerov_sweep(q, h, bc[0], bc[1])
-    norm = math.sqrt(np.trapezoid(y * y * np.exp(2.0 * x), x))
-    return WavefunctionSample(grid=x, values=y, node_count=nodes, norm_const=norm)
+    return WavefunctionSample(values=y, node_count=nodes)
 
 
 def zero_energy_exact(x_grid, nu0: float, A: float, B: float) -> WavefunctionSample:
@@ -245,10 +242,15 @@ def zero_energy_exact(x_grid, nu0: float, A: float, B: float) -> WavefunctionSam
     if not np.all(np.isfinite(x) & (x > 0)):
         raise DomainError("zero_energy_exact needs finite x > 0")
     z = 2.0 * np.sqrt(nu0 * x)
-    vals = np.sqrt(x) * (A * bessel_j(1, z) + B * bessel_y(1, z))
-    nodes = int(np.sum(vals[:-1] * vals[1:] < 0.0))
-    norm = math.sqrt(np.trapezoid(vals * vals * np.exp(2.0 * x), x))
-    return WavefunctionSample(grid=x, values=vals, node_count=nodes, norm_const=norm)
+    j1, y1 = bessel_j(1, z), bessel_y(1, z)
+    # overflow (and inf - inf) ends in the DomainError below; a product of
+    # neighbours that overflows keeps its sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.sqrt(x) * (A * j1 + B * y1)
+        nodes = int(np.sum(vals[:-1] * vals[1:] < 0.0))
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"zero_energy_exact overflows with A = {A!r}, B = {B!r}")
+    return WavefunctionSample(values=vals, node_count=nodes)
 
 
 def _start(wall, eps, h):
@@ -426,10 +428,9 @@ def _langer_setup(potential, nu0, window, h):
         raise DomainError("empty radial window")
     _check_x_range(math.log(window[1]))
     x = _uniform_grid(math.log(window[0]), math.log(window[1]), h)
-    w = langer_w(potential)
     wx = np.zeros_like(x)
     inside = x > 0.0
-    wx[inside] = w(x[inside])
+    wx[inside] = potential.langer_w(x[inside])
     wall = float(nu0 * x[1] * wx[1]) if x[0] == 0.0 else None  # x W(x) -> residue
     return x, nu0 * wx, wall
 

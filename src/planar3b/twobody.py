@@ -99,37 +99,71 @@ class TwoBodyDerived:
     eps1_pole: float = field(default=0.0)
 
 
-def cot_delta0(kappa: float, a0: float) -> float:
-    """s-wave effective-range form: (2/pi) [gamma + ln(kappa a0 / 2)]."""
+def _cot0(kappa: float, a0: float) -> float:
+    """``cot_delta0`` without its overflow check: +inf where kappa a0/2
+    overflows, which ``t_matrix`` turns into T0 = -0.0."""
     if not (0.0 < kappa < math.inf and 0.0 < a0 < math.inf):  # NaN fails too
         raise DomainError("cot_delta0 needs finite kappa > 0 and a0 > 0")
-    return (2.0 / math.pi) * (EULER_GAMMA + math.log(0.5 * kappa * a0))
+    half = 0.5 * kappa * a0
+    if not half:
+        raise DomainError(f"cot_delta0: kappa a0/2 underflows to 0 at "
+                          f"kappa = {kappa!r}, a0 = {a0!r}")
+    return (2.0 / math.pi) * (EULER_GAMMA + math.log(half))
 
 
-def pole_function(kappa: float, a1_inv: float) -> float:
-    """a1_inv/kappa^2 + ln kappa, the real p-wave inverse-T combination
-    (pi/2 cot_delta1), whose smallest zero is the pole of T1."""
-    return a1_inv / (kappa * kappa) + math.log(kappa)
-
-
-def cot_delta1(kappa: float, a1_inv: float) -> float:
-    """p-wave effective-range form: (2/pi) [a1_inv/kappa^2 + ln kappa]."""
+def _cot1(kappa: float, a1_inv: float) -> float:
+    """``cot_delta1`` without its overflow check: +inf where a1_inv/kappa^2
+    overflows, which ``t_matrix`` turns into T1 = -0.0."""
     if not 0.0 < kappa < math.inf:  # NaN fails too
         raise DomainError("cot_delta1 needs finite kappa > 0")
     if not 0.0 <= a1_inv < math.inf:
         raise DomainError("a1_inv must be finite and >= 0")
+    if a1_inv and not kappa * kappa:
+        raise DomainError(f"cot_delta1: kappa^2 underflows to 0 at kappa = {kappa!r}, "
+                          f"a1_inv = {a1_inv!r}")
     return (2.0 / math.pi) * pole_function(kappa, a1_inv)
+
+
+def _finite_cot(cot, name, kappa):
+    if cot == math.inf:
+        raise DomainError(f"{name} overflows at kappa = {kappa!r}")
+    return cot
+
+
+def cot_delta0(kappa: float, a0: float) -> float:
+    """s-wave effective-range form: (2/pi) [gamma + ln(kappa a0 / 2)].
+
+    DomainError where kappa a0/2 underflows to 0 or overflows.
+    """
+    return _finite_cot(_cot0(kappa, a0), "cot_delta0", kappa)
+
+
+def pole_function(kappa: float, a1_inv: float) -> float:
+    """a1_inv/kappa^2 + ln kappa, the real p-wave inverse-T combination
+    (pi/2 cot_delta1), whose smallest zero is the pole of T1.  At exact
+    resonance (a1_inv = 0) it is ln kappa, also where kappa^2 underflows."""
+    return a1_inv / (kappa * kappa) + math.log(kappa) if a1_inv else math.log(kappa)
+
+
+def cot_delta1(kappa: float, a1_inv: float) -> float:
+    """p-wave effective-range form: (2/pi) [a1_inv/kappa^2 + ln kappa].
+
+    Off resonance, DomainError where kappa^2 underflows to 0 or
+    a1_inv/kappa^2 overflows.
+    """
+    return _finite_cot(_cot1(kappa, a1_inv), "cot_delta1", kappa)
 
 
 def t_matrix(order: int, kappa: float, params: TwoBodyParams) -> float:
     """On-shell T-matrix element T_m(i kappa) = -(1/pi)/cot, real form.
 
-    Raises TMatrixPoleError when evaluated on top of the dimer pole.
+    Raises TMatrixPoleError when evaluated on top of the dimer pole.  Where
+    the cot overflows, T is -0.0.
     """
     if order == 0:
-        cot = cot_delta0(kappa, params.a0)
+        cot = _cot0(kappa, params.a0)
     elif order == 1:
-        cot = cot_delta1(kappa, params.a1_inv)
+        cot = _cot1(kappa, params.a1_inv)
     else:
         raise DomainError(f"t_matrix: order must be 0 or 1, got {order}")
     if abs(cot) < 1e-12:
@@ -181,9 +215,14 @@ def dimer_energies(params: TwoBodyParams) -> TwoBodyDerived:
     eps0 = -2 e^(-2 gamma)/a0^2 exactly; eps1 from the leading closed form
     -1/(a1 ln(a1/2)); kappa1 from the numerical pole of T1; R1 from the
     closed form sqrt(a1/2 * ln(a1/2)).  At exact resonance (a1_inv = 0) the
-    p-wave entries collapse to eps1 = 0, kappa1 = 0, R1 = inf.
+    p-wave entries collapse to eps1 = 0, kappa1 = 0, R1 = inf.  Where eps0
+    or R1 off resonance leaves the double range (a0 below about 1e-154,
+    a1 above about 5e305), DomainError.
     """
-    eps0 = -2.0 * math.exp(-2.0 * EULER_GAMMA) / (params.a0 * params.a0)
+    a0_sq = params.a0 * params.a0
+    eps0 = -2.0 * math.exp(-2.0 * EULER_GAMMA) / a0_sq if a0_sq else -math.inf
+    if not math.isfinite(eps0):
+        raise DomainError(f"eps0 = -2 e^(-2 gamma)/a0^2 overflows at a0 = {params.a0!r}")
     if params.a1_inv == 0.0:
         return TwoBodyDerived(eps0=eps0, eps1=0.0, kappa1=0.0, R1=math.inf, eps1_pole=0.0)
     a1 = params.a1
@@ -191,8 +230,10 @@ def dimer_energies(params: TwoBodyParams) -> TwoBodyDerived:
     if log_half <= 0:
         raise NoPoleError(f"a1 = {a1:g} too small for a weakly bound p-wave dimer")
     eps1 = -1.0 / (a1 * log_half)
-    kappa1 = pwave_pole(params.a1_inv)
     r_1 = math.sqrt(0.5 * a1 * log_half)
+    if not r_1 < math.inf:  # before the pole search, whose kappa^2 would underflow
+        raise DomainError(f"R1 = sqrt(a1/2 ln(a1/2)) overflows at a1_inv = {params.a1_inv!r}")
+    kappa1 = pwave_pole(params.a1_inv)
     return TwoBodyDerived(
         eps0=eps0, eps1=eps1, kappa1=kappa1, R1=r_1, eps1_pole=-0.5 * kappa1 * kappa1
     )

@@ -8,7 +8,8 @@ equation loses its first-derivative term and the asymptotic potential
 
 is evaluated as sqrt(nu0) * int_x^{x_E} sqrt(W(x') - W(x_E) e^{2(x'-x_E)}) dx'
 with W(x) = -e^{2x} V(e^x), a form that stays finite far beyond the range
-where e^{x} itself overflows.  Square-root endpoint behavior at both the
+where e^{x} itself overflows, and the only form in which a potential
+enters: its ``langer_w`` method.  Square-root endpoint behavior at both the
 turning point and a possible inner 1/x singularity is removed by quadratic
 substitutions, which leave smooth integrands; these are summed on a fixed
 32-node Gauss-Legendre rule (DLMF 3.5(v)), three panels per phase, so the
@@ -110,24 +111,6 @@ class SpectrumResult:
     @property
     def E(self):
         return np.array([lv[2] for lv in self.levels])
-
-
-def langer_w(potential):
-    """-e^(2x) V(e^x) for a potential callable, preferring an exact
-    log-space form when the object provides one.
-
-    The returned function takes a float or an array of x; without a log
-    form it maps the potential's scalar form over the elements.
-    """
-    w = getattr(potential, "langer_w", None)
-    if w is not None:
-        return w
-
-    def w_mapped(x):
-        vals = [-math.exp(2.0 * v) * potential(math.exp(v)) for v in np.ravel(x).tolist()]
-        return np.reshape(vals, np.shape(x)) if np.ndim(x) else vals[0]
-
-    return w_mapped
 
 
 # a solve takes 4-8 phases; the cap also covers plain bisection of
@@ -333,16 +316,16 @@ def quantize_spectrum(n_range, nu0: float, cfg: WkbConfig,
     rho_n = exp([(pi n - theta)/(2 sqrt(nu0)) + sqrt(ln R_inner)]^2); in
     'full' mode one safeguarded Newton solve on the quadrature phase finds
     all rho_n together, starting from the closed form (``_full_phase_roots``).
-    E_n = V(rho_n).  Levels whose rho_n exceeds cfg.R_max are dropped: in
-    'full' mode exactly those whose phase at R_max falls short of pi n.  The
-    fit summary is the least-squares line of ln(n^2 |E_n|) against n^2, whose
+    The potential (default ``UnifiedPotential()``) enters only through
+    ``potential.langer_w(x)`` = -e^{2x} V(e^x) on arrays; E_n = V(rho_n).
+    Levels whose rho_n exceeds cfg.R_max are dropped: in 'full' mode
+    exactly those whose phase at R_max falls short of pi n.  The fit
+    summary is the least-squares line of ln(n^2 |E_n|) against n^2, whose
     theoretical slope is -pi^2/(2 nu0).
     """
     if not 0.0 < nu0 < math.inf:
         raise DomainError(f"nu0 must be positive and finite, got {nu0}")
-    if potential is None:
-        potential = _DEF_POTENTIAL
-    w = langer_w(potential)
+    w = (_DEF_POTENTIAL if potential is None else potential).langer_w
     x_inner = math.log(cfg.R_inner)
     x_cap = math.log(cfg.R_max)
     sqrt_nu0 = math.sqrt(nu0)

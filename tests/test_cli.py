@@ -245,6 +245,20 @@ def test_cli_wavefunction_II_beyond_doubles_exit_2(tmp_path, capsys):
     assert cli.main(["wavefunction", "--separation", "12600", "--output", str(out)]) == 0
 
 
+@pytest.mark.parametrize("args", [["potentials", "--branch", "II+"],
+                                  ["wavefunction", "--branch", "II"]])
+def test_cli_a0_whose_half_underflows_exit_2(tmp_path, capsys, args):
+    # at the smallest double a0/2 rounds to 0, and branch II's ln(a0/2) was
+    # a math domain error traceback (exit 1)
+    ini = tmp_path / "tiny_a0.ini"
+    ini.write_text("[twobody]\na0 = 5e-324\n")
+    out = tmp_path / "out"
+    assert cli.main([*args, "--config", str(ini), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "a0 = 5e-324" in err
+    assert not out.exists()
+
+
 def test_cmd_wavefunction(tmp_path):
     cfg = cli.default_config()
     cfg.output_dir = str(tmp_path)
